@@ -1,26 +1,19 @@
 """Hot inner loops over permutation words.
 
 Every kernel walks an adjacent-transposition word while maintaining the
-permutation and a prefix-weight table in O(1) per step. The same source is
-used twice: compiled with numba's @njit when available, or executed as plain
-Python over numpy arrays when numba is missing or disabled via
-``BALANCED_LINES_NUMBA=0``. ``benchmarks/bench_kernels.py`` compares the two.
+permutation and a prefix-weight table in O(1) per step. There is one backend,
+plain Python: ``run_word``, ``element_walk`` and ``events_to_word`` take and
+return numpy arrays, and ``track_rank`` runs over lists and follows every rank
+of a subset in one replay, so curve tracking costs one replay per subset, not
+one per rank. The from-scratch references they are tested against are
+``permutation_at`` and ``transposition_at`` in ``sequence``.
 """
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 
-def _numba_enabled() -> bool:
-    flag = os.environ.get("BALANCED_LINES_NUMBA", "auto").strip().lower()
-    if flag in ("0", "false", "no", "off"):
-        return False
-    return True
-
-
-def run_word_py(pi0, word, weights):
+def run_word(pi0, word, weights):
     """Replay a word; per step return (left element, right element, prefix weight).
 
     The prefix weight is the weight sum strictly left of the swapped pair,
@@ -48,53 +41,50 @@ def run_word_py(pi0, word, weights):
     return lo, hi, lw, perm
 
 
-def track_rank_py(pi0, word, weights, member, k):
-    """Follow the k-th member (1-based, left to right) of a subset through a word.
+def track_rank(pi0, word, weights, member):
+    """Follow every rank of a subset through a word in one replay.
 
-    Returns per-time arrays (element, prefix weight, position), one entry per
-    permutation visited, i.e. len(word)+1 entries.
+    ``member`` flags the subset's elements. An adjacent swap moves at most two
+    rank curves: both ranks when both swapped elements are members, otherwise
+    the one member that moved. So the replay logs only each rank's change
+    points. Returns one list per rank, left to right at time 0, of
+    ``(time, element, prefix weight, position)`` rows; the first row is at
+    time 0 and each row holds until the next. Runs over plain Python
+    sequences; pass lists, not numpy arrays.
     """
-    n = pi0.shape[0]
-    m = word.shape[0]
-    perm = pi0.copy()
-    pre = np.zeros(n + 1, np.int64)
+    perm = list(pi0)
+    n = len(perm)
+    pre = [0] * (n + 1)
     for q in range(n):
         pre[q + 1] = pre[q] + weights[perm[q]]
-    tp = -1
-    seen = 0
-    for q in range(n):
-        if member[perm[q]]:
-            seen += 1
-            if seen == k:
-                tp = q
-                break
-    elem = np.empty(m + 1, np.int64)
-    wt = np.empty(m + 1, np.int64)
-    pos = np.empty(m + 1, np.int64)
-    elem[0] = perm[tp]
-    wt[0] = pre[tp]
-    pos[0] = tp
-    for t in range(m):
-        p = word[t]
+    rank = [-1] * n  # member element -> its 0-based rank, left to right
+    logs = []
+    for q, v in enumerate(perm):
+        if member[v]:
+            rank[v] = len(logs)
+            logs.append([(0, v, pre[q], q)])
+    for t, p in enumerate(word, 1):
         a = perm[p]
         b = perm[p + 1]
         perm[p] = b
         perm[p + 1] = a
         pre[p + 1] = pre[p] + weights[b]
-        # Only a member/non-member swap shifts the subset's position multiset.
-        if member[a] and not member[b]:
-            if tp == p:
-                tp = p + 1
-        elif member[b] and not member[a]:
-            if tp == p + 1:
-                tp = p
-        elem[t + 1] = perm[tp]
-        wt[t + 1] = pre[tp]
-        pos[t + 1] = tp
-    return elem, wt, pos
+        ka = rank[a]
+        kb = rank[b]
+        if ka >= 0:
+            if kb >= 0:  # both members: the two ranks trade elements
+                rank[a] = kb
+                rank[b] = ka
+                logs[ka].append((t, b, pre[p], p))
+                logs[kb].append((t, a, pre[p + 1], p + 1))
+            else:
+                logs[ka].append((t, a, pre[p + 1], p + 1))
+        elif kb >= 0:
+            logs[kb].append((t, b, pre[p], p))
+    return logs
 
 
-def element_walk_py(pi0, word, weights, elems):
+def element_walk(pi0, word, weights, elems):
     """Positions and prefix weights of a prescribed element per time step.
 
     ``elems`` gives one element id per time (len(word)+1 entries, cyclic
@@ -128,7 +118,7 @@ def element_walk_py(pi0, word, weights, elems):
     return pos, wt
 
 
-def events_to_word_py(pi0, ev_i, ev_j):
+def events_to_word(pi0, ev_i, ev_j):
     """Convert a sequence of swap pairs into word positions.
 
     Each event's pair must be adjacent when its turn comes; a -1 entry in the
@@ -157,25 +147,3 @@ def events_to_word_py(pi0, ev_i, ev_j):
         pos_of[b] = pi
         pos_of[a] = pj
     return word
-
-
-if _numba_enabled():
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - exercised only without numba
-        njit = None
-else:
-    njit = None
-
-if njit is not None:
-    BACKEND = "numba"
-    run_word = njit(cache=True)(run_word_py)
-    track_rank = njit(cache=True)(track_rank_py)
-    element_walk = njit(cache=True)(element_walk_py)
-    events_to_word = njit(cache=True)(events_to_word_py)
-else:
-    BACKEND = "python"
-    run_word = run_word_py
-    track_rank = track_rank_py
-    element_walk = element_walk_py
-    events_to_word = events_to_word_py

@@ -82,10 +82,17 @@ class CorrespondenceReport:
         return {w.pair for w in self.geometric} == {w.pair for w in self.scan}
 
 
-def check_correspondence(inst: Instance) -> CorrespondenceReport:
-    """Run both enumerators on one instance and compare their pair sets."""
-    geometric = enumerate_balanced_lines(inst)
-    scan = scan_balanced_transpositions(build_from_points(inst))
+def check_correspondence(inst: Instance, seq=None, geometric=None) -> CorrespondenceReport:
+    """Run both enumerators on one instance and compare their pair sets.
+
+    ``seq`` (the instance's allowable sequence) and ``geometric`` (its
+    geometric witnesses) are reused when given, and computed when not.
+    """
+    if geometric is None:
+        geometric = enumerate_balanced_lines(inst)
+    if seq is None:
+        seq = build_from_points(inst)
+    scan = scan_balanced_transpositions(seq)
     return CorrespondenceReport(frozenset(geometric), frozenset(scan))
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .balance import BalancedWitness, WitnessSource
-from .curves import CurveClass, CurveSpec, classify, track
+from .curves import CurveClass, classify_track, track_all
 from .errors import BadParamsError, InsufficientBorderError, ProofGapError
 from .geometry import Color
 from .sequence import AllowableSequence, transposition_at
@@ -48,9 +48,9 @@ def classify_case(seq: AllowableSequence) -> CaseInfo:
     """Case 1 iff every blue mid-rank curve is delta-changing (vacuously if none)."""
     if seq.r == 0:
         return CaseInfo(Case.CASE1, None)
-    blues = _blue_ids(seq)
+    tracks = track_all(seq, _blue_ids(seq))
     for k in _mid_rank_range(seq):
-        if classify(seq, CurveSpec(blues, k)) is not CurveClass.CHANGING:
+        if classify_track(tracks[k - 1]) is not CurveClass.CHANGING:
             return CaseInfo(Case.CASE2, k)
     return CaseInfo(Case.CASE1, None)
 
@@ -81,6 +81,11 @@ def _walk_positions(seq: AllowableSequence, elems_per_time) -> tuple[np.ndarray,
         [elems_per_time[t % period] for t in range(period + 1)], np.int64
     )
     return _kernels.element_walk(seq._pi0_a, seq.full_word(), seq._weights_a, ext)
+
+
+def _changes(wt, from_w: int, to_w: int, stop: int) -> list[int]:
+    """Times t < stop with weight from_w at t and to_w at t+1."""
+    return np.flatnonzero((wt[:stop] == from_w) & (wt[1 : stop + 1] == to_w)).tolist()
 
 
 def check_border(seq: AllowableSequence, border: Border) -> list[str]:
@@ -158,10 +163,8 @@ def initial_border(seq: AllowableSequence, k: int) -> Border:
     """
     if k not in _mid_rank_range(seq):
         raise BadParamsError(f"rank {k} outside the mid-rank range")
-    blues = _blue_ids(seq)
-    spec = CurveSpec(blues, k)
-    cls = classify(seq, spec)
-    trk = track(seq, spec)
+    trk = track_all(seq, _blue_ids(seq))[k - 1]
+    cls = classify_track(trk)
     if cls is CurveClass.GE_DELTA:
         border = Border(Color.BLUE, tuple(int(v) for v in trk.elem[: seq.period]))
     elif cls is CurveClass.LT_DELTA:
@@ -263,19 +266,16 @@ def case1_certificate(seq: AllowableSequence) -> Certificate:
     are distinct pairs because a coincidence would force b = 2k-1.
     """
     delta, b = seq.delta, seq.b
-    blues = _blue_ids(seq)
+    tracks = track_all(seq, _blue_ids(seq))
     lo, hi, lw, _ = _kernels.run_word(seq._pi0_a, seq.full_word(), seq._weights_a)
     pool = _WitnessPool(seq)
     events = []
 
     def harvest(k: int, kinds) -> None:
-        trk = track(seq, CurveSpec(blues, k))
+        trk = tracks[k - 1]
         picked = []
         for kind, from_w, to_w in kinds:
-            ts = [
-                t for t in range(seq.period)
-                if trk.wt[t] == from_w and trk.weight_at(t + 1) == to_w
-            ]
+            ts = _changes(trk.wt, from_w, to_w, seq.period)
             if not ts:
                 raise ProofGapError(f"B_{k} has no {kind} despite being delta-changing")
             t = ts[0]
@@ -298,16 +298,15 @@ def case1_certificate(seq: AllowableSequence) -> Certificate:
         harvest(k, [("descent", delta, delta - 1), ("ascent", delta - 1, delta)])
     if b % 2 == 1:
         k0 = (b + 1) // 2
-        trk = track(seq, CurveSpec(blues, k0))
-        found = None
-        for t in range(seq.period):
-            w0, w1 = int(trk.wt[t]), trk.weight_at(t + 1)
-            if (w0, w1) in ((delta, delta - 1), (delta - 1, delta)):
-                found = (t, "descent" if w0 == delta else "ascent")
-                break
-        if found is None:
+        trk = tracks[k0 - 1]
+        firsts = (
+            _changes(trk.wt, delta, delta - 1, seq.period)[:1]
+            + _changes(trk.wt, delta - 1, delta, seq.period)[:1]
+        )
+        if not firsts:
             raise ProofGapError(f"middle curve B_{k0} never crosses the threshold")
-        t, kind = found
+        t = min(firsts)
+        kind = "descent" if trk.wt[t] == delta else "ascent"
         a, bb, w = int(lo[t]), int(hi[t]), int(lw[t])
         member = int(trk.elem[t])
         partner = bb if member == a else a
@@ -347,14 +346,10 @@ def case2_certificate(seq: AllowableSequence, border: Border) -> Certificate:
     mirror_elems = [border.mirror_at(t) for t in range(seq.period)]
     mpos, _ = _walk_positions(seq, mirror_elems)
 
-    def tracks_for(ids):
-        sub = frozenset(ids)
-        return [track(seq, CurveSpec(sub, k)) for k in range(1, len(ids) + 1)] if ids else []
-
-    f_tracks, g_tracks, h_tracks = tracks_for(f_ids), tracks_for(g_ids), tracks_for(h_ids)
+    f_tracks, g_tracks, h_tracks = (track_all(seq, ids) for ids in (f_ids, g_ids, h_ids))
 
     def window_changes(trk, from_w, to_w):
-        return [t for t in range(n_half) if trk.wt[t] == from_w and trk.wt[t + 1] == to_w]
+        return _changes(trk.wt, from_w, to_w, n_half)
 
     def swap_parts(t, member_set, expected):
         a, bb = int(lo[t]), int(hi[t])
@@ -544,9 +539,9 @@ def _improve_once(seq: AllowableSequence, border: Border, hint=None) -> Border |
     period = seq.period
     f_ids, g_ids, h_ids = partition_fgh(seq, border)
     all_ids = tuple(sorted(frozenset(f_ids) | frozenset(g_ids) | frozenset(h_ids)))
-    base_sum = _position_sum(seq, border)
     bpos, _ = _walk_positions(seq, border.elements)
     bpos = bpos[:period]
+    base_sum = int(bpos.sum())
 
     candidates = [("G", g_ids, k) for k in range(1, len(g_ids) + 1)]
     candidates += [("ALL", all_ids, k) for k in range(1, len(all_ids) + 1)]
@@ -556,8 +551,11 @@ def _improve_once(seq: AllowableSequence, border: Border, hint=None) -> Border |
     def accept(cand: Border) -> bool:
         return not check_border(seq, cand) and _position_sum(seq, cand) > base_sum
 
-    for _, ids, k in candidates:
-        trk = track(seq, CurveSpec(frozenset(ids), k))
+    tracks = {}  # one replay per subset, made when its first candidate comes up
+    for name, ids, k in candidates:
+        if name not in tracks:
+            tracks[name] = track_all(seq, ids)
+        trk = tracks[name][k - 1]
         wt = trk.wt[:period]
         pos = trk.pos[:period]
         rel = pos - bpos

@@ -1,7 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 1 when a check fails, 2 on input errors. All output
-is deterministic for a fixed seed.
+Exit codes: 0 on success, 1 when a check fails, 2 on input errors, 3 on
+internal errors (a ``ProofGapError``: a step the theorem guarantees failed on
+validated input, which only a bug in this package can cause). All output is
+deterministic for a fixed seed.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from .balance import (
     witnesses_to_json,
 )
 from .certificate import certificate_to_json, certify, verify_certificate
-from .errors import BalancedLinesError
+from .errors import BalancedLinesError, ProofGapError
 from .geometry import instance_from_json, instance_to_json, validate_general_position
 from .harness import (
     Check,
@@ -195,6 +197,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except ProofGapError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except (BalancedLinesError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from . import _kernels
 from .errors import BadParamsError, MixedColorsError, ProofGapError
@@ -30,15 +31,45 @@ class CurveSpec:
 
 
 class WeightTrack:
-    """Materialized curve data over one full period (times 0..2N inclusive)."""
+    """Curve data over one full period (times 0..2N inclusive).
 
-    def __init__(self, seq: AllowableSequence, spec: CurveSpec, elem, wt, pos):
+    Built from the curve's change points, ``(time, element, prefix weight,
+    position)`` rows from time 0 on. The per-time arrays are forward-filled on
+    first access, which also checks strong continuity (per-step weight change
+    in {-1, 0, +1}, adjacent-or-equal positions) and periodicity.
+    """
+
+    def __init__(self, seq: AllowableSequence, spec: CurveSpec, changes, length: int):
         self.seq = seq
         self.spec = spec
-        self.elem = elem
-        self.wt = wt
-        self.pos = pos
         self.period = seq.period
+        self._changes = changes
+        self._length = length
+
+    @cached_property
+    def _columns(self):
+        rows = np.asarray(self._changes, np.int64)
+        self._changes = None
+        # Between change points nothing moves, so checking consecutive change
+        # points checks every step.
+        if np.abs(np.diff(rows[:, 2:], axis=0)).max(initial=0) > 1:
+            raise ProofGapError("strong continuity violated; sequence is malformed")
+        if rows[0, 1] != rows[-1, 1]:
+            raise ProofGapError("track is not periodic; sequence is malformed")
+        counts = np.diff(rows[:, 0], append=self._length)
+        return np.repeat(rows[:, 1:], counts, axis=0).T.copy()
+
+    @property
+    def elem(self) -> np.ndarray:
+        return self._columns[0]
+
+    @property
+    def wt(self) -> np.ndarray:
+        return self._columns[1]
+
+    @property
+    def pos(self) -> np.ndarray:
+        return self._columns[2]
 
     def element_at(self, t: int) -> int:
         return int(self.elem[t % self.period])
@@ -63,22 +94,29 @@ class CurveClass(Enum):
     CHANGING = "changing"
 
 
-def track(seq: AllowableSequence, spec: CurveSpec) -> WeightTrack:
-    """Incremental track of the curve over a full period.
+def track_all(seq: AllowableSequence, members) -> list[WeightTrack]:
+    """Tracks of every rank of a subset over a full period, in rank order.
 
-    Asserts strong continuity: per-step weight change in {-1, 0, +1} and
-    adjacent-or-equal positions.
+    One replay of the full word logs every rank's change points; each track
+    builds its arrays, and checks them, on first access.
     """
-    member = np.zeros(seq.n, bool)
-    member[list(spec.members)] = True
-    elem, wt, pos = _kernels.track_rank(
-        seq._pi0_a, seq.full_word(), seq._weights_a, member, spec.k
-    )
-    if np.abs(np.diff(wt)).max(initial=0) > 1 or np.abs(np.diff(pos)).max(initial=0) > 1:
-        raise ProofGapError("strong continuity violated; sequence is malformed")
-    if elem[0] != elem[-1]:
-        raise ProofGapError("track is not periodic; sequence is malformed")
-    return WeightTrack(seq, spec, elem, wt, pos)
+    members = frozenset(members)
+    member = [False] * seq.n
+    for v in members:
+        member[v] = True
+    word = seq.full_word().tolist()
+    logs = _kernels.track_rank(seq.pi0, word, seq.weights, member)
+    return [
+        WeightTrack(seq, CurveSpec(members, k), changes, len(word) + 1)
+        for k, changes in enumerate(logs, start=1)
+    ]
+
+
+def track(seq: AllowableSequence, spec: CurveSpec) -> WeightTrack:
+    """Track of one rank curve, checked for strong continuity and periodicity."""
+    trk = track_all(seq, spec.members)[spec.k - 1]
+    trk._columns  # build and check now, not on first use
+    return trk
 
 
 def mirror_track(seq: AllowableSequence, spec: CurveSpec) -> WeightTrack:
@@ -90,13 +128,24 @@ def mirror_track(seq: AllowableSequence, spec: CurveSpec) -> WeightTrack:
     return track(seq, CurveSpec(spec.members, len(spec.members) + 1 - spec.k))
 
 
-def classify(seq: AllowableSequence, spec: CurveSpec) -> CurveClass:
-    """Threshold classification of a monochromatic curve over a full period."""
-    colors = {seq.colors[v] for v in spec.members}
+def _subset_color(seq: AllowableSequence, members) -> Color:
+    colors = {seq.colors[v] for v in members}
     if len(colors) != 1:
         raise MixedColorsError("curve subset mixes colors")
-    color = colors.pop()
-    wt = track(seq, spec).wt[: seq.period]
+    return colors.pop()
+
+
+def classify(seq: AllowableSequence, spec: CurveSpec) -> CurveClass:
+    """Threshold classification of a monochromatic curve over a full period."""
+    _subset_color(seq, spec.members)
+    return classify_track(track(seq, spec))
+
+
+def classify_track(trk: WeightTrack) -> CurveClass:
+    """Threshold classification of a monochromatic curve's track."""
+    seq = trk.seq
+    color = _subset_color(seq, trk.spec.members)
+    wt = trk.wt[: seq.period]
     delta = seq.delta
     if color is Color.BLUE:
         if (wt >= delta).all():
@@ -153,10 +202,7 @@ def classify_change(seq: AllowableSequence, spec: CurveSpec, t: int, kind: str) 
     "ascent" for its reverse. Exactly one branch of the dichotomy must hold;
     anything else raises ProofGapError.
     """
-    colors = {seq.colors[v] for v in spec.members}
-    if len(colors) != 1:
-        raise MixedColorsError("curve subset mixes colors")
-    color = colors.pop()
+    color = _subset_color(seq, spec.members)
     delta = seq.delta
     lo_w, hi_w = (delta, delta - 1) if color is Color.BLUE else (delta, delta + 1)
     if kind == "ascent":

@@ -140,25 +140,32 @@ def _run_trial(config: FuzzConfig, index: int) -> list[FuzzFailure]:
         seq = random_sequence(n, blue, seed=rng.getrandbits(48))
         repro = sequence_to_text(seq)
 
+    # Build the sequence and enumerate the lines at most once per trial.
+    checks = config.checks
+    geometric = None
+    if inst is not None:
+        if checks & {Check.CORRESPONDENCE, Check.CERTIFICATE}:
+            seq = build_from_points(inst)
+        if checks & {Check.CORRESPONDENCE, Check.THEOREM}:
+            geometric = enumerate_balanced_lines(inst)
+
     failures = []
-    if Check.CORRESPONDENCE in config.checks and inst is not None:
-        report = check_correspondence(inst)
+    if Check.CORRESPONDENCE in checks and inst is not None:
+        report = check_correspondence(inst, seq, geometric)
         if not report.equal:
             failures.append(FuzzFailure(
                 index, Check.CORRESPONDENCE.value,
                 f"geometric {sorted(w.pair for w in report.geometric)} != "
                 f"scan {sorted(w.pair for w in report.scan)}", repro))
-    if Check.THEOREM in config.checks:
+    if Check.THEOREM in checks:
         if inst is not None:
-            count, floor = len(enumerate_balanced_lines(inst)), inst.r
+            count, floor = len(geometric), inst.r
         else:
             count, floor = len(scan_balanced_transpositions(seq)), seq.r
         if count < floor:
             failures.append(FuzzFailure(
                 index, Check.THEOREM.value, f"{count} balanced < r = {floor}", repro))
-    if Check.CERTIFICATE in config.checks:
-        if seq is None:
-            seq = build_from_points(inst)
+    if Check.CERTIFICATE in checks:
         try:
             cert = certify(seq)
             result = verify_certificate(seq, cert)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from balanced_lines.cli import main
+from balanced_lines.errors import ProofGapError
 
 
 def run(capsys, *argv):
@@ -89,6 +90,19 @@ class TestPipelines:
         path.write_text(sequence_to_text(random_sequence(10, 6, seed=8)))
         code, out, _ = run(capsys, "certify", "--seq", str(path))
         assert code == 0
+
+    def test_certify_proof_gap_is_internal_error(self, capsys, monkeypatch, instance_file):
+        # certify runs on validated input only, so a proof gap is a bug, not bad input.
+        import balanced_lines.cli as cli
+
+        def broken_certify(seq):
+            raise ProofGapError("planted gap")
+
+        monkeypatch.setattr(cli, "certify", broken_certify)
+        code, out, err = run(capsys, "certify", instance_file)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: planted gap")
 
     def test_render(self, capsys, tmp_path, instance_file):
         out = tmp_path / "plot.svg"

@@ -9,8 +9,10 @@ from balanced_lines.curves import (
     find_weight_changes,
     mirror_track,
     track,
+    track_all,
 )
-from balanced_lines.errors import BadParamsError, MixedColorsError
+from balanced_lines.certificate import Case, classify_case
+from balanced_lines.errors import BadParamsError, MixedColorsError, ProofGapError
 from balanced_lines.geometry import Color
 from balanced_lines.sequence import build_from_points, random_sequence, reverse_sequence
 
@@ -70,6 +72,52 @@ class TestTrack:
             CurveSpec(frozenset(), 1)
         with pytest.raises(BadParamsError):
             CurveSpec(frozenset([1, 2]), 3)
+
+
+class TestTrackAll:
+    def assert_every_rank_matches_oracle(self, seq):
+        for members in (blue_ids(seq), red_ids(seq)):
+            tracks = track_all(seq, members)
+            assert [trk.spec.k for trk in tracks] == list(range(1, len(members) + 1))
+            for trk in tracks:
+                expected = oracle_track(seq, members, trk.spec.k)
+                got = [(int(e), int(w)) for e, w in zip(trk.elem, trk.wt)]
+                assert got == expected
+
+    @pytest.mark.parametrize("n, blue, seed", [(8, 5, 0), (10, 5, 1), (12, 8, 2)])
+    def test_case1_sequences_match_oracle(self, n, blue, seed):
+        seq = random_sequence(n, blue, seed=seed)
+        assert classify_case(seq).case is Case.CASE1
+        self.assert_every_rank_matches_oracle(seq)
+
+    @pytest.mark.parametrize("n, blue, seed", [(10, 6, 3), (10, 7, 32), (12, 9, 18)])
+    def test_case2_sequences_match_oracle(self, n, blue, seed):
+        seq = random_sequence(n, blue, seed=seed)
+        assert classify_case(seq).case is Case.CASE2
+        self.assert_every_rank_matches_oracle(seq)
+
+    def test_case2_point_sets_match_oracle(self, t_red_border, t_blue_border):
+        for inst in (t_red_border, t_blue_border):
+            seq = build_from_points(inst)
+            assert classify_case(seq).case is Case.CASE2
+            self.assert_every_rank_matches_oracle(seq)
+
+    def test_empty_subset_has_no_tracks(self):
+        assert track_all(random_sequence(4, 2, seed=0), ()) == []
+
+    def test_corrupted_step_breaks_continuity(self, monkeypatch):
+        # Position -1 swaps the last and the first element, which no adjacent
+        # transposition does, so some blue rank jumps across the permutation.
+        seq = random_sequence(8, 5, seed=0)
+        word = seq.full_word().copy()
+        word[seq.half_period + 3] = -1
+        monkeypatch.setattr(seq, "full_word", lambda: word)
+        with pytest.raises(ProofGapError, match="strong continuity"):
+            for trk in track_all(seq, blue_ids(seq)):
+                trk.wt
+        with pytest.raises(ProofGapError, match="strong continuity"):
+            for k in range(1, seq.b + 1):
+                track(seq, CurveSpec(blue_ids(seq), k))
 
 
 class TestMirror:

@@ -1,10 +1,18 @@
+"""The kernels against from-scratch replays.
+
+``permutation_at`` and ``transposition_at`` rebuild each permutation from
+``pi0`` and the word, and ``oracle_track`` ranks the members of every
+permutation directly, so these tests share no code with the kernels.
+"""
 import random
 
 import numpy as np
 import pytest
 
 from balanced_lines import _kernels
-from balanced_lines.sequence import random_sequence
+from balanced_lines.sequence import permutation_at, random_sequence, transposition_at
+
+from conftest import all_permutations, oracle_track
 
 
 def sequence_arrays(seed, n=10, blue=6):
@@ -12,25 +20,39 @@ def sequence_arrays(seed, n=10, blue=6):
     return seq._pi0_a, seq.full_word(), seq._weights_a, seq
 
 
+def forward_fill(changes, length):
+    """Per-time (element, weight, position) from a rank's change-point rows."""
+    out = []
+    for (t, e, w, q), nxt in zip(changes, [row[0] for row in changes[1:]] + [length]):
+        out.extend([(e, w, q)] * (nxt - t))
+    return out
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_run_word_backends_agree(seed):
-    pi0, word, weights, _ = sequence_arrays(seed)
-    fast = _kernels.run_word(pi0, word, weights)
-    slow = _kernels.run_word_py(pi0.copy(), word.copy(), weights.copy())
-    for a, b in zip(fast, slow):
-        assert np.array_equal(a, b)
+    pi0, word, weights, seq = sequence_arrays(seed)
+    lo, hi, lw, perm = _kernels.run_word(pi0, word, weights)
+    for t in range(len(word)):
+        tr = transposition_at(seq, t + 1)
+        assert (lo[t], hi[t], lw[t]) == (tr.lo_id, tr.hi_id, tr.left_weight)
+    assert tuple(perm) == permutation_at(seq, len(word))
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_track_rank_backends_agree(seed):
-    pi0, word, weights, seq = sequence_arrays(seed)
-    member = np.zeros(seq.n, bool)
-    member[[i for i in range(seq.n) if seq.weights[i] > 0]] = True
-    for k in (1, 2, member.sum()):
-        fast = _kernels.track_rank(pi0, word, weights, member, int(k))
-        slow = _kernels.track_rank_py(pi0.copy(), word.copy(), weights.copy(), member.copy(), int(k))
-        for a, b in zip(fast, slow):
-            assert np.array_equal(a, b)
+    _, word, _, seq = sequence_arrays(seed)
+    perms = all_permutations(seq)
+    for color_weight in (1, -1):
+        members = frozenset(i for i in range(seq.n) if seq.weights[i] == color_weight)
+        member = [i in members for i in range(seq.n)]
+        logs = _kernels.track_rank(seq.pi0, word.tolist(), seq.weights, member)
+        assert len(logs) == len(members)
+        for k, changes in enumerate(logs, start=1):
+            got = forward_fill(changes, len(word) + 1)
+            expected = [
+                (e, w, perms[t].index(e)) for t, (e, w) in enumerate(oracle_track(seq, members, k))
+            ]
+            assert got == expected
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -38,14 +60,14 @@ def test_element_walk_backends_agree(seed):
     pi0, word, weights, seq = sequence_arrays(seed)
     rng = random.Random(seed)
     elems = np.asarray([rng.randrange(seq.n) for _ in range(len(word) + 1)], np.int64)
-    fast = _kernels.element_walk(pi0, word, weights, elems)
-    slow = _kernels.element_walk_py(pi0.copy(), word.copy(), weights.copy(), elems.copy())
-    for a, b in zip(fast, slow):
-        assert np.array_equal(a, b)
+    pos, wt = _kernels.element_walk(pi0, word, weights, elems)
+    for t, perm in enumerate(all_permutations(seq)):
+        q = perm.index(elems[t])
+        assert (pos[t], wt[t]) == (q, sum(seq.weights[v] for v in perm[:q]))
 
 
 def test_events_to_word_backends_agree():
-    pi0, word, weights, seq = sequence_arrays(0)
+    _, _, _, seq = sequence_arrays(0)
     # reconstruct the event list from the word, then invert it again
     perm = list(seq.pi0)
     ev = []
@@ -54,19 +76,13 @@ def test_events_to_word_backends_agree():
         perm[p], perm[p + 1] = perm[p + 1], perm[p]
     ev_i = np.asarray([a for a, _ in ev], np.int64)
     ev_j = np.asarray([b for _, b in ev], np.int64)
-    fast = _kernels.events_to_word(seq._pi0_a, ev_i, ev_j)
-    slow = _kernels.events_to_word_py(seq._pi0_a.copy(), ev_i.copy(), ev_j.copy())
-    assert np.array_equal(fast, slow)
-    assert np.array_equal(fast, seq._word_a)
+    word = _kernels.events_to_word(seq._pi0_a, ev_i, ev_j)
+    assert word.tolist() == list(seq.word)
 
 
 def test_events_to_word_flags_non_adjacent():
     pi0 = np.arange(4, dtype=np.int64)
     ev_i = np.asarray([0], np.int64)
     ev_j = np.asarray([3], np.int64)
-    word = _kernels.events_to_word_py(pi0, ev_i, ev_j)
+    word = _kernels.events_to_word(pi0, ev_i, ev_j)
     assert word[0] == -1
-
-
-def test_backend_reports_mode():
-    assert _kernels.BACKEND in ("numba", "python")

@@ -2,11 +2,13 @@
 
 Every kernel walks an adjacent-transposition word while maintaining the
 permutation and a prefix-weight table in O(1) per step. There is one backend,
-plain Python: ``run_word``, ``element_walk`` and ``events_to_word`` take and
-return numpy arrays, and ``track_rank`` runs over lists and follows every rank
-of a subset in one replay, so curve tracking costs one replay per subset, not
-one per rank. The from-scratch references they are tested against are
-``permutation_at`` and ``transposition_at`` in ``sequence``.
+plain Python. ``run_word``, ``events_to_word`` and ``track_rank`` take plain
+sequences (lists or tuples; indexing numpy scalars costs several times more)
+and return lists; ``element_walk`` still takes and returns numpy arrays.
+``track_rank`` follows every rank of a subset in one replay, so curve tracking
+costs one replay per subset, not one per rank. The from-scratch references
+they are tested against are ``permutation_at`` and ``transposition_at`` in
+``sequence``.
 """
 from __future__ import annotations
 
@@ -17,24 +19,23 @@ def run_word(pi0, word, weights):
     """Replay a word; per step return (left element, right element, prefix weight).
 
     The prefix weight is the weight sum strictly left of the swapped pair,
-    which a single adjacent swap never changes.
+    which a single adjacent swap never changes. Returns the lists ``lo``,
+    ``hi``, ``lw`` and the final permutation.
     """
-    n = pi0.shape[0]
-    m = word.shape[0]
-    perm = pi0.copy()
-    pre = np.zeros(n + 1, np.int64)
+    perm = list(pi0)
+    n = len(perm)
+    pre = [0] * (n + 1)
     for q in range(n):
         pre[q + 1] = pre[q] + weights[perm[q]]
-    lo = np.empty(m, np.int64)
-    hi = np.empty(m, np.int64)
-    lw = np.empty(m, np.int64)
-    for t in range(m):
-        p = word[t]
+    lo = []
+    hi = []
+    lw = []
+    for p in word:
         a = perm[p]
         b = perm[p + 1]
-        lo[t] = a
-        hi[t] = b
-        lw[t] = pre[p]
+        lo.append(a)
+        hi.append(b)
+        lw.append(pre[p])
         perm[p] = b
         perm[p + 1] = a
         pre[p + 1] = pre[p] + weights[b]
@@ -119,31 +120,25 @@ def element_walk(pi0, word, weights, elems):
 
 
 def events_to_word(pi0, ev_i, ev_j):
-    """Convert a sequence of swap pairs into word positions.
+    """Convert a sequence of swap pairs into a list of word positions.
 
-    Each event's pair must be adjacent when its turn comes; a -1 entry in the
-    output flags a violation (the caller raises).
+    Each event's pair must be adjacent when its turn comes; at the first
+    violation the output ends with a -1 entry (the caller raises).
     """
-    n = pi0.shape[0]
-    m = ev_i.shape[0]
-    perm = pi0.copy()
-    pos_of = np.empty(n, np.int64)
-    for q in range(n):
-        pos_of[perm[q]] = q
-    word = np.empty(m, np.int64)
-    for t in range(m):
-        pi = pos_of[ev_i[t]]
-        pj = pos_of[ev_j[t]]
-        if pi > pj:
-            pi, pj = pj, pi
-        if pj != pi + 1:
-            word[t] = -1
+    pos_of = [0] * len(pi0)
+    for q, v in enumerate(pi0):
+        pos_of[v] = q
+    word = []
+    for i, j in zip(ev_i, ev_j):
+        pi = pos_of[i]
+        pj = pos_of[j]
+        if pj == pi + 1:
+            word.append(pi)
+        elif pi == pj + 1:
+            word.append(pj)
+        else:
+            word.append(-1)
             return word
-        word[t] = pi
-        a = perm[pi]
-        b = perm[pj]
-        perm[pi] = b
-        perm[pj] = a
-        pos_of[b] = pi
-        pos_of[a] = pj
+        pos_of[i] = pj
+        pos_of[j] = pi
     return word

@@ -62,13 +62,13 @@ def enumerate_balanced_lines(inst: Instance) -> set[BalancedWitness]:
 def scan_balanced_transpositions(seq: AllowableSequence) -> set[BalancedWitness]:
     """One half-period scan emitting every bichromatic swap with left weight delta."""
     delta = seq.delta
-    lo, hi, lw, _ = _kernels.run_word(seq._pi0_a, seq._word_a, seq._weights_a)
+    colors = seq.colors
+    lo, hi, lw, _ = _kernels.run_word(seq.pi0, seq.word, seq.weights)
     out = set()
-    for t in range(len(lo)):
-        a, b = int(lo[t]), int(hi[t])
-        if seq.colors[a] is not seq.colors[b] and lw[t] == delta:
-            blue, red = (a, b) if seq.colors[a] is Color.BLUE else (b, a)
-            out.add(BalancedWitness(blue, red, WitnessSource.SCAN, t + 1, delta))
+    for t, (a, b, w) in enumerate(zip(lo, hi, lw), start=1):
+        if w == delta and colors[a] is not colors[b]:
+            blue, red = (a, b) if colors[a] is Color.BLUE else (b, a)
+            out.add(BalancedWitness(blue, red, WitnessSource.SCAN, t, delta))
     return out
 
 

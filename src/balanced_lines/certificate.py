@@ -267,7 +267,7 @@ def case1_certificate(seq: AllowableSequence) -> Certificate:
     """
     delta, b = seq.delta, seq.b
     tracks = track_all(seq, _blue_ids(seq))
-    lo, hi, lw, _ = _kernels.run_word(seq._pi0_a, seq.full_word(), seq._weights_a)
+    lo, hi, lw, _ = _kernels.run_word(seq.pi0, seq.full_word().tolist(), seq.weights)
     pool = _WitnessPool(seq)
     events = []
 
@@ -341,7 +341,7 @@ def case2_certificate(seq: AllowableSequence, border: Border) -> Certificate:
     members = frozenset(f_ids) | frozenset(g_ids) | frozenset(h_ids)
     target = len(members)
 
-    lo, hi, lw, _ = _kernels.run_word(seq._pi0_a, seq.full_word(), seq._weights_a)
+    lo, hi, lw, _ = _kernels.run_word(seq.pi0, seq.full_word().tolist(), seq.weights)
     bpos, _ = _walk_positions(seq, border.elements)
     mirror_elems = [border.mirror_at(t) for t in range(seq.period)]
     mpos, _ = _walk_positions(seq, mirror_elems)
@@ -507,23 +507,19 @@ def _position_sum(seq: AllowableSequence, border: Border) -> int:
     return int(bpos[: seq.period].sum())
 
 
-def _cyclic_runs(flags) -> list[list[int]]:
-    """Maximal cyclic runs of true entries, as lists of indices."""
+def _cyclic_runs(flags: np.ndarray) -> list[np.ndarray]:
+    """Maximal cyclic runs of true entries, as index arrays in cyclic order.
+
+    Runs are listed from the first false entry onward, so a run that wraps
+    past the end comes last.
+    """
     m = len(flags)
-    if all(flags):
-        return [list(range(m))]
-    runs, current = [], []
-    start = next(i for i in range(m) if not flags[i])
-    for off in range(1, m + 1):
-        i = (start + off) % m
-        if flags[i]:
-            current.append(i)
-        elif current:
-            runs.append(current)
-            current = []
-    if current:
-        runs.append(current)
-    return runs
+    if flags.all():
+        return [np.arange(m)]
+    start = int(np.argmin(flags)) + 1  # just past the first false entry
+    order = np.arange(start, start + m) % m
+    edges = np.diff(flags[order].astype(np.int8), prepend=0, append=0)
+    return [order[b:e] for b, e in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1))]
 
 
 def _improve_once(seq: AllowableSequence, border: Border, hint=None) -> Border | None:
@@ -572,11 +568,11 @@ def _improve_once(seq: AllowableSequence, border: Border, hint=None) -> Border |
                 if accept(cand):
                     return cand
         else:
-            for run in _cyclic_runs([bool(v) for v in (rel >= 0)]):
-                if all(on_side[t] for t in run) and any(rel[t] > 0 for t in run):
+            for run in _cyclic_runs(rel >= 0):
+                if on_side[run].all() and (rel[run] > 0).any():
                     elems = list(border.elements)
-                    for t in run:
-                        elems[t] = int(trk.elem[t])
+                    for t, e in zip(run.tolist(), trk.elem[run].tolist()):
+                        elems[t] = e
                     cand = Border(c, tuple(elems))
                     if accept(cand):
                         return cand

@@ -18,7 +18,7 @@ from .balance import (
     witnesses_to_json,
 )
 from .certificate import certificate_to_json, certify, verify_certificate
-from .errors import BalancedLinesError, ProofGapError
+from .errors import BalancedLinesError, GenerationExhaustedError, ProofGapError
 from .geometry import instance_from_json, instance_to_json, validate_general_position
 from .harness import (
     Check,
@@ -58,7 +58,12 @@ def _cmd_gen(args) -> int:
             return 2
         inst = separated_instance(args.blue, seed=args.seed)
     else:
-        inst = random_instance(args.blue, args.red, args.coord_bound, seed=args.seed)
+        try:
+            inst = random_instance(args.blue, args.red, args.coord_bound, seed=args.seed)
+        except GenerationExhaustedError as exc:
+            print(f"error: {exc}; raise --coord-bound to leave the points more room",
+                  file=sys.stderr)
+            return 2
     _emit(instance_to_json(inst), args.out)
     return 0
 

@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import CollinearWitnessError, FailsToSeparateError, ParityError
@@ -131,17 +132,27 @@ def _orient_scaled(coords, i: int, j: int, k: int) -> int:
     return (det > 0) - (det < 0)
 
 
-def _primitive_direction(coords, i: int, j: int) -> tuple[int, int]:
-    """Reduced integer direction from i to j with canonical sign."""
-    dx = coords[j][0] - coords[i][0]
-    dy = coords[j][1] - coords[i][1]
-    g = math.gcd(dx, dy)
-    if g:
-        dx //= g
-        dy //= g
-    if dx < 0 or (dx == 0 and dy < 0):
-        dx, dy = -dx, -dy
-    return dx, dy
+def _pair_directions(coords) -> list[tuple[int, int] | None]:
+    """Reduced integer direction of every pair i < j, in row-major order.
+
+    The sign is canonical (dx > 0, or dx == 0 and dy > 0), so two pairs get
+    the same entry exactly when their spanned lines are parallel or equal;
+    coincident points get None.
+    """
+    gcd = math.gcd
+    out = []
+    append = out.append
+    for (xi, yi), (xj, yj) in combinations(coords, 2):
+        dx = xj - xi
+        dy = yj - yi
+        g = gcd(dx, dy)
+        if not g:
+            append(None)
+            continue
+        if dx < 0 or (dx == 0 and dy < 0):
+            g = -g
+        append((dx // g, dy // g))
+    return out
 
 
 @dataclass(frozen=True)
@@ -163,47 +174,42 @@ def validate_general_position(inst: Instance) -> GeneralPositionReport:
     Runs in O(n^2) via direction hashing; an empty report certifies both the
     general-position assumption and the no-parallel-spanned-lines assumption.
     """
-    coords = inst.scaled_coords()
-    n = inst.n
+    return _general_position_report(inst.n, _pair_directions(inst.scaled_coords()))
 
-    coincident = set()
+
+def _general_position_report(n: int, dirs) -> GeneralPositionReport:
+    """The report for the pair directions ``_pair_directions`` gives for n points.
+
+    Two pairs with one direction are collinear through a shared point, or
+    parallel when they share none; a coincident pair is collinear with every
+    third point.
+    """
+    distinct = set(dirs)
+    if len(distinct) == len(dirs) and None not in distinct:
+        return GeneralPositionReport((), ())
+    del distinct
+    coincident = []
     triples = set()
-    for a in range(n):
-        buckets: dict[tuple[int, int], list[int]] = {}
-        for j in range(n):
-            if j == a:
-                continue
-            if coords[j] == coords[a]:
-                # Coincident points: every triple through them is degenerate too.
-                coincident.add((min(a, j), max(a, j)))
-                for k in range(n):
-                    if k not in (a, j):
-                        triples.add(tuple(sorted((a, j, k))))
-                continue
-            buckets.setdefault(_primitive_direction(coords, a, j), []).append(j)
-        for members in buckets.values():
-            if len(members) >= 2:
-                for x in range(len(members)):
-                    for y in range(x + 1, len(members)):
-                        triples.add(tuple(sorted((a, members[x], members[y]))))
-
-    dir_buckets: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if coords[i] == coords[j]:
-                continue
-            dir_buckets.setdefault(_primitive_direction(coords, i, j), []).append((i, j))
     parallels = []
-    for members in dir_buckets.values():
-        for x in range(len(members)):
-            for y in range(x + 1, len(members)):
-                a, b = members[x], members[y]
-                if not (set(a) & set(b)):  # shared-point cases are collinear triples
+    buckets: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for pair, d in zip(combinations(range(n), 2), dirs):
+        if d is None:
+            coincident.append(pair)
+            triples.update(tuple(sorted((*pair, k))) for k in range(n) if k not in pair)
+        else:
+            buckets.setdefault(d, []).append(pair)
+    for members in buckets.values():
+        for x, a in enumerate(members):
+            for b in members[x + 1 :]:
+                shared = set(a) | set(b)
+                if len(shared) == 3:
+                    triples.add(tuple(sorted(shared)))
+                else:
                     parallels.append((a, b))
     return GeneralPositionReport(
         collinear_triples=tuple(sorted(triples)),
         parallel_pair_pairs=tuple(sorted(parallels)),
-        coincident_pairs=tuple(sorted(coincident)),
+        coincident_pairs=tuple(coincident),
     )
 
 

@@ -37,7 +37,9 @@ def random_instance(b: int, r: int, coord_bound: int, seed) -> Instance:
         inst = Instance(pts)
         if validate_general_position(inst).clean:
             return inst
-    raise GenerationExhaustedError(f"no clean instance after 512 attempts (b={b}, r={r})")
+    raise GenerationExhaustedError(
+        f"no clean instance after 512 attempts (b={b}, r={r}, coord_bound={coord_bound})"
+    )
 
 
 def _sidon_prefix(m: int) -> list[int]:

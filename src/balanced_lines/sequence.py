@@ -10,13 +10,13 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from itertools import combinations, islice
 
 import numpy as np
 
 from . import _kernels
 from .errors import BadParamsError, DegenerateInputError
-from .geometry import Color, Instance, validate_general_position
+from .geometry import Color, Instance, _general_position_report, _pair_directions
 
 
 class AllowableSequence:
@@ -180,16 +180,16 @@ def validate(seq: AllowableSequence) -> SequenceReport:
     )
 
 
-def _choose_sweep_slope(coords, pairs) -> int:
-    """Smallest nonnegative integer k such that u0=(1, k) is perpendicular to no spanned line."""
-    forbidden = set()
-    for (i, j) in pairs:
-        dx = coords[j][0] - coords[i][0]
-        dy = coords[j][1] - coords[i][1]
-        if dy != 0:
-            forbidden.add(Fraction(-dx, dy))
+def _sweep_slope(dirs) -> int:
+    """Smallest integer k >= 0 such that u0 = (1, k) is perpendicular to no spanned line.
+
+    u0 is perpendicular to a line of direction (dx, dy) iff dx + k*dy == 0.
+    A reduced direction forbids an integer k only when dy = +-1, and then
+    k = -dx*dy.
+    """
+    forbidden = {-dx * dy for dx, dy in dirs if dy == 1 or dy == -1}
     k = 0
-    while Fraction(k) in forbidden:
+    while k in forbidden:
         k += 1
     return k
 
@@ -201,46 +201,44 @@ def build_from_points(inst: Instance) -> AllowableSequence:
     direction with all projections distinct; the word lists each pair at the
     sweep angle where its spanned line becomes perpendicular to the sweep.
     """
-    report = validate_general_position(inst)
+    n = inst.n
+    coords = inst.scaled_coords()
+    dirs = _pair_directions(coords)
+    report = _general_position_report(n, dirs)
     if not report.clean:
         raise DegenerateInputError(
             f"instance has {len(report.collinear_triples)} collinear triple(s), "
             f"{len(report.parallel_pair_pairs)} parallel spanned pair(s), and "
             f"{len(report.coincident_pairs)} coincident pair(s)"
         )
-    coords = inst.scaled_coords()
-    n = inst.n
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    k0 = _choose_sweep_slope(coords, pairs)
 
+    k0 = _sweep_slope(dirs)
     pi0 = sorted(range(n), key=lambda i: coords[i][0] + k0 * coords[i][1])
 
     # Each pair swaps when the sweep direction is perpendicular to its spanned
     # line. In the frame rotating u0 to the x-axis the event direction has a
     # positive y-component, so event order is the order of angles in (0, pi).
     # Float angles are only a presort key; exact signs decide the final order.
+    atan2 = math.atan2
     events = []
-    for (i, j) in pairs:
-        dx = coords[j][0] - coords[i][0]
-        dy = coords[j][1] - coords[i][1]
-        vx, vy = -dy, dx
-        fb = vy - k0 * vx
+    append = events.append
+    for (i, j), (dx, dy) in zip(combinations(range(n), 2), dirs):
+        # (fa, fb) is the normal (-dy, dx) in the rotated frame, turned to fb > 0.
+        fb = dx + k0 * dy
+        fa = k0 * dx - dy
         if fb < 0:
-            vx, vy, fb = -vx, -vy, -fb
-        fa = vx + k0 * vy
+            fa, fb = -fa, -fb
         shift = max(fa.bit_length(), fb.bit_length()) - 52
         if shift > 0:  # keep the ratio while staying in float range
-            key = math.atan2(fb >> shift, fa >> shift)
+            key = atan2(fb >> shift, fa >> shift)
         else:
-            key = math.atan2(fb, fa)
-        events.append((key, fa, fb, i, j))
+            key = atan2(fb, fa)
+        append((key, fa, fb, i, j))
+    del dirs
     events.sort(key=lambda e: e[0])
 
     def exactly_ordered(evs) -> bool:
-        return all(
-            evs[t][1] * evs[t + 1][2] - evs[t][2] * evs[t + 1][1] > 0
-            for t in range(len(evs) - 1)
-        )
+        return all(a[1] * b[2] > a[2] * b[1] for a, b in zip(evs, islice(evs, 1, None)))
 
     if not exactly_ordered(events):
         # Float keys collided or mis-ordered: fall back to an exact sort.
@@ -248,12 +246,13 @@ def build_from_points(inst: Instance) -> AllowableSequence:
         if not exactly_ordered(events):
             raise DegenerateInputError("two spanned lines are parallel")
 
-    ev_i = np.asarray([e[3] for e in events], np.int64)
-    ev_j = np.asarray([e[4] for e in events], np.int64)
-    word = _kernels.events_to_word(np.asarray(pi0, np.int64), ev_i, ev_j)
-    if len(word) and word.min() < 0:
+    ev_i = [e[3] for e in events]
+    ev_j = [e[4] for e in events]
+    del events
+    word = _kernels.events_to_word(pi0, ev_i, ev_j)
+    if word and word[-1] < 0:
         raise DegenerateInputError("sweep produced a non-adjacent swap; input is degenerate")
-    return AllowableSequence(colors=inst.colors(), pi0=pi0, word=word.tolist())
+    return AllowableSequence(colors=inst.colors(), pi0=pi0, word=word)
 
 
 def random_sequence(n: int, blue_count: int, seed) -> AllowableSequence:

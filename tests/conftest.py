@@ -4,11 +4,12 @@ The oracles recompute everything from first principles (Fraction arithmetic,
 from-scratch permutation replay) so they share no code path with the
 incremental implementations they check.
 """
+import math
 from fractions import Fraction
 
 import pytest
 
-from balanced_lines.geometry import ChromaticPoint, Color, Instance
+from balanced_lines.geometry import ChromaticPoint, Color, GeneralPositionReport, Instance
 from balanced_lines.harness import separated_instance
 
 
@@ -70,6 +71,81 @@ def oracle_halfplane(inst, i, j):
         else:
             right += inst.weight(k)
     return left, right
+
+
+def _oracle_direction(coords, i, j):
+    """Reduced integer direction from i to j with canonical sign."""
+    dx = coords[j][0] - coords[i][0]
+    dy = coords[j][1] - coords[i][1]
+    g = math.gcd(dx, dy)
+    if g:
+        dx //= g
+        dy //= g
+    if dx < 0 or (dx == 0 and dy < 0):
+        dx, dy = -dx, -dy
+    return dx, dy
+
+
+def oracle_general_position(inst):
+    """The general-position report, point by point and pair by pair.
+
+    Collinear triples come from bucketing the other points by direction as
+    seen from each point; parallel pairs from bucketing all pairs by direction.
+    """
+    coords = inst.scaled_coords()
+    n = inst.n
+
+    coincident = set()
+    triples = set()
+    for a in range(n):
+        buckets = {}
+        for j in range(n):
+            if j == a:
+                continue
+            if coords[j] == coords[a]:
+                # Coincident points: every triple through them is degenerate too.
+                coincident.add((min(a, j), max(a, j)))
+                for k in range(n):
+                    if k not in (a, j):
+                        triples.add(tuple(sorted((a, j, k))))
+                continue
+            buckets.setdefault(_oracle_direction(coords, a, j), []).append(j)
+        for members in buckets.values():
+            for x in range(len(members)):
+                for y in range(x + 1, len(members)):
+                    triples.add(tuple(sorted((a, members[x], members[y]))))
+
+    dir_buckets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if coords[i] == coords[j]:
+                continue
+            dir_buckets.setdefault(_oracle_direction(coords, i, j), []).append((i, j))
+    parallels = []
+    for members in dir_buckets.values():
+        for x in range(len(members)):
+            for y in range(x + 1, len(members)):
+                a, b = members[x], members[y]
+                if not (set(a) & set(b)):  # shared-point cases are collinear triples
+                    parallels.append((a, b))
+    return GeneralPositionReport(
+        collinear_triples=tuple(sorted(triples)),
+        parallel_pair_pairs=tuple(sorted(parallels)),
+        coincident_pairs=tuple(sorted(coincident)),
+    )
+
+
+def oracle_sweep_slope(inst):
+    """Smallest k >= 0 with -dx/dy != k for every spanned pair, in Fractions."""
+    pts = inst.points
+    forbidden = {
+        Fraction(-(q.x - p.x), q.y - p.y)
+        for i, p in enumerate(pts) for q in pts[i + 1:] if q.y != p.y
+    }
+    k = 0
+    while Fraction(k) in forbidden:
+        k += 1
+    return k
 
 
 def oracle_balanced_pairs(inst):

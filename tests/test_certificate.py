@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from balanced_lines.balance import scan_balanced_transpositions
@@ -17,6 +18,7 @@ from balanced_lines.certificate import (
     maximize_border,
     partition_fgh,
     verify_certificate,
+    _cyclic_runs,
     _position_sum,
 )
 from balanced_lines.curves import CurveClass, CurveSpec, classify, track
@@ -154,6 +156,34 @@ class TestBorders:
         start = initial_border(seq, 1)
         final = maximize_border(seq, start)
         assert _position_sum(seq, final) >= _position_sum(seq, start)
+
+
+def loop_cyclic_runs(flags):
+    """Maximal cyclic runs of true flags, one index at a time from the first false one."""
+    m = len(flags)
+    if all(flags):
+        return [list(range(m))]
+    runs, current = [], []
+    start = flags.index(False)
+    for off in range(1, m + 1):
+        i = (start + off) % m
+        if flags[i]:
+            current.append(i)
+        elif current:
+            runs.append(current)
+            current = []
+    if current:
+        runs.append(current)
+    return runs
+
+
+def test_cyclic_runs_match_loop():
+    rng = random.Random(11)
+    for _ in range(1000):
+        p = rng.random()
+        flags = [rng.random() < p for _ in range(rng.randint(1, 40))]
+        got = [run.tolist() for run in _cyclic_runs(np.asarray(flags))]
+        assert got == loop_cyclic_runs(flags), flags
 
 
 class TestPartition:

@@ -36,6 +36,13 @@ class TestGen:
         code, _, err = run(capsys, "gen", "--blue", "1", "--red", "2", "--seed", "0")
         assert code == 2 and "error" in err
 
+    def test_exhausted_generation_hints_coord_bound(self, capsys):
+        # With a zero bound every point lands on the origin, so no draw is clean.
+        code, out, err = run(capsys, "gen", "--blue", "1", "--red", "1", "--seed", "0",
+                             "--coord-bound", "0")
+        assert code == 2 and out == ""
+        assert "coord_bound=0" in err and "raise --coord-bound" in err
+
 
 class TestPipelines:
     @pytest.fixture

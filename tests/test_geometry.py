@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from balanced_lines.geometry import (
 )
 from balanced_lines.harness import random_instance
 
-from conftest import make_instance, oracle_halfplane
+from conftest import make_instance, oracle_general_position, oracle_halfplane
 
 
 def pt(x, y, c="B", i=0):
@@ -102,6 +103,52 @@ class TestValidation:
         ])
         report = validate_general_position(inst)
         assert (0, 1, 2) in report.collinear_triples
+
+
+def small_grid_instance(rng):
+    """2-10 points on a grid of at most 5 x 5 cells, some on half-cells."""
+    n = rng.choice((2, 4, 6, 8, 10))
+    side = rng.randint(1, 4)
+    den = rng.choice((1, 2))
+    return make_instance([
+        (Fraction(rng.randint(0, side * den), den), Fraction(rng.randint(0, side * den), den),
+         rng.choice("BR"))
+        for _ in range(n)
+    ])
+
+
+class TestValidationAgainstOracle:
+    def test_random_small_grids(self):
+        rng = random.Random(20261018)
+        seen = {"clean": 0, "collinear": 0, "parallel": 0, "coincident": 0, "four_on_a_line": 0}
+        for _ in range(2400):
+            inst = small_grid_instance(rng)
+            report = validate_general_position(inst)
+            assert report == oracle_general_position(inst)
+            triples = set(report.collinear_triples)
+            seen["clean"] += report.clean
+            seen["collinear"] += bool(triples)
+            seen["parallel"] += bool(report.parallel_pair_pairs)
+            seen["coincident"] += bool(report.coincident_pairs)
+            seen["four_on_a_line"] += any(
+                (a, b, c) in triples and (a, b, d) in triples
+                for (a, b), (c, d) in report.parallel_pair_pairs
+            )
+        assert min(seen.values()) >= 100, seen
+
+    def test_four_points_on_one_line(self):
+        inst = make_instance([(0, 0, "B"), (1, 2, "R"), (2, 4, "B"), (3, 6, "R"), (1, 0, "B"), (0, 5, "R")])
+        report = validate_general_position(inst)
+        assert report == oracle_general_position(inst)
+        assert {(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)} <= set(report.collinear_triples)
+        assert {((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))} <= set(report.parallel_pair_pairs)
+
+    def test_coincident_points_among_others(self):
+        inst = make_instance([(1, 1, "B"), (4, 2, "R"), (1, 1, "B"), (0, 5, "R")])
+        report = validate_general_position(inst)
+        assert report == oracle_general_position(inst)
+        assert report.coincident_pairs == ((0, 2),)
+        assert {(0, 1, 2), (0, 2, 3)} <= set(report.collinear_triples)
 
 
 class TestPerturb:

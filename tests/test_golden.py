@@ -1,7 +1,9 @@
-"""Certificates stay byte-identical on a fixed corpus.
+"""Certificates and sweeps stay byte-identical on fixed corpora.
 
 ``golden/certificates.jsonl`` holds one certificate per corpus entry, written
-by ``golden/make_certificates.py`` at commit 52b4d6a. Every refactor of the
+by ``golden/make_certificates.py`` at commit 52b4d6a. ``golden/sweeps.jsonl``
+holds the sha256 of each entry's sequence text and scan JSON, written by
+``golden/make_sweeps.py`` at commit 87d057d. Every refactor of the sweep or the
 certificate pipeline must reproduce each of them exactly.
 """
 import json
@@ -9,9 +11,10 @@ import json
 import pytest
 
 from balanced_lines.certificate import certificate_to_json, certify, verify_certificate
-from golden.make_certificates import OUT, build
+from golden import make_certificates, make_sweeps
 
-ROWS = [json.loads(line) for line in OUT.read_text().splitlines()]
+ROWS = [json.loads(line) for line in make_certificates.OUT.read_text().splitlines()]
+SWEEP_ROWS = [json.loads(line) for line in make_sweeps.OUT.read_text().splitlines()]
 
 
 def test_corpus_covers_both_cases():
@@ -21,7 +24,19 @@ def test_corpus_covers_both_cases():
 
 @pytest.mark.parametrize("row", ROWS, ids=lambda row: "-".join(str(v) for v in row["entry"].values()))
 def test_certificate_json_is_byte_identical(row):
-    seq = build(row["entry"])
+    seq = make_certificates.build(row["entry"])
     cert = certify(seq)
     assert certificate_to_json(cert) == json.dumps(row["certificate"], separators=(",", ":"))
     assert verify_certificate(seq, cert).ok
+
+
+def test_sweep_corpus_sizes():
+    assert {row["entry"]["blue"] + row["entry"]["red"] for row in SWEEP_ROWS} == {12, 40, 120, 500}
+
+
+@pytest.mark.parametrize("row", SWEEP_ROWS, ids=lambda row: "-".join(str(v) for v in row["entry"].values()))
+def test_sweep_and_scan_are_byte_identical(row):
+    assert make_sweeps.digests(row["entry"]) == {
+        "sequence_sha256": row["sequence_sha256"],
+        "scan_sha256": row["scan_sha256"],
+    }

@@ -77,7 +77,7 @@ def test_events_to_word_backends_agree():
     ev_i = np.asarray([a for a, _ in ev], np.int64)
     ev_j = np.asarray([b for _, b in ev], np.int64)
     word = _kernels.events_to_word(seq._pi0_a, ev_i, ev_j)
-    assert word.tolist() == list(seq.word)
+    assert list(word) == list(seq.word)
 
 
 def test_events_to_word_flags_non_adjacent():

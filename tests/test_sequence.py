@@ -1,12 +1,15 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balanced_lines.errors import BadParamsError, DegenerateInputError
-from balanced_lines.geometry import Color
+from balanced_lines.geometry import Color, _pair_directions
 from balanced_lines.harness import random_instance, separated_instance
 from balanced_lines.sequence import (
     AllowableSequence,
+    _sweep_slope,
     build_from_points,
     permutation_at,
     random_sequence,
@@ -18,7 +21,7 @@ from balanced_lines.sequence import (
 )
 from balanced_lines.balance import scan_balanced_transpositions
 
-from conftest import all_permutations, make_instance
+from conftest import all_permutations, make_instance, oracle_sweep_slope
 
 
 class TestBuildFromPoints:
@@ -70,6 +73,33 @@ class TestBuildFromPoints:
         ])
         seq = build_from_points(inst)
         assert validate(seq).clean
+
+
+class TestSweepSlope:
+    def test_matches_fraction_rule(self):
+        # Small grids with many pairs one row apart forbid the small slopes.
+        rng = random.Random(7)
+        slopes = []
+        for _ in range(600):
+            n = rng.choice((4, 6, 8, 10))
+            inst = make_instance([
+                (rng.randint(-6, 6), rng.randint(-2, 2), "BR"[i % 2]) for i in range(n)
+            ])
+            dirs = _pair_directions(inst.scaled_coords())
+            if None in dirs:
+                continue
+            k = _sweep_slope(dirs)
+            assert k == oracle_sweep_slope(inst)
+            slopes.append(k)
+        assert len(slopes) >= 300 and max(slopes) >= 3
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_pi0_sorts_by_the_chosen_slope(self, seed):
+        inst = random_instance(4, 4, 3, seed=seed)
+        k = oracle_sweep_slope(inst)
+        pts = inst.points
+        expected = sorted(range(inst.n), key=lambda i: pts[i].x + k * pts[i].y)
+        assert list(build_from_points(inst).pi0) == expected
 
 
 class TestPermutationAt:

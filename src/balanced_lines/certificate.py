@@ -69,9 +69,10 @@ class Border:
     def element_at(self, t: int) -> int:
         return self.elements[t % len(self.elements)]
 
-    def mirror_at(self, t: int) -> int:
+    def mirror_elements(self) -> tuple[int, ...]:
+        """The mirror element per time over [0, 2N): the element at t + N."""
         half = len(self.elements) // 2
-        return self.elements[(t - half) % len(self.elements)]
+        return self.elements[half:] + self.elements[:half]
 
 
 def _walk_positions(seq: AllowableSequence, elems_per_time) -> tuple[np.ndarray, np.ndarray]:
@@ -101,37 +102,35 @@ def check_border(seq: AllowableSequence, border: Border) -> list[str]:
     if any(seq.colors[e] is not border.color for e in border.elements):
         return ["WRONG_COLOR"]
     delta = seq.delta
-    word2 = seq.full_word()
+    weights, colors, color = seq.weights, seq.colors, border.color
+    blue = color is Color.BLUE
     perm = list(seq.pi0)
     pos = [0] * n
     for q, v in enumerate(perm):
         pos[v] = q
     pre = [0] * (n + 1)
     for q in range(n):
-        pre[q + 1] = pre[q] + seq.weights[perm[q]]
-    for t in range(period):
-        e = border.elements[t]
+        pre[q + 1] = pre[q] + weights[perm[q]]
+    elements = border.elements
+    steps = zip(elements, border.mirror_elements(), elements[1:] + elements[:1],
+                seq.full_word().tolist())
+    for t, (e, mirror, e_next, sp) in enumerate(steps):
         p = pos[e]
         w = pre[p]
-        if border.color is Color.BLUE:
-            if w < delta:
-                problems.append(f"WEIGHT t={t}")
-        elif w > delta:
+        if w < delta if blue else w > delta:
             problems.append(f"WEIGHT t={t}")
-        if not p < pos[border.mirror_at(t)]:
+        if not p < pos[mirror]:
             problems.append(f"MIRROR_ORDER t={t}")
         # advance to pi^{t+1}
-        sp = int(word2[t])
         a, bb = perm[sp], perm[sp + 1]
         perm[sp], perm[sp + 1] = bb, a
         pos[bb], pos[a] = sp, sp + 1
-        pre[sp + 1] = pre[sp] + seq.weights[bb]
-        e_next = border.elements[(t + 1) % period]
+        pre[sp + 1] = pre[sp] + weights[bb]
         if e_next != e:
             q1, q2 = pos[e], pos[e_next]
             lo_q, hi_q = min(q1, q2), max(q1, q2)
             for q in range(lo_q + 1, hi_q):
-                if seq.colors[perm[q]] is border.color:
+                if colors[perm[q]] is color:
                     problems.append(f"WEAK_CONTINUITY t={t}")
                     break
     return problems
@@ -188,7 +187,7 @@ def partition_fgh(seq: AllowableSequence, border: Border):
     c = border.color
     rank0 = {v: q for q, v in enumerate(seq.pi0)}
     gq = rank0[border.element_at(0)]
-    mq = rank0[border.mirror_at(0)]
+    mq = rank0[border.mirror_elements()[0]]
     if not gq < mq:
         raise ProofGapError("border is not left of its mirror at time 0")
     members = sorted((i for i in range(seq.n) if seq.colors[i] is c), key=rank0.get)
@@ -343,8 +342,7 @@ def case2_certificate(seq: AllowableSequence, border: Border) -> Certificate:
 
     lo, hi, lw, _ = _kernels.run_word(seq.pi0, seq.full_word().tolist(), seq.weights)
     bpos, _ = _walk_positions(seq, border.elements)
-    mirror_elems = [border.mirror_at(t) for t in range(seq.period)]
-    mpos, _ = _walk_positions(seq, mirror_elems)
+    mpos, _ = _walk_positions(seq, border.mirror_elements())
 
     f_tracks, g_tracks, h_tracks = (track_all(seq, ids) for ids in (f_ids, g_ids, h_ids))
 

@@ -75,12 +75,13 @@ class Instance:
         self.n = n
         self.swapped = raw_blue < n - raw_blue
         self._scaled = _scale_to_integers(pts)
+        sign = -1 if self.swapped else 1
+        self._weights = [sign if p.color is Color.BLUE else -sign for p in pts]
 
     @property
     def b(self) -> int:
         """Canonical blue count (majority color)."""
-        raw = sum(1 for p in self.points if p.color is Color.BLUE)
-        return self.n - raw if self.swapped else raw
+        return self._weights.count(1)
 
     @property
     def r(self) -> int:
@@ -96,7 +97,7 @@ class Instance:
         return c.opposite if self.swapped else c
 
     def weight(self, i: int) -> int:
-        return self.color_of(i).weight
+        return self._weights[i]
 
     def colors(self) -> tuple[Color, ...]:
         return tuple(self.color_of(i) for i in range(self.n))
@@ -123,12 +124,6 @@ def _scale_to_integers(pts: Sequence[ChromaticPoint]) -> list[tuple[int, int]]:
 def orientation(p: ChromaticPoint, q: ChromaticPoint, s: ChromaticPoint) -> int:
     """Sign of the cross product (q-p) x (s-p), exactly."""
     det = (q.x - p.x) * (s.y - p.y) - (q.y - p.y) * (s.x - p.x)
-    return (det > 0) - (det < 0)
-
-
-def _orient_scaled(coords, i: int, j: int, k: int) -> int:
-    (xi, yi), (xj, yj), (xk, yk) = coords[i], coords[j], coords[k]
-    det = (xj - xi) * (yk - yi) - (yj - yi) * (xk - xi)
     return (det > 0) - (det < 0)
 
 
@@ -177,6 +172,12 @@ def validate_general_position(inst: Instance) -> GeneralPositionReport:
     return _general_position_report(inst.n, _pair_directions(inst.scaled_coords()))
 
 
+def _clean_directions(dirs) -> bool:
+    """True iff no pair is coincident and no direction repeats: an empty report."""
+    distinct = set(dirs)
+    return len(distinct) == len(dirs) and None not in distinct
+
+
 def _general_position_report(n: int, dirs) -> GeneralPositionReport:
     """The report for the pair directions ``_pair_directions`` gives for n points.
 
@@ -184,10 +185,8 @@ def _general_position_report(n: int, dirs) -> GeneralPositionReport:
     parallel when they share none; a coincident pair is collinear with every
     third point.
     """
-    distinct = set(dirs)
-    if len(distinct) == len(dirs) and None not in distinct:
+    if _clean_directions(dirs):
         return GeneralPositionReport((), ())
-    del distinct
     coincident = []
     triples = set()
     parallels = []
@@ -257,18 +256,18 @@ def halfplane_weights(inst: Instance, i: int, j: int) -> tuple[int, int]:
     if i == j:
         raise ValueError("spanning pair must be two distinct points")
     coords = inst.scaled_coords()
-    left = right = 0
-    for k in range(inst.n):
-        if k in (i, j):
-            continue
-        s = _orient_scaled(coords, i, j, k)
-        if s == 0:
-            raise CollinearWitnessError(f"point {k} is collinear with ({i}, {j})")
-        if s > 0:
-            left += inst.weight(k)
-        else:
-            right += inst.weight(k)
-    return left, right
+    ws = inst._weights
+    (xi, yi), (xj, yj) = coords[i], coords[j]
+    dx, dy = xj - xi, yj - yi
+    # The orientation of (i, j, k) is the sign of dets[k] - c, with dets[i] ==
+    # dets[j] == c; exact Python ints, so no rounding decides a side.
+    c = dx * yi - dy * xi
+    dets = [dx * y - dy * x for x, y in coords]
+    if dets.count(c) != 2:
+        k = next(k for k, v in enumerate(dets) if v == c and k != i and k != j)
+        raise CollinearWitnessError(f"point {k} is collinear with ({i}, {j})")
+    left = sum([w for v, w in zip(dets, ws) if v > c])
+    return left, sum(ws) - ws[i] - ws[j] - left
 
 
 def instance_to_json(inst: Instance) -> str:

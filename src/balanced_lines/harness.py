@@ -10,7 +10,8 @@ from . import balance
 from .balance import check_correspondence, enumerate_balanced_lines, scan_balanced_transpositions
 from .certificate import certify, verify_certificate
 from .errors import BadParamsError, GenerationExhaustedError
-from .geometry import ChromaticPoint, Color, Instance, instance_to_json, validate_general_position
+from .geometry import ChromaticPoint, Color, Instance, instance_to_json
+from .geometry import _clean_directions, _pair_directions
 from .sequence import build_from_points, random_sequence, sequence_to_text
 
 
@@ -35,7 +36,7 @@ def random_instance(b: int, r: int, coord_bound: int, seed) -> Instance:
             y = Fraction(rng.randint(-coord_bound * den, coord_bound * den), den)
             pts.append(ChromaticPoint(i, x, y, colors[i]))
         inst = Instance(pts)
-        if validate_general_position(inst).clean:
+        if _clean_directions(_pair_directions(inst.scaled_coords())):
             return inst
     raise GenerationExhaustedError(
         f"no clean instance after 512 attempts (b={b}, r={r}, coord_bound={coord_bound})"

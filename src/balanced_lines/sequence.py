@@ -157,22 +157,23 @@ def validate(seq: AllowableSequence) -> SequenceReport:
     not_reversed = False
     if not bad_pi0:
         perm = list(seq.pi0)
-        seen = set()
+        seen = bytearray(n * n)  # pair (a, b), a < b, marks byte a*n + b
         for step, p in enumerate(seq.word, start=1):
             if not (0 <= p <= n - 2):
                 position_errors.append((step, p))
                 continue
-            pair = (min(perm[p], perm[p + 1]), max(perm[p], perm[p + 1]))
-            if pair in seen:
-                repeated.append(pair)
-            seen.add(pair)
-            perm[p], perm[p + 1] = perm[p + 1], perm[p]
+            a, b = perm[p], perm[p + 1]
+            key = a * n + b if a < b else b * n + a
+            if seen[key]:
+                repeated.append(key)
+            seen[key] = 1
+            perm[p], perm[p + 1] = b, a
         if length_mismatch is None and not position_errors:
             not_reversed = perm != list(reversed(seq.pi0))
     return SequenceReport(
         length_mismatch=length_mismatch,
         position_errors=tuple(position_errors),
-        repeated_pairs=tuple(sorted(set(repeated))),
+        repeated_pairs=tuple(sorted({divmod(key, n) for key in repeated})),
         not_reversed=not_reversed,
         odd_size=n % 2 != 0,
         red_majority=seq.b < seq.r,

@@ -67,9 +67,9 @@ def oracle_halfplane(inst, i, j):
         if det == 0:
             raise ValueError("collinear")
         if det > 0:
-            left += inst.weight(k)
+            left += inst.color_of(k).weight
         else:
-            right += inst.weight(k)
+            right += inst.color_of(k).weight
     return left, right
 
 
@@ -158,6 +158,50 @@ def oracle_balanced_pairs(inst):
                 continue
             if oracle_halfplane(inst, i, j) == (delta, delta):
                 out.add((i, j))
+    return out
+
+
+def oracle_validate_word(seq):
+    """(position_errors, repeated_pairs, not_reversed) of ``validate``, with a set of pair tuples."""
+    n = seq.n
+    perm = list(seq.pi0)
+    seen = set()
+    position_errors = []
+    repeated = []
+    for step, p in enumerate(seq.word, start=1):
+        if not (0 <= p <= n - 2):
+            position_errors.append((step, p))
+            continue
+        pair = (min(perm[p], perm[p + 1]), max(perm[p], perm[p + 1]))
+        if pair in seen:
+            repeated.append(pair)
+        seen.add(pair)
+        perm[p], perm[p + 1] = perm[p + 1], perm[p]
+    complete = len(seq.word) == n * (n - 1) // 2 and not position_errors
+    not_reversed = complete and perm != list(reversed(seq.pi0))
+    return tuple(position_errors), tuple(sorted(set(repeated))), not_reversed
+
+
+def oracle_border_problems(seq, border):
+    """``check_border``'s problems for a border of the right length and color, from scratch."""
+    perms = all_permutations(seq)
+    period = seq.period
+    els = border.elements
+    blue = border.color is Color.BLUE
+    out = []
+    for t in range(period):
+        perm, nxt = perms[t], perms[t + 1]
+        e, e_next = els[t], els[(t + 1) % period]
+        p = perm.index(e)
+        w = sum(seq.weights[v] for v in perm[:p])
+        if (w < seq.delta) if blue else (w > seq.delta):
+            out.append(f"WEIGHT t={t}")
+        if not p < perm.index(els[(t + period // 2) % period]):
+            out.append(f"MIRROR_ORDER t={t}")
+        if e_next != e:
+            q1, q2 = sorted((nxt.index(e), nxt.index(e_next)))
+            if any(seq.colors[v] is border.color for v in nxt[q1 + 1 : q2]):
+                out.append(f"WEAK_CONTINUITY t={t}")
     return out
 
 

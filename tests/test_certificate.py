@@ -27,7 +27,7 @@ from balanced_lines.geometry import Color
 from balanced_lines.harness import random_instance
 from balanced_lines.sequence import build_from_points, permutation_at, random_sequence
 
-from conftest import all_permutations
+from conftest import all_permutations, oracle_border_problems
 
 
 def blue_ids(seq):
@@ -132,10 +132,10 @@ class TestBorders:
         border = initial_border(seq, 1)
         perm0 = permutation_at(seq, 0)
         half = permutation_at(seq, seq.half_period)
-        assert perm0.index(border.element_at(0)) < perm0.index(border.mirror_at(0))
-        assert half.index(border.element_at(seq.half_period)) < half.index(
-            border.mirror_at(seq.half_period)
-        )
+        mirrors = border.mirror_elements()
+        assert perm0.index(border.element_at(0)) < perm0.index(mirrors[0])
+        assert half.index(border.element_at(seq.half_period)) < half.index(mirrors[seq.half_period])
+        assert list(mirrors) == [border.element_at(t + seq.half_period) for t in range(seq.period)]
 
     def test_corrupted_border_rejected(self, t_red_border):
         seq = build_from_points(t_red_border)
@@ -144,6 +144,26 @@ class TestBorders:
         other = next(v for v in reds if v != border.elements[0])
         bad = Border(border.color, (other,) + border.elements[1:])
         assert check_border(seq, bad) != []
+
+    def test_problems_match_replay_oracle(self, t_red_border, t_blue_border):
+        seen = set()
+        for inst in (t_red_border, t_blue_border):
+            seq = build_from_points(inst)
+            border = initial_border(seq, classify_case(seq).preserving_rank)
+            same = [v for v in range(seq.n) if seq.colors[v] is border.color]
+            rng = random.Random(seq.n)
+            candidates = [border, maximize_border(seq, border)]
+            for _ in range(20):  # overwrite a run of times with another same-color point
+                elements = list(border.elements)
+                t = rng.randrange(seq.period)
+                for s in range(t, min(t + rng.randint(1, 6), seq.period)):
+                    elements[s] = rng.choice(same)
+                candidates.append(Border(border.color, tuple(elements)))
+            for cand in candidates:
+                problems = check_border(seq, cand)
+                assert problems == oracle_border_problems(seq, cand)
+                seen.update(p.split()[0] for p in problems)
+        assert seen == {"WEIGHT", "MIRROR_ORDER", "WEAK_CONTINUITY"}
 
     def test_maximize_reaches_fixed_point(self, t_red_border):
         seq = build_from_points(t_red_border)
@@ -199,7 +219,7 @@ class TestPartition:
         border = maximize_border(seq, initial_border(seq, 1))
         f, g, h = partition_fgh(seq, border)
         assert border.element_at(0) in f
-        assert border.mirror_at(0) in h
+        assert border.mirror_elements()[0] in h
 
     def test_red_border_partitions_reds(self, t_red_border):
         seq = build_from_points(t_red_border)

@@ -179,6 +179,38 @@ class TestPerturb:
 class TestHalfplaneWeights:
     def test_two_points(self, t1):
         assert halfplane_weights(t1, 0, 1) == (0, 0)
+        # With no third point, even a coincident pair has two empty sides.
+        assert halfplane_weights(make_instance([(3, 4, "B"), (3, 4, "R")]), 0, 1) == (0, 0)
+
+    def test_rational_coordinates_match_oracle(self):
+        # Non-integer coordinates with distinct denominators, raw reds in the
+        # majority (so canonical weights are swapped), every ordered pair.
+        inst = make_instance([
+            (Fraction(1, 3), Fraction(-2, 7), "R"), (Fraction(-5, 2), Fraction(1, 9), "R"),
+            (Fraction(7, 4), Fraction(11, 5), "B"), (Fraction(-3, 8), Fraction(-13, 6), "R"),
+            (Fraction(9, 10), Fraction(4, 3), "R"), (Fraction(-1, 11), Fraction(17, 4), "B"),
+        ])
+        assert inst.swapped
+        for i in range(inst.n):
+            for j in range(inst.n):
+                if i != j:
+                    assert halfplane_weights(inst, i, j) == oracle_halfplane(inst, i, j)
+
+    def test_coincident_points_raise(self):
+        inst = make_instance([(0, 0, "B"), (5, 1, "R"), (0, 0, "B"), (2, 7, "R")])
+        with pytest.raises(CollinearWitnessError, match=r"^point 2 is collinear with \(0, 1\)$"):
+            halfplane_weights(inst, 0, 1)
+        with pytest.raises(CollinearWitnessError, match=r"^point 1 is collinear with \(0, 2\)$"):
+            halfplane_weights(inst, 0, 2)
+
+    def test_error_names_first_collinear_point(self):
+        # Points 1, 2, 3 and 4 all lie on y = x; point 0 does not.
+        inst = make_instance([(0, 5, "B"), (1, 1, "R"), (2, 2, "B"), (3, 3, "R"), (4, 4, "B"),
+                              (9, 0, "R")])
+        with pytest.raises(CollinearWitnessError, match=r"^point 1 is collinear with \(4, 2\)$"):
+            halfplane_weights(inst, 4, 2)
+        with pytest.raises(CollinearWitnessError, match=r"^point 2 is collinear with \(3, 1\)$"):
+            halfplane_weights(inst, 3, 1)
 
     def test_quad_with_balanced_diagonal(self):
         # Both off-diagonal points on one side, one of each color.

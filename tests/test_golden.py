@@ -4,12 +4,16 @@
 by ``golden/make_certificates.py`` at commit 52b4d6a. ``golden/sweeps.jsonl``
 holds the sha256 of each entry's sequence text and scan JSON, written by
 ``golden/make_sweeps.py`` at commit 87d057d. Every refactor of the sweep or the
-certificate pipeline must reproduce each of them exactly.
+certificate pipeline must reproduce each of them exactly. The geometric
+enumerator finds the same pairs as the scan, so for every sweep entry with
+n <= 120 the ``lines`` JSON must hash to the stored scan digest too.
 """
+import hashlib
 import json
 
 import pytest
 
+from balanced_lines import enumerate_balanced_lines, random_instance, witnesses_to_json
 from balanced_lines.certificate import certificate_to_json, certify, verify_certificate
 from golden import make_certificates, make_sweeps
 
@@ -40,3 +44,15 @@ def test_sweep_and_scan_are_byte_identical(row):
         "sequence_sha256": row["sequence_sha256"],
         "scan_sha256": row["scan_sha256"],
     }
+
+
+@pytest.mark.parametrize(
+    "row",
+    [row for row in SWEEP_ROWS if row["entry"]["blue"] + row["entry"]["red"] <= 120],
+    ids=lambda row: "-".join(str(v) for v in row["entry"].values()),
+)
+def test_lines_json_matches_scan_digest(row):
+    entry = row["entry"]
+    inst = random_instance(entry["blue"], entry["red"], make_sweeps.COORD_BOUND, seed=entry["seed"])
+    lines = witnesses_to_json(enumerate_balanced_lines(inst), inst.delta)
+    assert hashlib.sha256(lines.encode()).hexdigest() == row["scan_sha256"]

@@ -21,7 +21,7 @@ from balanced_lines.sequence import (
 )
 from balanced_lines.balance import scan_balanced_transpositions
 
-from conftest import all_permutations, make_instance, oracle_sweep_slope
+from conftest import all_permutations, make_instance, oracle_sweep_slope, oracle_validate_word
 
 
 class TestBuildFromPoints:
@@ -156,6 +156,34 @@ class TestValidate:
     def test_red_majority_flagged(self):
         seq = AllowableSequence([Color.RED, Color.RED], [0, 1], [0])
         assert "RED_MAJORITY" in validate(seq).codes
+
+    def test_corrupted_words_match_set_oracle(self):
+        seen_codes = set()
+        for seed in range(60):
+            rng = random.Random(seed)
+            n = rng.choice((2, 4, 6, 8))
+            base = random_sequence(n, n // 2 + rng.choice((0, n // 4)), seed=seed)
+            pi0 = list(base.pi0)
+            rng.shuffle(pi0)
+            word = list(base.word)
+            kind = seed % 5
+            if kind in (0, 4):  # extra steps, which repeat pairs
+                for _ in range(rng.randint(1, 3)):
+                    word.insert(rng.randrange(len(word) + 1), rng.choice(word))
+            if kind in (1, 4):  # positions out of range
+                for _ in range(rng.randint(1, 3)):
+                    word[rng.randrange(len(word))] = rng.choice((-1, n - 1, n + 3))
+            if kind in (2, 4):  # truncated word
+                del word[rng.randrange(len(word)):]
+            if kind == 3:  # one step moved to another position: full length, not reversed
+                word[rng.randrange(len(word))] = rng.randrange(n - 1)
+            seq = AllowableSequence(base.colors, pi0, word)
+            report = validate(seq)
+            assert (report.position_errors, report.repeated_pairs, report.not_reversed) == (
+                oracle_validate_word(seq)
+            ), seed
+            seen_codes.update(report.codes)
+        assert {"REPEATED_PAIR", "POSITION_RANGE", "LENGTH_MISMATCH", "NOT_REVERSED"} <= seen_codes
 
 
 class TestRandomSequence:

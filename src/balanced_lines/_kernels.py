@@ -1,18 +1,15 @@
 """Hot inner loops over permutation words.
 
 Every kernel walks an adjacent-transposition word while maintaining the
-permutation and a prefix-weight table in O(1) per step. There is one backend,
-plain Python. ``run_word``, ``events_to_word`` and ``track_rank`` take plain
+permutation (and, where the kernel reports weights, a prefix-weight table) in
+O(1) per step. There is one backend, plain Python: every kernel takes plain
 sequences (lists or tuples; indexing numpy scalars costs several times more)
-and return lists; ``element_walk`` still takes and returns numpy arrays.
-``track_rank`` follows every rank of a subset in one replay, so curve tracking
-costs one replay per subset, not one per rank. The from-scratch references
-they are tested against are ``permutation_at`` and ``transposition_at`` in
-``sequence``.
+and returns lists. ``track_rank`` follows every rank of a subset in one
+replay, so curve tracking costs one replay per subset, not one per rank. The
+from-scratch references they are tested against are ``permutation_at`` and
+``transposition_at`` in ``sequence``.
 """
 from __future__ import annotations
-
-import numpy as np
 
 
 def run_word(pi0, word, weights):
@@ -85,38 +82,25 @@ def track_rank(pi0, word, weights, member):
     return logs
 
 
-def element_walk(pi0, word, weights, elems):
-    """Positions and prefix weights of a prescribed element per time step.
+def element_walk(pi0, word, elems):
+    """Position of a prescribed element per time step.
 
-    ``elems`` gives one element id per time (len(word)+1 entries, cyclic
-    curves pass their full period).
+    ``elems`` gives one element id per time, ``len(word) + 1`` entries.
     """
-    n = pi0.shape[0]
-    m = word.shape[0]
-    perm = pi0.copy()
-    pos_of = np.empty(n, np.int64)
-    for q in range(n):
-        pos_of[perm[q]] = q
-    pre = np.zeros(n + 1, np.int64)
-    for q in range(n):
-        pre[q + 1] = pre[q] + weights[perm[q]]
-    pos = np.empty(m + 1, np.int64)
-    wt = np.empty(m + 1, np.int64)
-    pos[0] = pos_of[elems[0]]
-    wt[0] = pre[pos[0]]
-    for t in range(m):
-        p = word[t]
+    perm = list(pi0)
+    pos_of = [0] * len(perm)
+    for q, v in enumerate(perm):
+        pos_of[v] = q
+    pos = [pos_of[elems[0]]]
+    for p, e in zip(word, elems[1:]):
         a = perm[p]
         b = perm[p + 1]
         perm[p] = b
         perm[p + 1] = a
         pos_of[b] = p
         pos_of[a] = p + 1
-        pre[p + 1] = pre[p] + weights[b]
-        e = elems[t + 1]
-        pos[t + 1] = pos_of[e]
-        wt[t + 1] = pre[pos[t + 1]]
-    return pos, wt
+        pos.append(pos_of[e])
+    return pos
 
 
 def events_to_word(pi0, ev_i, ev_j):

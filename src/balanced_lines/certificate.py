@@ -6,8 +6,9 @@ the weight tracks. Case 2 builds a border curve, partitions the border-color
 points into F/G/H, and scans one half-period with a charge ledger that
 converts non-witness events into guaranteed witness events of other curves.
 Every obligation the counting relies on is checked at runtime; failures
-surface as InsufficientBorderError (retry with a better border) or
-ProofGapError (never expected on valid input).
+surface as InsufficientBorderError from the scan, which ``certify`` reports as
+a ProofGapError (never expected on valid input), since the border it scans is
+already a fixed point of the improvement devices.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import _kernels
 from .balance import BalancedWitness, WitnessSource
-from .curves import CurveClass, classify_track, track_all
+from .curves import CurveClass, classify_track, find_weight_changes, track_all
 from .errors import BadParamsError, InsufficientBorderError, ProofGapError
 from .geometry import Color
 from .sequence import AllowableSequence, transposition_at
@@ -75,18 +76,15 @@ class Border:
         return self.elements[half:] + self.elements[:half]
 
 
-def _walk_positions(seq: AllowableSequence, elems_per_time) -> tuple[np.ndarray, np.ndarray]:
-    """Positions and prefix weights of one prescribed element per time, over [0, 2N]."""
-    period = seq.period
-    ext = np.asarray(
-        [elems_per_time[t % period] for t in range(period + 1)], np.int64
-    )
-    return _kernels.element_walk(seq._pi0_a, seq.full_word(), seq._weights_a, ext)
+def _walk_positions(seq: AllowableSequence, elems_per_time) -> list[int]:
+    """Positions of one prescribed element per time, over [0, 2N)."""
+    return _kernels.element_walk(seq.pi0, seq.full_word()[:-1], elems_per_time)
 
 
-def _changes(wt, from_w: int, to_w: int, stop: int) -> list[int]:
-    """Times t < stop with weight from_w at t and to_w at t+1."""
-    return np.flatnonzero((wt[:stop] == from_w) & (wt[1 : stop + 1] == to_w)).tolist()
+def _mirror_positions(seq: AllowableSequence, bpos) -> list[int]:
+    """Positions of the mirror elements from the border's: pi^{t+N} reverses pi^t."""
+    half = seq.half_period
+    return [seq.n - 1 - q for q in bpos[half:] + bpos[:half]]
 
 
 def check_border(seq: AllowableSequence, border: Border) -> list[str]:
@@ -113,7 +111,7 @@ def check_border(seq: AllowableSequence, border: Border) -> list[str]:
         pre[q + 1] = pre[q] + weights[perm[q]]
     elements = border.elements
     steps = zip(elements, border.mirror_elements(), elements[1:] + elements[:1],
-                seq.full_word().tolist())
+                seq.full_word())
     for t, (e, mirror, e_next, sp) in enumerate(steps):
         p = pos[e]
         w = pre[p]
@@ -136,22 +134,25 @@ def check_border(seq: AllowableSequence, border: Border) -> list[str]:
     return problems
 
 
-def _nearest_left_curve(seq: AllowableSequence, positions, want: Color) -> tuple[int, ...]:
-    """Per time, the nearest want-colored element strictly left of the given position."""
-    period, n = seq.period, seq.n
-    word2 = seq.full_word()
+def _nearest_left_curve(seq: AllowableSequence, positions, want: Color):
+    """Per time, the nearest want-colored element strictly left of the given position.
+
+    Returns that element and its position for each time over [0, 2N).
+    """
+    colors = seq.colors
     perm = list(seq.pi0)
     out = []
-    for t in range(period):
+    qs = []
+    for t, sp in enumerate(seq.full_word()):
         q = int(positions[t]) - 1
-        while q >= 0 and seq.colors[perm[q]] is not want:
+        while q >= 0 and colors[perm[q]] is not want:
             q -= 1
         if q < 0:
             raise ProofGapError(f"no {want.value} element left of position {positions[t]} at t={t}")
         out.append(perm[q])
-        sp = int(word2[t])
+        qs.append(q)
         perm[sp], perm[sp + 1] = perm[sp + 1], perm[sp]
-    return tuple(out)
+    return tuple(out), qs
 
 
 def initial_border(seq: AllowableSequence, k: int) -> Border:
@@ -167,7 +168,7 @@ def initial_border(seq: AllowableSequence, k: int) -> Border:
     if cls is CurveClass.GE_DELTA:
         border = Border(Color.BLUE, tuple(int(v) for v in trk.elem[: seq.period]))
     elif cls is CurveClass.LT_DELTA:
-        border = Border(Color.RED, _nearest_left_curve(seq, trk.pos, Color.RED))
+        border = Border(Color.RED, _nearest_left_curve(seq, trk.pos, Color.RED)[0])
     else:
         raise BadParamsError(f"blue rank {k} is delta-changing; no border seed")
     problems = check_border(seq, border)
@@ -266,7 +267,7 @@ def case1_certificate(seq: AllowableSequence) -> Certificate:
     """
     delta, b = seq.delta, seq.b
     tracks = track_all(seq, _blue_ids(seq))
-    lo, hi, lw, _ = _kernels.run_word(seq.pi0, seq.full_word().tolist(), seq.weights)
+    lo, hi, lw, _ = _kernels.run_word(seq.pi0, seq.full_word(), seq.weights)
     pool = _WitnessPool(seq)
     events = []
 
@@ -274,7 +275,7 @@ def case1_certificate(seq: AllowableSequence) -> Certificate:
         trk = tracks[k - 1]
         picked = []
         for kind, from_w, to_w in kinds:
-            ts = _changes(trk.wt, from_w, to_w, seq.period)
+            ts = find_weight_changes(trk, from_w, to_w)
             if not ts:
                 raise ProofGapError(f"B_{k} has no {kind} despite being delta-changing")
             t = ts[0]
@@ -299,8 +300,8 @@ def case1_certificate(seq: AllowableSequence) -> Certificate:
         k0 = (b + 1) // 2
         trk = tracks[k0 - 1]
         firsts = (
-            _changes(trk.wt, delta, delta - 1, seq.period)[:1]
-            + _changes(trk.wt, delta - 1, delta, seq.period)[:1]
+            find_weight_changes(trk, delta, delta - 1)[:1]
+            + find_weight_changes(trk, delta - 1, delta)[:1]
         )
         if not firsts:
             raise ProofGapError(f"middle curve B_{k0} never crosses the threshold")
@@ -340,14 +341,14 @@ def case2_certificate(seq: AllowableSequence, border: Border) -> Certificate:
     members = frozenset(f_ids) | frozenset(g_ids) | frozenset(h_ids)
     target = len(members)
 
-    lo, hi, lw, _ = _kernels.run_word(seq.pi0, seq.full_word().tolist(), seq.weights)
-    bpos, _ = _walk_positions(seq, border.elements)
-    mpos, _ = _walk_positions(seq, border.mirror_elements())
+    lo, hi, lw, _ = _kernels.run_word(seq.pi0, seq.full_word(), seq.weights)
+    bpos = _walk_positions(seq, border.elements)
+    mpos = _mirror_positions(seq, bpos)
 
     f_tracks, g_tracks, h_tracks = (track_all(seq, ids) for ids in (f_ids, g_ids, h_ids))
 
     def window_changes(trk, from_w, to_w):
-        return _changes(trk.wt, from_w, to_w, n_half)
+        return find_weight_changes(trk, from_w, to_w, window=(0, n_half))
 
     def swap_parts(t, member_set, expected):
         a, bb = int(lo[t]), int(hi[t])
@@ -500,11 +501,6 @@ def case2_certificate(seq: AllowableSequence, border: Border) -> Certificate:
 # Border maximization
 
 
-def _position_sum(seq: AllowableSequence, border: Border) -> int:
-    bpos, _ = _walk_positions(seq, border.elements)
-    return int(bpos[: seq.period].sum())
-
-
 def _cyclic_runs(flags: np.ndarray) -> list[np.ndarray]:
     """Maximal cyclic runs of true entries, as index arrays in cyclic order.
 
@@ -520,30 +516,30 @@ def _cyclic_runs(flags: np.ndarray) -> list[np.ndarray]:
     return [order[b:e] for b, e in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1))]
 
 
-def _improve_once(seq: AllowableSequence, border: Border, hint=None) -> Border | None:
+def _improve_once(seq: AllowableSequence, border: Border, bpos: np.ndarray):
     """One strict improvement of the border, or None at a fixed point.
 
-    Devices: adopt a threshold-respecting curve lying right of the border,
-    replace the border by the nearest-opposite-color-left curve of a
-    threshold-avoiding curve right of it, or splice the border along a curve
-    that crosses it while holding the threshold side.
+    ``bpos`` holds the border's positions over [0, 2N); an improvement comes
+    back as ``(border, positions)``. Devices, per candidate curve: splice the
+    border along each cyclic run where the curve lies at or right of it while
+    holding the threshold side (a run spanning the whole period adopts the
+    curve), or replace the border by the nearest-opposite-color-left curve of
+    a threshold-avoiding curve lying strictly right of it. A candidate must
+    raise the total position, which bounds the number of rounds, and pass
+    ``check_border``.
     """
     c = border.color
     delta = seq.delta
     period = seq.period
     f_ids, g_ids, h_ids = partition_fgh(seq, border)
     all_ids = tuple(sorted(frozenset(f_ids) | frozenset(g_ids) | frozenset(h_ids)))
-    bpos, _ = _walk_positions(seq, border.elements)
-    bpos = bpos[:period]
     base_sum = int(bpos.sum())
 
     candidates = [("G", g_ids, k) for k in range(1, len(g_ids) + 1)]
     candidates += [("ALL", all_ids, k) for k in range(1, len(all_ids) + 1)]
-    if hint is not None and hint[0] == "G":
-        candidates.sort(key=lambda cand: (cand[0], cand[2]) != ("G", hint[1]))
 
-    def accept(cand: Border) -> bool:
-        return not check_border(seq, cand) and _position_sum(seq, cand) > base_sum
+    def accept(cand: Border, cpos: np.ndarray) -> bool:
+        return int(cpos.sum()) > base_sum and not check_border(seq, cand)
 
     tracks = {}  # one replay per subset, made when its first candidate comes up
     for name, ids, k in candidates:
@@ -554,42 +550,39 @@ def _improve_once(seq: AllowableSequence, border: Border, hint=None) -> Border |
         pos = trk.pos[:period]
         rel = pos - bpos
         on_side = wt >= delta if c is Color.BLUE else wt <= delta
+        for run in _cyclic_runs(rel >= 0):
+            if on_side[run].all() and (rel[run] > 0).any():
+                elems = list(border.elements)
+                for t, e in zip(run.tolist(), trk.elem[run].tolist()):
+                    elems[t] = e
+                cpos = bpos.copy()
+                cpos[run] = pos[run]
+                cand = Border(c, tuple(elems))
+                if accept(cand, cpos):
+                    return cand, cpos
         off_side = wt < delta if c is Color.BLUE else wt > delta
-        if (rel >= 0).all():
-            if on_side.all() and (rel > 0).any():
-                cand = Border(c, tuple(int(v) for v in trk.elem[:period]))
-                if accept(cand):
-                    return cand
-            if off_side.all() and (rel > 0).all():
-                rho = _nearest_left_curve(seq, trk.pos, c.opposite)
-                cand = Border(c.opposite, rho)
-                if accept(cand):
-                    return cand
-        else:
-            for run in _cyclic_runs(rel >= 0):
-                if on_side[run].all() and (rel[run] > 0).any():
-                    elems = list(border.elements)
-                    for t, e in zip(run.tolist(), trk.elem[run].tolist()):
-                        elems[t] = e
-                    cand = Border(c, tuple(elems))
-                    if accept(cand):
-                        return cand
+        if off_side.all() and (rel > 0).all():
+            rho, q = _nearest_left_curve(seq, pos, c.opposite)
+            cand, cpos = Border(c.opposite, rho), np.asarray(q)
+            if accept(cand, cpos):
+                return cand, cpos
     return None
 
 
-def maximize_border(seq: AllowableSequence, start: Border, hint=None) -> Border:
+def maximize_border(seq: AllowableSequence, start: Border) -> Border:
     """Iterate the improvement devices to a fixed point.
 
-    Each round strictly increases the total position of the border, so the
-    loop terminates within n * 2N rounds.
+    The start border is walked once; each round hands its positions to the
+    next. Each round strictly increases the total position of the border, so
+    the loop terminates within n * 2N rounds.
     """
     border = start
+    bpos = np.asarray(_walk_positions(seq, start.elements))
     for _ in range(seq.n * seq.period + 1):
-        improved = _improve_once(seq, border, hint)
+        improved = _improve_once(seq, border, bpos)
         if improved is None:
             return border
-        hint = None
-        border = improved
+        border, bpos = improved
     raise ProofGapError("border improvement exceeded its termination bound")
 
 
@@ -598,21 +591,11 @@ def certify(seq: AllowableSequence) -> Certificate:
     info = classify_case(seq)
     if info.case is Case.CASE1:
         return case1_certificate(seq)
-    border = initial_border(seq, info.preserving_rank)
-    hint = None
-    for _ in range(seq.n * seq.period + 1):
-        border = maximize_border(seq, border, hint)
-        try:
-            return case2_certificate(seq, border)
-        except InsufficientBorderError as exc:
-            improved = _improve_once(seq, border, exc.hint)
-            if improved is None:
-                raise ProofGapError(
-                    f"obligation failed at a fixed-point border: {exc}"
-                ) from exc
-            border = improved
-            hint = None
-    raise ProofGapError("certify did not converge")
+    border = maximize_border(seq, initial_border(seq, info.preserving_rank))
+    try:
+        return case2_certificate(seq, border)
+    except InsufficientBorderError as exc:
+        raise ProofGapError(f"obligation failed at a fixed-point border: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

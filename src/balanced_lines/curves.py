@@ -104,7 +104,7 @@ def track_all(seq: AllowableSequence, members) -> list[WeightTrack]:
     member = [False] * seq.n
     for v in members:
         member[v] = True
-    word = seq.full_word().tolist()
+    word = seq.full_word()
     logs = _kernels.track_rank(seq.pi0, word, seq.weights, member)
     return [
         WeightTrack(seq, CurveSpec(members, k), changes, len(word) + 1)
@@ -161,14 +161,16 @@ def classify_track(trk: WeightTrack) -> CurveClass:
 
 
 def find_weight_changes(trk: WeightTrack, from_w: int, to_w: int, window=None) -> list[int]:
-    """Times t in the window with weight from_w at t and to_w at t+1."""
+    """Times t in the window with weight from_w at t and to_w at t+1.
+
+    The window ``(lo, hi)`` is half-open and lies within [0, 2N]; the default
+    is the full period.
+    """
     if abs(from_w - to_w) != 1:
         raise BadParamsError("weight changes are between consecutive values")
     lo, hi = window if window is not None else (0, trk.period)
-    return [
-        t for t in range(lo, hi)
-        if trk.weight_at(t) == from_w and trk.weight_at(t + 1) == to_w
-    ]
+    wt = trk.wt
+    return (lo + np.flatnonzero((wt[lo:hi] == from_w) & (wt[lo + 1 : hi + 1] == to_w))).tolist()
 
 
 @dataclass(frozen=True)

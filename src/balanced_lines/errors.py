@@ -36,8 +36,9 @@ class GenerationExhaustedError(BalancedLinesError):
 class InsufficientBorderError(BalancedLinesError):
     """A certificate obligation failed for the current border.
 
-    Carries a hint naming the curve whose obligation failed so the border
-    maximizer can retry with that curve first.
+    The hint names the curve whose obligation failed, e.g. ``("G", 2)``.
+    Nothing retries: ``certify`` scans a fixed-point border, so it reports
+    this as a ProofGapError.
     """
 
     def __init__(self, message, hint=None):

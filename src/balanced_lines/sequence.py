@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
 
-import numpy as np
-
 from . import _kernels
 from .errors import BadParamsError, DegenerateInputError
 from .geometry import Color, Instance, _general_position_report, _pair_directions
@@ -33,13 +31,8 @@ class AllowableSequence:
         self.word: tuple[int, ...] = tuple(int(v) for v in word)
         self.n = len(self.colors)
         self.weights: tuple[int, ...] = tuple(c.weight for c in self.colors)
-        # numpy mirrors for the kernels
-        self._pi0_a = np.asarray(self.pi0, np.int64)
-        self._word_a = np.asarray(self.word, np.int64)
-        self._weights_a = np.asarray(self.weights, np.int64)
-        self._word2_a = np.concatenate(
-            [self._word_a, (self.n - 2) - self._word_a]
-        ) if self.n >= 2 else self._word_a.copy()
+        self.b: int = self.weights.count(1)
+        self._full_word = self.word + tuple(self.n - 2 - p for p in self.word)
 
     @property
     def half_period(self) -> int:
@@ -50,10 +43,6 @@ class AllowableSequence:
         return 2 * self.half_period
 
     @property
-    def b(self) -> int:
-        return sum(1 for c in self.colors if c is Color.BLUE)
-
-    @property
     def r(self) -> int:
         return self.n - self.b
 
@@ -61,9 +50,9 @@ class AllowableSequence:
     def delta(self) -> int:
         return (self.b - self.r) // 2
 
-    def full_word(self) -> np.ndarray:
+    def full_word(self) -> tuple[int, ...]:
         """Word over a full period: tau_{t+N} mirrors tau_t's position."""
-        return self._word2_a
+        return self._full_word
 
     def __repr__(self):
         return f"AllowableSequence(n={self.n}, b={self.b}, r={self.r})"

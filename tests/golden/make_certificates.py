@@ -3,11 +3,12 @@
 Usage: PYTHONPATH=src python tests/golden/make_certificates.py
 
 Certifies every corpus entry and writes one JSON line per entry: the entry
-and its certificate. ``certificate_to_json`` is compact JSON of plain ints,
-strings, booleans and nulls, so ``json.dumps(row["certificate"],
-separators=(",", ":"))`` gives back its exact text; the golden test compares
-that text byte for byte. Regenerate only when a change to the certificate
-output is intended.
+and its certificate. The small corpus goes to ``certificates.jsonl``; six
+n = 120 Case-2 point sets (b:r = 90:30) go to ``certificates_n120.jsonl``.
+``certificate_to_json`` is compact JSON of plain ints, strings, booleans and
+nulls, so ``json.dumps(row["certificate"], separators=(",", ":"))`` gives back
+its exact text; the golden test compares that text byte for byte. Regenerate
+only when a change to the certificate output is intended.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from balanced_lines import (
 )
 
 OUT = Path(__file__).with_name("certificates.jsonl")
+OUT_N120 = Path(__file__).with_name("certificates_n120.jsonl")
 COORD_BOUND = 10**6
 
 
@@ -41,6 +43,11 @@ def corpus():
             yield {"kind": "points", "blue": b, "red": r, "seed": seed}
 
 
+def corpus_n120():
+    for seed in range(1, 7):
+        yield {"kind": "points", "blue": 90, "red": 30, "seed": seed}
+
+
 def build(entry):
     if entry["kind"] == "abstract":
         return random_sequence(entry["n"], entry["blue"], seed=entry["seed"])
@@ -48,9 +55,9 @@ def build(entry):
     return build_from_points(inst)
 
 
-def main():
+def write(path, entries):
     lines = []
-    for entry in corpus():
+    for entry in entries:
         seq = build(entry)
         cert = certify(seq)
         assert verify_certificate(seq, cert).ok, entry
@@ -58,8 +65,13 @@ def main():
         payload = json.loads(text)
         assert json.dumps(payload, separators=(",", ":")) == text, entry
         lines.append(json.dumps({"entry": entry, "certificate": payload}, separators=(",", ":")))
-    OUT.write_text("\n".join(lines) + "\n")
-    print(f"wrote {len(lines)} entries to {OUT}")
+    path.write_text("\n".join(lines) + "\n")
+    print(f"wrote {len(lines)} entries to {path}")
+
+
+def main():
+    write(OUT, corpus())
+    write(OUT_N120, corpus_n120())
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+import balanced_lines.certificate as certificate_mod
 from balanced_lines.balance import scan_balanced_transpositions
 from balanced_lines.certificate import (
     Border,
@@ -19,15 +20,18 @@ from balanced_lines.certificate import (
     partition_fgh,
     verify_certificate,
     _cyclic_runs,
-    _position_sum,
+    _mirror_positions,
+    _nearest_left_curve,
+    _walk_positions,
 )
-from balanced_lines.curves import CurveClass, CurveSpec, classify, track
-from balanced_lines.errors import ProofGapError
+from balanced_lines.curves import CurveClass, CurveSpec, classify, track, track_all
+from balanced_lines.errors import InsufficientBorderError, ProofGapError
 from balanced_lines.geometry import Color
 from balanced_lines.harness import random_instance
 from balanced_lines.sequence import build_from_points, permutation_at, random_sequence
 
 from conftest import all_permutations, oracle_border_problems
+from golden import make_certificates
 
 
 def blue_ids(seq):
@@ -175,7 +179,90 @@ class TestBorders:
         seq = build_from_points(t_blue_border)
         start = initial_border(seq, 1)
         final = maximize_border(seq, start)
-        assert _position_sum(seq, final) >= _position_sum(seq, start)
+        perms = all_permutations(seq)
+
+        def position_sum(border):
+            return sum(perms[t].index(e) for t, e in enumerate(border.elements))
+
+        assert position_sum(final) >= position_sum(start)
+
+
+def replayed_positions(perms, elements):
+    """Position of elements[t] in pi^t, for t over [0, 2N), from scratch."""
+    return [perms[t].index(e) for t, e in enumerate(elements)]
+
+
+class TestCarriedPositions:
+    """Positions handed from round to round agree with from-scratch replays."""
+
+    GOLDEN_CASE2 = [
+        row["entry"] for row in map(json.loads, make_certificates.OUT.read_text().splitlines())
+        if row["certificate"]["case"] == "Case2"
+    ]
+
+    def test_improve_once_positions_match_replay(self, monkeypatch, t_red_border, t_blue_border):
+        returned = []
+
+        def recording(seq, border, bpos):
+            out = improve_once(seq, border, bpos)
+            if out is not None:
+                returned.append(out)
+            return out
+
+        improve_once = certificate_mod._improve_once
+        monkeypatch.setattr(certificate_mod, "_improve_once", recording)
+        seqs = [build_from_points(t_red_border), build_from_points(t_blue_border)]
+        seqs += [make_certificates.build(entry) for entry in self.GOLDEN_CASE2]
+        rounds = 0
+        for seq in seqs:
+            returned.clear()
+            start = initial_border(seq, classify_case(seq).preserving_rank)
+            final = maximize_border(seq, start)
+            perms = all_permutations(seq)
+            for border, positions in returned:
+                assert list(positions) == replayed_positions(perms, border.elements)
+            assert final == (returned[-1][0] if returned else start)
+            rounds += len(returned)
+        assert rounds >= len(seqs)
+
+    def test_nearest_left_curve_matches_replay(self):
+        outcomes = set()
+        for s in range(12):
+            seq = random_mixed_sequence(f"nl:{s}")
+            perms = all_permutations(seq)
+            for color in (Color.BLUE, Color.RED):
+                ids = [i for i in range(seq.n) if seq.colors[i] is color]
+                for trk in track_all(seq, ids):
+                    for want in (Color.BLUE, Color.RED):
+                        expected = []
+                        for t in range(seq.period):
+                            perm = perms[t]
+                            left = [q for q in range(perm.index(int(trk.elem[t])))
+                                    if seq.colors[perm[q]] is want]
+                            if not left:
+                                expected = None
+                                break
+                            expected.append((perm[left[-1]], left[-1]))
+                        if expected is None:
+                            with pytest.raises(ProofGapError, match="element left of position"):
+                                _nearest_left_curve(seq, trk.pos, want)
+                            outcomes.add("none")
+                            continue
+                        elements, positions = _nearest_left_curve(seq, trk.pos, want)
+                        assert list(zip(elements, positions)) == expected
+                        outcomes.add("found")
+        assert outcomes == {"found", "none"}
+
+    def test_mirror_positions_are_reversed_border_positions(self, t_red_border, t_blue_border):
+        rng = random.Random(5)
+        for inst in (t_red_border, t_blue_border):
+            seq = build_from_points(inst)
+            border = maximize_border(seq, initial_border(seq, 1))
+            elements = [rng.randrange(seq.n) for _ in range(seq.period)]
+            for cand in (border, Border(border.color, tuple(elements))):
+                bpos = _walk_positions(seq, cand.elements)
+                assert bpos == replayed_positions(all_permutations(seq), cand.elements)
+                assert _mirror_positions(seq, bpos) == _walk_positions(seq, cand.mirror_elements())
 
 
 def loop_cyclic_runs(flags):
@@ -294,6 +381,18 @@ class TestCertify:
             result = verify_certificate(seq, cert)
             assert result.ok, result.diagnostics
 
+    def test_failed_obligation_is_proof_gap(self, monkeypatch, t_red_border):
+        # The maximized border is a fixed point, so a failed Case-2 obligation
+        # there leaves nothing to improve: certify reports a proof gap.
+        def insufficient(seq, border):
+            raise InsufficientBorderError("planted shortfall", hint=("G", 1))
+
+        monkeypatch.setattr(certificate_mod, "case2_certificate", insufficient)
+        seq = build_from_points(t_red_border)
+        expected = "obligation failed at a fixed-point border: planted shortfall"
+        with pytest.raises(ProofGapError, match=expected):
+            certify(seq)
+
     def test_no_offside_curve_right_of_final_border(self, t_red_border, t_blue_border):
         # No threshold-avoiding curve at a mirror-sandwiched rank (k at most
         # half the family, the only ranks the counting uses) lies strictly
@@ -304,7 +403,7 @@ class TestCertify:
             border = cert.border
             from balanced_lines.certificate import _walk_positions
 
-            bpos, _ = _walk_positions(seq, border.elements)
+            bpos = _walk_positions(seq, border.elements)
             c = border.color
             f, g, h = partition_fgh(seq, border)
             families = [tuple(sorted(set(f) | set(g) | set(h)))]

@@ -111,6 +111,22 @@ class TestPipelines:
         assert out == ""
         assert err.startswith("internal error: planted gap")
 
+    def test_certify_failed_obligation_exits_3(self, capsys, monkeypatch, tmp_path):
+        import balanced_lines.certificate as certificate_mod
+        from balanced_lines.errors import InsufficientBorderError
+        from balanced_lines.sequence import random_sequence, sequence_to_text
+
+        def insufficient(seq, border):
+            raise InsufficientBorderError("planted shortfall", hint=None)
+
+        monkeypatch.setattr(certificate_mod, "case2_certificate", insufficient)
+        path = tmp_path / "seq.txt"
+        path.write_text(sequence_to_text(random_sequence(10, 6, seed=3)))  # a Case-2 sequence
+        code, out, err = run(capsys, "certify", "--seq", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: obligation failed at a fixed-point border")
+
     def test_render(self, capsys, tmp_path, instance_file):
         out = tmp_path / "plot.svg"
         code, _, _ = run(capsys, "render", instance_file, "--out", str(out))

@@ -109,7 +109,7 @@ class TestTrackAll:
         # Position -1 swaps the last and the first element, which no adjacent
         # transposition does, so some blue rank jumps across the permutation.
         seq = random_sequence(8, 5, seed=0)
-        word = seq.full_word().copy()
+        word = list(seq.full_word())
         word[seq.half_period + 3] = -1
         monkeypatch.setattr(seq, "full_word", lambda: word)
         with pytest.raises(ProofGapError, match="strong continuity"):
@@ -197,6 +197,17 @@ class TestFindWeightChanges:
         all_changes = find_weight_changes(trk, delta, delta - 1)
         windowed = find_weight_changes(trk, delta, delta - 1, window=(0, 5))
         assert windowed == [t for t in all_changes if t < 5]
+
+    def test_every_window_matches_weight_at(self):
+        seq = random_sequence(8, 5, seed=2)
+        delta = seq.delta
+        windows = ((0, seq.period), (0, seq.half_period), (7, 19), (seq.period - 3, seq.period))
+        for trk in track_all(seq, blue_ids(seq)):
+            for from_w, to_w in ((delta, delta - 1), (delta - 1, delta)):
+                for lo, hi in windows:
+                    expected = [t for t in range(lo, hi)
+                                if trk.weight_at(t) == from_w and trk.weight_at(t + 1) == to_w]
+                    assert find_weight_changes(trk, from_w, to_w, window=(lo, hi)) == expected
 
     def test_requires_unit_step(self):
         seq = random_sequence(6, 4, seed=13)

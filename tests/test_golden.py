@@ -1,7 +1,9 @@
 """Certificates and sweeps stay byte-identical on fixed corpora.
 
 ``golden/certificates.jsonl`` holds one certificate per corpus entry, written
-by ``golden/make_certificates.py`` at commit 52b4d6a. ``golden/sweeps.jsonl``
+by ``golden/make_certificates.py`` at commit 52b4d6a;
+``golden/certificates_n120.jsonl`` holds six n = 120 Case-2 certificates,
+written by the same script at commit 897acd2. ``golden/sweeps.jsonl``
 holds the sha256 of each entry's sequence text and scan JSON, written by
 ``golden/make_sweeps.py`` at commit 87d057d. Every refactor of the sweep or the
 certificate pipeline must reproduce each of them exactly. The geometric
@@ -18,6 +20,7 @@ from balanced_lines.certificate import certificate_to_json, certify, verify_cert
 from golden import make_certificates, make_sweeps
 
 ROWS = [json.loads(line) for line in make_certificates.OUT.read_text().splitlines()]
+N120_ROWS = [json.loads(line) for line in make_certificates.OUT_N120.read_text().splitlines()]
 SWEEP_ROWS = [json.loads(line) for line in make_sweeps.OUT.read_text().splitlines()]
 
 
@@ -26,12 +29,19 @@ def test_corpus_covers_both_cases():
     assert cases == {(kind, case) for kind in ("abstract", "points") for case in ("Case1", "Case2")}
 
 
-@pytest.mark.parametrize("row", ROWS, ids=lambda row: "-".join(str(v) for v in row["entry"].values()))
+@pytest.mark.parametrize(
+    "row", ROWS + N120_ROWS, ids=lambda row: "-".join(str(v) for v in row["entry"].values())
+)
 def test_certificate_json_is_byte_identical(row):
     seq = make_certificates.build(row["entry"])
     cert = certify(seq)
     assert certificate_to_json(cert) == json.dumps(row["certificate"], separators=(",", ":"))
     assert verify_certificate(seq, cert).ok
+
+
+def test_n120_corpus_is_case2():
+    assert [row["entry"]["seed"] for row in N120_ROWS] == list(range(1, 7))
+    assert {row["certificate"]["case"] for row in N120_ROWS} == {"Case2"}
 
 
 def test_sweep_corpus_sizes():

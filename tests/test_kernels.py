@@ -17,7 +17,7 @@ from conftest import all_permutations, oracle_track
 
 def sequence_arrays(seed, n=10, blue=6):
     seq = random_sequence(n, blue, seed=seed)
-    return seq._pi0_a, seq.full_word(), seq._weights_a, seq
+    return seq.pi0, seq.full_word(), seq.weights, seq
 
 
 def forward_fill(changes, length):
@@ -45,7 +45,7 @@ def test_track_rank_backends_agree(seed):
     for color_weight in (1, -1):
         members = frozenset(i for i in range(seq.n) if seq.weights[i] == color_weight)
         member = [i in members for i in range(seq.n)]
-        logs = _kernels.track_rank(seq.pi0, word.tolist(), seq.weights, member)
+        logs = _kernels.track_rank(seq.pi0, word, seq.weights, member)
         assert len(logs) == len(members)
         for k, changes in enumerate(logs, start=1):
             got = forward_fill(changes, len(word) + 1)
@@ -57,13 +57,11 @@ def test_track_rank_backends_agree(seed):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_element_walk_backends_agree(seed):
-    pi0, word, weights, seq = sequence_arrays(seed)
+    pi0, word, _, seq = sequence_arrays(seed)
     rng = random.Random(seed)
-    elems = np.asarray([rng.randrange(seq.n) for _ in range(len(word) + 1)], np.int64)
-    pos, wt = _kernels.element_walk(pi0, word, weights, elems)
-    for t, perm in enumerate(all_permutations(seq)):
-        q = perm.index(elems[t])
-        assert (pos[t], wt[t]) == (q, sum(seq.weights[v] for v in perm[:q]))
+    elems = [rng.randrange(seq.n) for _ in range(len(word) + 1)]
+    pos = _kernels.element_walk(pi0, word, elems)
+    assert pos == [perm.index(e) for perm, e in zip(all_permutations(seq), elems)]
 
 
 def test_events_to_word_backends_agree():
@@ -76,7 +74,7 @@ def test_events_to_word_backends_agree():
         perm[p], perm[p + 1] = perm[p + 1], perm[p]
     ev_i = np.asarray([a for a, _ in ev], np.int64)
     ev_j = np.asarray([b for _, b in ev], np.int64)
-    word = _kernels.events_to_word(seq._pi0_a, ev_i, ev_j)
+    word = _kernels.events_to_word(seq.pi0, ev_i, ev_j)
     assert list(word) == list(seq.word)
 
 

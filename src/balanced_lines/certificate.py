@@ -5,6 +5,8 @@ curve crosses the delta threshold) reads two witnesses per rank straight off
 the weight tracks. Case 2 builds a border curve, partitions the border-color
 points into F/G/H, and scans one half-period with a charge ledger that
 converts non-witness events into guaranteed witness events of other curves.
+The scan is symmetric: descents pair with F, ascents with H, so each of its
+rules is stated once, over a table indexed by the kind of change.
 Every obligation the counting relies on is checked at runtime; failures
 surface as InsufficientBorderError from the scan, which ``certify`` reports as
 a ProofGapError (never expected on valid input), since the border it scans is
@@ -97,7 +99,7 @@ def check_border(seq: AllowableSequence, border: Border) -> list[str]:
     problems: list[str] = []
     if len(border.elements) != period:
         return [f"BAD_LENGTH expected {period} got {len(border.elements)}"]
-    if any(seq.colors[e] is not border.color for e in border.elements):
+    if any(seq.colors[e] is not border.color for e in set(border.elements)):
         return ["WRONG_COLOR"]
     delta = seq.delta
     weights, colors, color = seq.weights, seq.colors, border.color
@@ -253,9 +255,23 @@ class _WitnessPool:
         blue, red = (a, b) if self.seq.colors[a] is Color.BLUE else (b, a)
         self.by_pair[pair] = BalancedWitness(blue, red, WitnessSource.SCAN, t, self.seq.delta)
         self.origins.append((pair, origin))
+        return pair
 
     def sorted_witnesses(self) -> tuple[BalancedWitness, ...]:
         return tuple(self.by_pair[p] for p in sorted(self.by_pair))
+
+
+def _swap(steps, t: int, member: int):
+    """The step-t swap seen from ``member``: (partner, moved_right, left_weight).
+
+    ``steps`` holds ``run_word``'s ``lo``, ``hi`` and ``lw`` lists.
+    """
+    lo, hi, lw = steps
+    if member == lo[t]:
+        return hi[t], True, lw[t]
+    if member == hi[t]:
+        return lo[t], False, lw[t]
+    raise ProofGapError(f"change at t={t} bypassed the tracked element")
 
 
 def case1_certificate(seq: AllowableSequence) -> Certificate:
@@ -267,53 +283,44 @@ def case1_certificate(seq: AllowableSequence) -> Certificate:
     """
     delta, b = seq.delta, seq.b
     tracks = track_all(seq, _blue_ids(seq))
-    lo, hi, lw, _ = _kernels.run_word(seq.pi0, seq.full_word(), seq.weights)
+    steps = _kernels.run_word(seq.pi0, seq.full_word(), seq.weights)[:3]
+    changes = {"descent": (delta, delta - 1), "ascent": (delta - 1, delta)}
     pool = _WitnessPool(seq)
     events = []
 
-    def harvest(k: int, kinds) -> None:
-        trk = tracks[k - 1]
-        picked = []
-        for kind, from_w, to_w in kinds:
-            ts = find_weight_changes(trk, from_w, to_w)
-            if not ts:
-                raise ProofGapError(f"B_{k} has no {kind} despite being delta-changing")
-            t = ts[0]
-            a, bb, w = int(lo[t]), int(hi[t]), int(lw[t])
-            member = int(trk.elem[t])
-            moved_right = member == a
-            expect_right = kind == "descent"
-            if moved_right is not expect_right:
-                raise ProofGapError(f"B_{k} {kind} at t={t} has the member on the wrong side")
-            partner = bb if moved_right else a
-            if seq.colors[partner] is Color.BLUE or w != delta:
+    def witness(k: int, t: int, kind: str, mid: bool):
+        """Record B_k's event at t as a witness; mid ranks must move toward the partner."""
+        member = int(tracks[k - 1].elem[t])
+        partner, moved_right, w = _swap(steps, t, member)
+        if mid and moved_right is not (kind == "descent"):
+            raise ProofGapError(f"B_{k} {kind} at t={t} has the member on the wrong side")
+        if seq.colors[partner] is Color.BLUE or w != delta:
+            if mid:
                 raise ProofGapError(f"B_{k} {kind} at t={t} is not a balanced transposition")
-            pool.add(member, partner, t + 1, f"B{k}")
-            picked.append((min(member, partner), max(member, partner)))
-            events.append(CurveEvent(f"B{k}", t + 1, kind, None, "witness", picked[-1]))
-        if len(picked) == 2 and picked[0] == picked[1]:
-            raise ProofGapError(f"B_{k} events collapsed to one pair; forces b = 2k-1")
+            raise ProofGapError(f"middle event at t={t} is not balanced")
+        pair = pool.add(member, partner, t + 1, f"B{k}")
+        events.append(CurveEvent(f"B{k}", t + 1, kind, None, "witness", pair))
+        return pair
 
     for k in _mid_rank_range(seq):
-        harvest(k, [("descent", delta, delta - 1), ("ascent", delta - 1, delta)])
+        picked = []
+        for kind, (from_w, to_w) in changes.items():
+            ts = find_weight_changes(tracks[k - 1], from_w, to_w)
+            if not ts:
+                raise ProofGapError(f"B_{k} has no {kind} despite being delta-changing")
+            picked.append(witness(k, ts[0], kind, mid=True))
+        if picked[0] == picked[1]:
+            raise ProofGapError(f"B_{k} events collapsed to one pair; forces b = 2k-1")
     if b % 2 == 1:
         k0 = (b + 1) // 2
-        trk = tracks[k0 - 1]
-        firsts = (
-            find_weight_changes(trk, delta, delta - 1)[:1]
-            + find_weight_changes(trk, delta - 1, delta)[:1]
-        )
+        firsts = [
+            (t, kind)
+            for kind, (from_w, to_w) in changes.items()
+            for t in find_weight_changes(tracks[k0 - 1], from_w, to_w)[:1]
+        ]
         if not firsts:
             raise ProofGapError(f"middle curve B_{k0} never crosses the threshold")
-        t = min(firsts)
-        kind = "descent" if trk.wt[t] == delta else "ascent"
-        a, bb, w = int(lo[t]), int(hi[t]), int(lw[t])
-        member = int(trk.elem[t])
-        partner = bb if member == a else a
-        if seq.colors[partner] is Color.BLUE or w != delta:
-            raise ProofGapError(f"middle event at t={t} is not balanced")
-        pool.add(member, partner, t + 1, f"B{k0}")
-        events.append(CurveEvent(f"B{k0}", t + 1, kind, None, "witness", pool.origins[-1][0]))
+        witness(k0, *min(firsts), mid=False)
 
     witnesses = pool.sorted_witnesses()
     if len(witnesses) < seq.r:
@@ -330,36 +337,36 @@ def case1_certificate(seq: AllowableSequence) -> Certificate:
 def case2_certificate(seq: AllowableSequence, border: Border) -> Certificate:
     """Half-period F/G/H scan with the charge ledger, for a fixed border.
 
-    Raises InsufficientBorderError when a border-dependent obligation fails;
-    structural violations raise ProofGapError.
+    The count is symmetric: F curves give witnesses at descents and H curves
+    at ascents, and a deflected G descent (ascent) charges the F (H) curve it
+    passed, which shows the reverse change. ``outer`` maps each kind to its
+    side. Raises InsufficientBorderError when a border-dependent obligation
+    fails; structural violations raise ProofGapError.
     """
     c = border.color
     delta = seq.delta
-    s = c.weight  # descent: delta -> delta - s
-    n_half = seq.half_period
-    f_ids, g_ids, h_ids = partition_fgh(seq, border)
-    members = frozenset(f_ids) | frozenset(g_ids) | frozenset(h_ids)
-    target = len(members)
+    parts = partition_fgh(seq, border)
+    f_ids, g_ids, h_ids = parts
+    target = sum(len(p) for p in parts)
 
-    lo, hi, lw, _ = _kernels.run_word(seq.pi0, seq.full_word(), seq.weights)
+    steps = _kernels.run_word(seq.pi0, seq.full_word(), seq.weights)[:3]
     bpos = _walk_positions(seq, border.elements)
     mpos = _mirror_positions(seq, bpos)
 
-    f_tracks, g_tracks, h_tracks = (track_all(seq, ids) for ids in (f_ids, g_ids, h_ids))
+    f_tracks, g_tracks, h_tracks = (track_all(seq, ids) for ids in parts)
+    changes = {"descent": (delta, delta - c.weight), "ascent": (delta - c.weight, delta)}
+    outer = {  # kind -> (side, ids, tracks, charges)
+        "descent": ("F", frozenset(f_ids), f_tracks, [0] * len(f_ids)),
+        "ascent": ("H", frozenset(h_ids), h_tracks, [0] * len(h_ids)),
+    }
 
-    def window_changes(trk, from_w, to_w):
-        return find_weight_changes(trk, from_w, to_w, window=(0, n_half))
+    def window_changes(trk, kind):
+        return find_weight_changes(trk, *changes[kind], window=(0, seq.half_period))
 
-    def swap_parts(t, member_set, expected):
-        a, bb = int(lo[t]), int(hi[t])
-        in_set = [v for v in (a, bb) if v in member_set]
-        if len(in_set) != 1:
+    def swap_parts(t, member_set, member):
+        if (steps[0][t] in member_set) == (steps[1][t] in member_set):
             raise ProofGapError(f"change at t={t} does not involve exactly one member")
-        member = in_set[0]
-        if member != expected:
-            raise ProofGapError(f"change at t={t} bypassed the tracked element")
-        partner = bb if member == a else a
-        return member, partner, member == a, int(lw[t])
+        return _swap(steps, t, member)
 
     def rank_in(tracks, element, t):
         for idx, trk in enumerate(tracks):
@@ -369,64 +376,45 @@ def case2_certificate(seq: AllowableSequence, border: Border) -> Certificate:
 
     pool = _WitnessPool(seq)
     events: list[CurveEvent] = []
-    ch_f = [0] * len(f_ids)
-    ch_h = [0] * len(h_ids)
     transactions: list[tuple[int, str, str]] = []
     g_confined = [0] * (len(g_ids) + 1)
 
     g_set = frozenset(g_ids)
     for rank, trk in enumerate(g_tracks, start=1):
-        for kind, from_w, to_w in (
-            ("descent", delta, delta - s),
-            ("ascent", delta - s, delta),
-        ):
-            for t in window_changes(trk, from_w, to_w):
-                confined = (
-                    trk.pos[t] >= bpos[t]
-                    and trk.pos[t + 1] > bpos[t + 1]
-                    and trk.pos[t] <= mpos[t]
-                    and trk.pos[t + 1] < mpos[t + 1]
-                )
-                member, partner, moved_right, w = swap_parts(t, g_set, int(trk.elem[t]))
+        name = f"G{rank}"
+        for kind in changes:
+            for t in window_changes(trk, kind):
+                confined = (bpos[t] <= trk.pos[t] <= mpos[t]
+                            and bpos[t + 1] < trk.pos[t + 1] < mpos[t + 1])
+                member = int(trk.elem[t])
+                partner, moved_right, w = swap_parts(t, g_set, member)
                 pair = (min(member, partner), max(member, partner))
-                name = f"G{rank}"
                 if not confined:
                     events.append(CurveEvent(name, t + 1, kind, False, "unconfined", pair))
                     continue
                 g_confined[rank] += 1
-                balanced = moved_right if kind == "descent" else not moved_right
-                if balanced:
+                if moved_right is (kind == "descent"):
                     if seq.colors[partner] is c or w != delta:
                         raise ProofGapError(f"G event at t={t} misclassified as balanced")
                     pool.add(member, partner, t + 1, name)
                     events.append(CurveEvent(name, t + 1, kind, True, "witness", pair))
-                elif kind == "descent":
-                    if partner not in f_ids:
-                        raise ProofGapError(f"deflected G descent at t={t} missed F")
-                    j = rank_in(f_tracks, partner, t)
-                    fj = f_tracks[j - 1]
-                    if not (fj.wt[t] == delta - s and fj.wt[t + 1] == delta):
-                        raise ProofGapError(f"charge target F{j} shows no matching change at t={t}")
-                    ch_f[j - 1] += 1
-                    transactions.append((t + 1, name, f"F{j}"))
-                    events.append(CurveEvent(name, t + 1, kind, True, "charge", pair, f"F{j}"))
-                else:
-                    if partner not in h_ids:
-                        raise ProofGapError(f"deflected G ascent at t={t} missed H")
-                    i = rank_in(h_tracks, partner, t)
-                    hrk = h_tracks[i - 1]
-                    if not (hrk.wt[t] == delta and hrk.wt[t + 1] == delta - s):
-                        raise ProofGapError(f"charge target H{i} shows no matching change at t={t}")
-                    ch_h[i - 1] += 1
-                    transactions.append((t + 1, name, f"H{i}"))
-                    events.append(CurveEvent(name, t + 1, kind, True, "charge", pair, f"H{i}"))
+                    continue
+                side, ids, tracks, charges = outer[kind]
+                if partner not in ids:
+                    raise ProofGapError(f"deflected G {kind} at t={t} missed {side}")
+                j = rank_in(tracks, partner, t)
+                if tuple(tracks[j - 1].wt[t : t + 2]) != changes[kind][::-1]:  # the reverse change
+                    raise ProofGapError(f"charge target {side}{j} shows no matching change at t={t}")
+                charges[j - 1] += 1
+                transactions.append((t + 1, name, f"{side}{j}"))
+                events.append(CurveEvent(name, t + 1, kind, True, "charge", pair, f"{side}{j}"))
 
     # Confined-change quotas on the G ranks (mirror-rank pairs share one quota).
     for k in range(1, len(g_ids) // 2 + 1):
-        if g_confined[k] + g_confined[len(g_ids) + 1 - k] < 2:
+        m = len(g_ids) + 1 - k
+        if g_confined[k] + g_confined[m] < 2:
             raise InsufficientBorderError(
-                f"G rank pair ({k}, {len(g_ids) + 1 - k}) has "
-                f"{g_confined[k] + g_confined[len(g_ids) + 1 - k]} confined changes",
+                f"G rank pair ({k}, {m}) has {g_confined[k] + g_confined[m]} confined changes",
                 hint=("G", k),
             )
     if len(g_ids) % 2 == 1:
@@ -436,53 +424,32 @@ def case2_certificate(seq: AllowableSequence, border: Border) -> Certificate:
                 f"middle G rank {mid} has no confined change", hint=("G", mid)
             )
 
-    f_set = frozenset(f_ids)
-    for j, trk in enumerate(f_tracks, start=1):
-        descents = window_changes(trk, delta, delta - s)
-        if len(descents) < ch_f[j - 1] + 1:
-            raise InsufficientBorderError(
-                f"F{j} has {len(descents)} descents for charge {ch_f[j - 1]}",
-                hint=("F", j),
-            )
-        for t in descents:
-            member, partner, moved_right, w = swap_parts(t, f_set, int(trk.elem[t]))
-            if not moved_right or seq.colors[partner] is c or w != delta:
-                raise ProofGapError(
-                    f"in-window F{j} descent at t={t} is not a rightward swap "
-                    f"with an opposite-color partner"
+    for kind, (side, ids, tracks, charges) in outer.items():
+        direction = "rightward" if kind == "descent" else "leftward"
+        for j, trk in enumerate(tracks, start=1):
+            ts = window_changes(trk, kind)
+            if len(ts) < charges[j - 1] + 1:
+                raise InsufficientBorderError(
+                    f"{side}{j} has {len(ts)} {kind}s for charge {charges[j - 1]}",
+                    hint=(side, j),
                 )
-            pool.add(member, partner, t + 1, f"F{j}")
-            events.append(
-                CurveEvent(f"F{j}", t + 1, "descent", None, "witness",
-                           (min(member, partner), max(member, partner)))
-            )
-
-    h_set = frozenset(h_ids)
-    for i, trk in enumerate(h_tracks, start=1):
-        ascents = window_changes(trk, delta - s, delta)
-        if len(ascents) < ch_h[i - 1] + 1:
-            raise InsufficientBorderError(
-                f"H{i} has {len(ascents)} ascents for charge {ch_h[i - 1]}",
-                hint=("H", i),
-            )
-        for t in ascents:
-            member, partner, moved_right, w = swap_parts(t, h_set, int(trk.elem[t]))
-            if moved_right or seq.colors[partner] is c or w != delta:
-                raise ProofGapError(
-                    f"in-window H{i} ascent at t={t} is not a leftward swap "
-                    f"with an opposite-color partner"
-                )
-            pool.add(member, partner, t + 1, f"H{i}")
-            events.append(
-                CurveEvent(f"H{i}", t + 1, "ascent", None, "witness",
-                           (min(member, partner), max(member, partner)))
-            )
+            for t in ts:
+                member = int(trk.elem[t])
+                partner, moved_right, w = swap_parts(t, ids, member)
+                if moved_right is not (kind == "descent") or seq.colors[partner] is c or w != delta:
+                    raise ProofGapError(
+                        f"in-window {side}{j} {kind} at t={t} is not a {direction} swap "
+                        f"with an opposite-color partner"
+                    )
+                pair = pool.add(member, partner, t + 1, f"{side}{j}")
+                events.append(CurveEvent(f"{side}{j}", t + 1, kind, None, "witness", pair))
 
     witnesses = pool.sorted_witnesses()
     if len(witnesses) < target:
         raise InsufficientBorderError(
             f"scan found {len(witnesses)} witnesses for target {target}", hint=None
         )
+    ch_f, ch_h = (tuple(outer[kind][3]) for kind in ("descent", "ascent"))
     return Certificate(
         case=Case.CASE2.value,
         target=target,
@@ -492,7 +459,7 @@ def case2_certificate(seq: AllowableSequence, border: Border) -> Certificate:
         f_set=f_ids,
         g_set=g_ids,
         h_set=h_ids,
-        ledger=ChargeLedger(tuple(ch_f), tuple(ch_h), tuple(transactions)),
+        ledger=ChargeLedger(ch_f, ch_h, tuple(transactions)),
         events=tuple(events),
     )
 
@@ -549,7 +516,7 @@ def _improve_once(seq: AllowableSequence, border: Border, bpos: np.ndarray):
         wt = trk.wt[:period]
         pos = trk.pos[:period]
         rel = pos - bpos
-        on_side = wt >= delta if c is Color.BLUE else wt <= delta
+        on_side = c.weight * (wt - delta) >= 0
         for run in _cyclic_runs(rel >= 0):
             if on_side[run].all() and (rel[run] > 0).any():
                 elems = list(border.elements)
@@ -560,8 +527,7 @@ def _improve_once(seq: AllowableSequence, border: Border, bpos: np.ndarray):
                 cand = Border(c, tuple(elems))
                 if accept(cand, cpos):
                     return cand, cpos
-        off_side = wt < delta if c is Color.BLUE else wt > delta
-        if off_side.all() and (rel > 0).all():
+        if not on_side.any() and (rel > 0).all():
             rho, q = _nearest_left_curve(seq, pos, c.opposite)
             cand, cpos = Border(c.opposite, rho), np.asarray(q)
             if accept(cand, cpos):
@@ -641,14 +607,13 @@ def verify_certificate(seq: AllowableSequence, cert: Certificate) -> Verificatio
         else:
             if check_border(seq, cert.border):
                 diagnostics.append("BAD_BORDER")
-            c = cert.border.color
-            members = {i for i in range(seq.n) if seq.colors[i] is c}
-            parts = [set(cert.f_set), set(cert.g_set), set(cert.h_set)]
-            if (
-                parts[0] | parts[1] | parts[2] != members
-                or sum(len(p) for p in parts) != len(members)
-            ):
-                diagnostics.append("BAD_PARTITION")
+            else:  # F/G/H must be the valid border's time-0 split, in time-0 order
+                p0, c = seq.pi0, cert.border.color
+                gq, mq = (p0.index(cert.border.elements[t]) for t in (0, seq.half_period))
+                runs = (p0[: gq + 1], p0[gq + 1 : mq], p0[mq:])
+                split = tuple(tuple(v for v in run if seq.colors[v] is c) for run in runs)
+                if (cert.f_set, cert.g_set, cert.h_set) != split:
+                    diagnostics.append("BAD_PARTITION")
             ledger = cert.ledger
             if any(v < 0 for v in ledger.ch_f + ledger.ch_h):
                 diagnostics.append("BAD_LEDGER negative charge")

@@ -39,12 +39,11 @@ class WeightTrack:
     in {-1, 0, +1}, adjacent-or-equal positions) and periodicity.
     """
 
-    def __init__(self, seq: AllowableSequence, spec: CurveSpec, changes, length: int):
+    def __init__(self, seq: AllowableSequence, spec: CurveSpec, changes):
         self.seq = seq
         self.spec = spec
         self.period = seq.period
         self._changes = changes
-        self._length = length
 
     @cached_property
     def _columns(self):
@@ -56,7 +55,7 @@ class WeightTrack:
             raise ProofGapError("strong continuity violated; sequence is malformed")
         if rows[0, 1] != rows[-1, 1]:
             raise ProofGapError("track is not periodic; sequence is malformed")
-        counts = np.diff(rows[:, 0], append=self._length)
+        counts = np.diff(rows[:, 0], append=self.period + 1)
         return np.repeat(rows[:, 1:], counts, axis=0).T.copy()
 
     @property
@@ -104,10 +103,9 @@ def track_all(seq: AllowableSequence, members) -> list[WeightTrack]:
     member = [False] * seq.n
     for v in members:
         member[v] = True
-    word = seq.full_word()
-    logs = _kernels.track_rank(seq.pi0, word, seq.weights, member)
+    logs = _kernels.track_rank(seq.pi0, seq.full_word(), seq.weights, member)
     return [
-        WeightTrack(seq, CurveSpec(members, k), changes, len(word) + 1)
+        WeightTrack(seq, CurveSpec(members, k), changes)
         for k, changes in enumerate(logs, start=1)
     ]
 
@@ -145,18 +143,12 @@ def classify_track(trk: WeightTrack) -> CurveClass:
     """Threshold classification of a monochromatic curve's track."""
     seq = trk.seq
     color = _subset_color(seq, trk.spec.members)
-    wt = trk.wt[: seq.period]
-    delta = seq.delta
-    if color is Color.BLUE:
-        if (wt >= delta).all():
-            return CurveClass.GE_DELTA
-        if (wt < delta).all():
-            return CurveClass.LT_DELTA
-    else:
-        if (wt <= delta).all():
-            return CurveClass.LE_DELTA
-        if (wt > delta).all():
-            return CurveClass.GT_DELTA
+    on_side = color.weight * (trk.wt[: seq.period] - seq.delta) >= 0
+    blue = color is Color.BLUE
+    if on_side.all():
+        return CurveClass.GE_DELTA if blue else CurveClass.LE_DELTA
+    if not on_side.any():
+        return CurveClass.LT_DELTA if blue else CurveClass.GT_DELTA
     return CurveClass.CHANGING
 
 

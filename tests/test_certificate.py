@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -22,6 +23,7 @@ from balanced_lines.certificate import (
     _cyclic_runs,
     _mirror_positions,
     _nearest_left_curve,
+    _swap,
     _walk_positions,
 )
 from balanced_lines.curves import CurveClass, CurveSpec, classify, track, track_all
@@ -148,6 +150,19 @@ class TestBorders:
         other = next(v for v in reds if v != border.elements[0])
         bad = Border(border.color, (other,) + border.elements[1:])
         assert check_border(seq, bad) != []
+
+    def test_short_and_wrong_color_borders(self, t_red_border):
+        seq = build_from_points(t_red_border)
+        cert = certify(seq)
+        border = cert.border
+        blue = next(v for v in range(seq.n) if seq.colors[v] is Color.BLUE)
+        short = Border(border.color, border.elements[:-1])
+        wrong = Border(border.color, (blue,) + border.elements[1:])
+        assert check_border(seq, short) == [f"BAD_LENGTH expected {seq.period} got {seq.period - 1}"]
+        assert check_border(seq, wrong) == ["WRONG_COLOR"]
+        for bad in (short, wrong):
+            result = verify_certificate(seq, dataclasses.replace(cert, border=bad))
+            assert "BAD_BORDER" in result.diagnostics
 
     def test_problems_match_replay_oracle(self, t_red_border, t_blue_border):
         seen = set()
@@ -359,6 +374,40 @@ class TestCase2:
             g_n = len(cert.g_set)
             assert g_cnt >= 2 * (g_n // 2) + (g_n % 2) - led.total_charges
 
+    @pytest.mark.parametrize("side, kinds, b, r, seed", [
+        ("F", "descents", 27, 9, 5),  # F1 carries two charges
+        ("H", "ascents", 18, 6, 7),  # H1 carries one charge
+    ])
+    def test_starved_outer_curve_names_its_obligation(self, monkeypatch, side, kinds, b, r, seed):
+        # Hide every in-window change of one outer part; its first curve then
+        # fails its witness-plus-charges obligation with a fixed message.
+        seq = build_from_points(random_instance(b, r, 10**6, seed=seed))
+        cert = certify(seq)
+        ids, charges = (
+            (cert.f_set, cert.ledger.ch_f) if side == "F" else (cert.h_set, cert.ledger.ch_h)
+        )
+        assert charges[0] > 0
+        real = certificate_mod.find_weight_changes
+
+        def starved(trk, from_w, to_w, window=None):
+            if window is not None and trk.spec.members == frozenset(ids):
+                return []
+            return real(trk, from_w, to_w, window)
+
+        monkeypatch.setattr(certificate_mod, "find_weight_changes", starved)
+        with pytest.raises(InsufficientBorderError) as exc:
+            case2_certificate(seq, cert.border)
+        assert str(exc.value) == f"{side}1 has 0 {kinds} for charge {charges[0]}"
+        assert exc.value.hint == (side, 1)
+
+
+def test_swap_reads_one_step_from_the_member():
+    steps = ([4], [7], [2])  # run_word's lo, hi, lw for one step
+    assert _swap(steps, 0, 4) == (7, True, 2)
+    assert _swap(steps, 0, 7) == (4, False, 2)
+    with pytest.raises(ProofGapError, match=r"^change at t=0 bypassed the tracked element$"):
+        _swap(steps, 0, 5)
+
 
 class TestCertify:
     def test_t1_one_witness(self, t1):
@@ -466,6 +515,23 @@ class TestVerifier:
         )
         result = verify_certificate(seq, tampered)
         assert any(d.startswith("INSUFFICIENT_COUNT") for d in result.diagnostics)
+
+    @pytest.mark.parametrize("seed", [5, 7])
+    def test_partition_must_be_the_borders_time0_split(self, seed):
+        seq = build_from_points(random_instance(27, 9, 10**6, seed=seed))
+        cert = certify(seq)
+        assert cert.case == Case.CASE2.value and cert.g_set
+        assert verify_certificate(seq, cert).ok
+        by_pos = seq.pi0.index
+        f, g, h = cert.f_set, cert.g_set, cert.h_set
+        moved = {  # one point moved to another part, each part kept in time-0 order
+            "F to H": (f[:-1], g, tuple(sorted(h + f[-1:], key=by_pos))),
+            "G to F": (tuple(sorted(f + g[:1], key=by_pos)), g[1:], h),
+        }
+        for label, (f2, g2, h2) in moved.items():
+            tampered = dataclasses.replace(cert, f_set=f2, g_set=g2, h_set=h2)
+            result = verify_certificate(seq, tampered)
+            assert "BAD_PARTITION" in result.diagnostics, label
 
 
 class TestCertificateJson:

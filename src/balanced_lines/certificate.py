@@ -11,21 +11,40 @@ Every obligation the counting relies on is checked at runtime; failures
 surface as InsufficientBorderError from the scan, which ``certify`` reports as
 a ProofGapError (never expected on valid input), since the border it scans is
 already a fixed point of the improvement devices.
+
+One ``certify`` call runs in one ``_Certifier`` session, which holds what its
+steps share: each color's family of rank tracks (replayed at most once per
+call), the ``run_word`` steps and an element timeline. The public functions
+keep their signatures; called on their own, each makes a session of its own.
+Tracks are change rows (see ``curves.WeightTrack``); per-time arrays are made
+only for the candidate in hand and dropped with it.
 """
 from __future__ import annotations
 
 import json
+from collections import Counter
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from itertools import count
 
 import numpy as np
 
 from . import _kernels
 from .balance import BalancedWitness, WitnessSource
-from .curves import CurveClass, classify_track, find_weight_changes, track_all
+from .curves import (
+    CurveClass,
+    WeightTrack,
+    classify_track,
+    find_weight_changes,
+    row_index,
+    row_spans,
+    track_all,
+)
 from .errors import BadParamsError, InsufficientBorderError, ProofGapError
 from .geometry import Color
-from .sequence import AllowableSequence, transposition_at
+from .sequence import AllowableSequence
 
 
 class Case(Enum):
@@ -39,8 +58,83 @@ class CaseInfo:
     preserving_rank: int | None  # least delta-preserving mid-rank, Case 2 only
 
 
-def _blue_ids(seq: AllowableSequence) -> frozenset[int]:
-    return frozenset(i for i in range(seq.n) if seq.colors[i] is Color.BLUE)
+class _Certifier:
+    """What the steps of one ``certify`` call share; it dies with the call.
+
+    - ``family(color)``: the rank tracks of every point of a color, replayed
+      once. The blue family serves the case split, Case 1 and the border
+      seed; the border color's family is the ALL subset of maximisation; the
+      other color's answers the nearest-left device by rank lookup.
+    - ``tracks(ids)``: any other subset's tracks, kept until the next subset
+      is asked for (consecutive rounds often share their G).
+    - ``steps``: ``run_word``'s per-step ``lo``, ``hi`` and ``lw``.
+    - ``where(e, t)``: an element's position and prefix weight at time t,
+      from a timeline of each element's change points built off ``steps``.
+    """
+
+    def __init__(self, seq: AllowableSequence):
+        self.seq = seq
+        self._families: dict[Color, list[WeightTrack]] = {}
+        self._subset: tuple[frozenset[int] | None, list[WeightTrack]] = (None, [])
+
+    def family(self, color: Color) -> list[WeightTrack]:
+        if color not in self._families:
+            members = [v for v, c in enumerate(self.seq.colors) if c is color]
+            self._families[color] = track_all(self.seq, members)
+        return self._families[color]
+
+    def tracks(self, ids) -> list[WeightTrack]:
+        key = frozenset(ids)
+        if self._subset[0] != key:
+            self._subset = (key, track_all(self.seq, key))
+        return self._subset[1]
+
+    @cached_property
+    def steps(self):
+        seq = self.seq
+        return _kernels.run_word(seq.pi0, seq.full_word(), seq.weights)[:3]
+
+    @cached_property
+    def _timeline(self) -> list[list[tuple[int, int, int]]]:
+        """Per element, its change rows ``(time, position, prefix weight)``, time 0 first."""
+        seq = self.seq
+        weights = seq.weights
+        rows: list[list[tuple[int, int, int]]] = [[] for _ in range(seq.n)]
+        pre = 0
+        for q, v in enumerate(seq.pi0):
+            rows[v].append((0, q, pre))
+            pre += weights[v]
+        for t, p, a, b, w in zip(count(1), seq.full_word(), *self.steps):
+            rows[b].append((t, p, w))
+            rows[a].append((t, p + 1, w + weights[b]))
+        return rows
+
+    def where(self, e: int, t: int) -> tuple[int, int]:
+        """Position and prefix weight of element e at time t, 0 <= t <= 2N."""
+        rows = self._timeline[e]
+        _, q, w = rows[row_index(rows, t)]
+        return q, w
+
+    def left_count(self, e: int, t: int, color: Color) -> int:
+        """Points of ``color`` left of e at time t: weights are +-1, so (q +- w) / 2."""
+        q, w = self.where(e, t)
+        return (q + color.weight * w) // 2
+
+    def walk(self, elems_per_time) -> list[int]:
+        """Positions of one prescribed element per time, over [0, 2N)."""
+        return [self.where(e, t)[0] for t, e in enumerate(elems_per_time)]
+
+
+# ``certify`` sets this for its own length only, so the public steps it calls
+# share its session without a new parameter; a context variable, unlike a
+# module global, is never seen by another thread or task.
+_ACTIVE: ContextVar[_Certifier | None] = ContextVar("certify_session", default=None)
+
+
+def _session(seq: AllowableSequence) -> _Certifier:
+    """The running ``certify`` call's session on seq, or a new one."""
+    s = _ACTIVE.get()
+    return s if s is not None and s.seq is seq else _Certifier(seq)
 
 
 def _mid_rank_range(seq: AllowableSequence) -> range:
@@ -51,7 +145,7 @@ def classify_case(seq: AllowableSequence) -> CaseInfo:
     """Case 1 iff every blue mid-rank curve is delta-changing (vacuously if none)."""
     if seq.r == 0:
         return CaseInfo(Case.CASE1, None)
-    tracks = track_all(seq, _blue_ids(seq))
+    tracks = _session(seq).family(Color.BLUE)
     for k in _mid_rank_range(seq):
         if classify_track(tracks[k - 1]) is not CurveClass.CHANGING:
             return CaseInfo(Case.CASE2, k)
@@ -78,15 +172,9 @@ class Border:
         return self.elements[half:] + self.elements[:half]
 
 
-def _walk_positions(seq: AllowableSequence, elems_per_time) -> list[int]:
-    """Positions of one prescribed element per time, over [0, 2N)."""
-    return _kernels.element_walk(seq.pi0, seq.full_word()[:-1], elems_per_time)
-
-
-def _mirror_positions(seq: AllowableSequence, bpos) -> list[int]:
+def _mirror_positions(seq: AllowableSequence, bpos) -> np.ndarray:
     """Positions of the mirror elements from the border's: pi^{t+N} reverses pi^t."""
-    half = seq.half_period
-    return [seq.n - 1 - q for q in bpos[half:] + bpos[:half]]
+    return seq.n - 1 - np.roll(np.asarray(bpos), -seq.half_period)
 
 
 def check_border(seq: AllowableSequence, border: Border) -> list[str]:
@@ -136,25 +224,30 @@ def check_border(seq: AllowableSequence, border: Border) -> list[str]:
     return problems
 
 
-def _nearest_left_curve(seq: AllowableSequence, positions, want: Color):
-    """Per time, the nearest want-colored element strictly left of the given position.
+def _nearest_left_curve(s: _Certifier, trk: WeightTrack, want: Color):
+    """Per time, the nearest want-colored element strictly left of a curve.
 
-    Returns that element and its position for each time over [0, 2N).
+    Returns that element and its position for each time over [0, 2N). An
+    element at position q with prefix weight w has (q + w)/2 blue and
+    (q - w)/2 red points on its left, so the nearest one of color ``want``
+    is the ``want`` family's rank curve of that count: a lookup per change
+    row of the curve, not a replay.
     """
-    colors = seq.colors
-    perm = list(seq.pi0)
-    out = []
-    qs = []
-    for t, sp in enumerate(seq.full_word()):
-        q = int(positions[t]) - 1
-        while q >= 0 and colors[perm[q]] is not want:
-            q -= 1
-        if q < 0:
-            raise ProofGapError(f"no {want.value} element left of position {positions[t]} at t={t}")
-        out.append(perm[q])
-        qs.append(q)
-        perm[sp], perm[sp + 1] = perm[sp + 1], perm[sp]
-    return tuple(out), qs
+    period = s.seq.period
+    family = s.family(want)
+    rows = trk.rows
+    elems: list[int] = []
+    qs: list[int] = []
+    for (t, _, w, q), (end, *_) in zip(rows, rows[1:] + [(period,)]):
+        if t >= period:
+            break
+        k = (q + want.weight * w) // 2
+        if k == 0:
+            raise ProofGapError(f"no {want.value} element left of position {q} at t={t}")
+        for (_, e, _, qe), m in row_spans(family[k - 1].rows, t, end):
+            elems += [e] * m
+            qs += [qe] * m
+    return tuple(elems), qs
 
 
 def initial_border(seq: AllowableSequence, k: int) -> Border:
@@ -165,12 +258,13 @@ def initial_border(seq: AllowableSequence, k: int) -> Border:
     """
     if k not in _mid_rank_range(seq):
         raise BadParamsError(f"rank {k} outside the mid-rank range")
-    trk = track_all(seq, _blue_ids(seq))[k - 1]
+    s = _session(seq)
+    trk = s.family(Color.BLUE)[k - 1]
     cls = classify_track(trk)
     if cls is CurveClass.GE_DELTA:
-        border = Border(Color.BLUE, tuple(int(v) for v in trk.elem[: seq.period]))
+        border = Border(Color.BLUE, tuple(trk.fill()[0, : seq.period].tolist()))
     elif cls is CurveClass.LT_DELTA:
-        border = Border(Color.RED, _nearest_left_curve(seq, trk.pos, Color.RED)[0])
+        border = Border(Color.RED, _nearest_left_curve(s, trk, Color.RED)[0])
     else:
         raise BadParamsError(f"blue rank {k} is delta-changing; no border seed")
     problems = check_border(seq, border)
@@ -282,15 +376,15 @@ def case1_certificate(seq: AllowableSequence) -> Certificate:
     are distinct pairs because a coincidence would force b = 2k-1.
     """
     delta, b = seq.delta, seq.b
-    tracks = track_all(seq, _blue_ids(seq))
-    steps = _kernels.run_word(seq.pi0, seq.full_word(), seq.weights)[:3]
+    s = _session(seq)
+    tracks, steps = s.family(Color.BLUE), s.steps
     changes = {"descent": (delta, delta - 1), "ascent": (delta - 1, delta)}
     pool = _WitnessPool(seq)
     events = []
 
     def witness(k: int, t: int, kind: str, mid: bool):
         """Record B_k's event at t as a witness; mid ranks must move toward the partner."""
-        member = int(tracks[k - 1].elem[t])
+        member = tracks[k - 1].element_at(t)
         partner, moved_right, w = _swap(steps, t, member)
         if mid and moved_right is not (kind == "descent"):
             raise ProofGapError(f"B_{k} {kind} at t={t} has the member on the wrong side")
@@ -344,16 +438,15 @@ def case2_certificate(seq: AllowableSequence, border: Border) -> Certificate:
     fails; structural violations raise ProofGapError.
     """
     c = border.color
-    delta = seq.delta
+    delta, half = seq.delta, seq.half_period
     parts = partition_fgh(seq, border)
     f_ids, g_ids, h_ids = parts
     target = sum(len(p) for p in parts)
 
-    steps = _kernels.run_word(seq.pi0, seq.full_word(), seq.weights)[:3]
-    bpos = _walk_positions(seq, border.elements)
-    mpos = _mirror_positions(seq, bpos)
-
-    f_tracks, g_tracks, h_tracks = (track_all(seq, ids) for ids in parts)
+    s = _session(seq)
+    steps = s.steps
+    g_tracks = s.tracks(g_ids)  # maximisation's last round asked for the same G
+    f_tracks, h_tracks = track_all(seq, f_ids), track_all(seq, h_ids)
     changes = {"descent": (delta, delta - c.weight), "ascent": (delta - c.weight, delta)}
     outer = {  # kind -> (side, ids, tracks, charges)
         "descent": ("F", frozenset(f_ids), f_tracks, [0] * len(f_ids)),
@@ -361,7 +454,11 @@ def case2_certificate(seq: AllowableSequence, border: Border) -> Certificate:
     }
 
     def window_changes(trk, kind):
-        return find_weight_changes(trk, *changes[kind], window=(0, seq.half_period))
+        return find_weight_changes(trk, *changes[kind], window=(0, half))
+
+    def sandwich(t):
+        """Positions of the border element and of its mirror at time t."""
+        return tuple(s.where(border.element_at(u), t)[0] for u in (t, t + half))
 
     def swap_parts(t, member_set, member):
         if (steps[0][t] in member_set) == (steps[1][t] in member_set):
@@ -370,7 +467,7 @@ def case2_certificate(seq: AllowableSequence, border: Border) -> Certificate:
 
     def rank_in(tracks, element, t):
         for idx, trk in enumerate(tracks):
-            if int(trk.elem[t]) == element:
+            if trk.element_at(t) == element:
                 return idx + 1
         raise ProofGapError(f"element {element} has no rank at t={t}")
 
@@ -384,9 +481,9 @@ def case2_certificate(seq: AllowableSequence, border: Border) -> Certificate:
         name = f"G{rank}"
         for kind in changes:
             for t in window_changes(trk, kind):
-                confined = (bpos[t] <= trk.pos[t] <= mpos[t]
-                            and bpos[t + 1] < trk.pos[t + 1] < mpos[t + 1])
-                member = int(trk.elem[t])
+                (b0, m0), (b1, m1) = sandwich(t), sandwich(t + 1)
+                confined = b0 <= trk.position_at(t) <= m0 and b1 < trk.position_at(t + 1) < m1
+                member = trk.element_at(t)
                 partner, moved_right, w = swap_parts(t, g_set, member)
                 pair = (min(member, partner), max(member, partner))
                 if not confined:
@@ -403,7 +500,8 @@ def case2_certificate(seq: AllowableSequence, border: Border) -> Certificate:
                 if partner not in ids:
                     raise ProofGapError(f"deflected G {kind} at t={t} missed {side}")
                 j = rank_in(tracks, partner, t)
-                if tuple(tracks[j - 1].wt[t : t + 2]) != changes[kind][::-1]:  # the reverse change
+                trk_j = tracks[j - 1]  # must show the reverse change
+                if (trk_j.weight_at(t), trk_j.weight_at(t + 1)) != changes[kind][::-1]:
                     raise ProofGapError(f"charge target {side}{j} shows no matching change at t={t}")
                 charges[j - 1] += 1
                 transactions.append((t + 1, name, f"{side}{j}"))
@@ -434,7 +532,7 @@ def case2_certificate(seq: AllowableSequence, border: Border) -> Certificate:
                     hint=(side, j),
                 )
             for t in ts:
-                member = int(trk.elem[t])
+                member = trk.element_at(t)
                 partner, moved_right, w = swap_parts(t, ids, member)
                 if moved_right is not (kind == "descent") or seq.colors[partner] is c or w != delta:
                     raise ProofGapError(
@@ -483,54 +581,77 @@ def _cyclic_runs(flags: np.ndarray) -> list[np.ndarray]:
     return [order[b:e] for b, e in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1))]
 
 
-def _improve_once(seq: AllowableSequence, border: Border, bpos: np.ndarray):
+def _splice(s: _Certifier, border: Border, bpos: np.ndarray, run: np.ndarray, elem, wt, pos):
+    """The border with a curve written over ``run``, if that is a valid border.
+
+    ``run`` is a cyclic run of times in cyclic order; ``elem``, ``wt`` and
+    ``pos`` are the curve's elements, prefix weights and positions along it.
+    The border must be valid and the curve a rank curve of a subset of the
+    border's color (or the run one time long). Then within the run two
+    consecutive elements are equal or adjacent, so weak continuity can fail
+    only at the run's two seams, where it holds iff the two elements' counts
+    of border-color points on their left differ by at most one. Mirror
+    order comes from the positions. Returns ``(border, positions)``, or None
+    where ``check_border`` would report a problem.
+    """
+    seq = s.seq
+    c, period = border.color, seq.period
+    if not (c.weight * (wt - seq.delta) >= 0).all():
+        return None
+    cpos = bpos.copy()
+    cpos[run] = pos
+    if not (cpos < _mirror_positions(seq, cpos)).all():
+        return None
+    elements = list(border.elements)
+    for t, e in zip(run.tolist(), elem.tolist()):
+        elements[t] = e
+    if len(run) < period:
+        for t in ((int(run[0]) - 1) % period, int(run[-1])):  # the steps across the seams
+            e, e_next = elements[t], elements[(t + 1) % period]
+            if abs(s.left_count(e_next, t + 1, c) - s.left_count(e, t + 1, c)) > 1:
+                return None
+    return Border(c, tuple(elements)), cpos
+
+
+def _improve_once(s: _Certifier, border: Border, bpos: np.ndarray):
     """One strict improvement of the border, or None at a fixed point.
 
     ``bpos`` holds the border's positions over [0, 2N); an improvement comes
-    back as ``(border, positions)``. Devices, per candidate curve: splice the
-    border along each cyclic run where the curve lies at or right of it while
-    holding the threshold side (a run spanning the whole period adopts the
-    curve), or replace the border by the nearest-opposite-color-left curve of
-    a threshold-avoiding curve lying strictly right of it. A candidate must
-    raise the total position, which bounds the number of rounds, and pass
-    ``check_border``.
+    back as ``(border, positions)``. Devices, per candidate curve (the G
+    ranks, then every rank of the border's color): splice the border along
+    each cyclic run where the curve lies at or right of it (a run spanning
+    the whole period adopts the curve), or replace the border by the
+    nearest-opposite-color-left curve of a threshold-avoiding curve lying
+    strictly right of it. A candidate must raise the total position, which
+    bounds the number of rounds, and be a valid border: ``_splice`` decides
+    that for a splice, ``check_border`` for a replacement.
     """
+    seq = s.seq
     c = border.color
-    delta = seq.delta
-    period = seq.period
-    f_ids, g_ids, h_ids = partition_fgh(seq, border)
-    all_ids = tuple(sorted(frozenset(f_ids) | frozenset(g_ids) | frozenset(h_ids)))
+    delta, period = seq.delta, seq.period
+    g_ids = partition_fgh(seq, border)[1]
     base_sum = int(bpos.sum())
 
-    candidates = [("G", g_ids, k) for k in range(1, len(g_ids) + 1)]
-    candidates += [("ALL", all_ids, k) for k in range(1, len(all_ids) + 1)]
+    def candidates():  # the G replay is made only when G is not empty
+        if g_ids:
+            yield from s.tracks(g_ids)
+        yield from s.family(c)
 
-    def accept(cand: Border, cpos: np.ndarray) -> bool:
-        return int(cpos.sum()) > base_sum and not check_border(seq, cand)
-
-    tracks = {}  # one replay per subset, made when its first candidate comes up
-    for name, ids, k in candidates:
-        if name not in tracks:
-            tracks[name] = track_all(seq, ids)
-        trk = tracks[name][k - 1]
-        wt = trk.wt[:period]
-        pos = trk.pos[:period]
+    for trk in candidates():
+        elem, wt, pos = trk.fill()[:, :period]
         rel = pos - bpos
-        on_side = c.weight * (wt - delta) >= 0
+        if not (rel > 0).any():  # no device applies
+            continue
         for run in _cyclic_runs(rel >= 0):
-            if on_side[run].all() and (rel[run] > 0).any():
-                elems = list(border.elements)
-                for t, e in zip(run.tolist(), trk.elem[run].tolist()):
-                    elems[t] = e
-                cpos = bpos.copy()
-                cpos[run] = pos[run]
-                cand = Border(c, tuple(elems))
-                if accept(cand, cpos):
-                    return cand, cpos
-        if not on_side.any() and (rel > 0).all():
-            rho, q = _nearest_left_curve(seq, pos, c.opposite)
+            if (rel[run] > 0).any():
+                spliced = _splice(s, border, bpos, run, elem[run], wt[run], pos[run])
+                if spliced is not None and int(spliced[1].sum()) > base_sum:
+                    return spliced
+        if not (c.weight * (wt - delta) >= 0).any() and (rel > 0).all():
+            rho, q = _nearest_left_curve(s, trk, c.opposite)
             cand, cpos = Border(c.opposite, rho), np.asarray(q)
-            if accept(cand, cpos):
+            if (int(cpos.sum()) > base_sum and (cpos < _mirror_positions(seq, cpos)).all()
+                    and not check_border(seq, cand)):
                 return cand, cpos
     return None
 
@@ -538,14 +659,15 @@ def _improve_once(seq: AllowableSequence, border: Border, bpos: np.ndarray):
 def maximize_border(seq: AllowableSequence, start: Border) -> Border:
     """Iterate the improvement devices to a fixed point.
 
-    The start border is walked once; each round hands its positions to the
-    next. Each round strictly increases the total position of the border, so
-    the loop terminates within n * 2N rounds.
+    The start border's positions come from the session's timeline; each
+    round hands its positions to the next. Each round strictly increases the
+    total position of the border, so the loop terminates within n * 2N rounds.
     """
+    s = _session(seq)
     border = start
-    bpos = np.asarray(_walk_positions(seq, start.elements))
+    bpos = np.asarray(s.walk(start.elements))
     for _ in range(seq.n * seq.period + 1):
-        improved = _improve_once(seq, border, bpos)
+        improved = _improve_once(s, border, bpos)
         if improved is None:
             return border
         border, bpos = improved
@@ -553,15 +675,22 @@ def maximize_border(seq: AllowableSequence, start: Border) -> Border:
 
 
 def certify(seq: AllowableSequence) -> Certificate:
-    """Produce a verified certificate of at least r distinct balanced transpositions."""
-    info = classify_case(seq)
-    if info.case is Case.CASE1:
-        return case1_certificate(seq)
-    border = maximize_border(seq, initial_border(seq, info.preserving_rank))
+    """Produce a verified certificate of at least r distinct balanced transpositions.
+
+    The steps share one session, dropped when the call returns.
+    """
+    token = _ACTIVE.set(_Certifier(seq))
     try:
-        return case2_certificate(seq, border)
-    except InsufficientBorderError as exc:
-        raise ProofGapError(f"obligation failed at a fixed-point border: {exc}") from exc
+        info = classify_case(seq)
+        if info.case is Case.CASE1:
+            return case1_certificate(seq)
+        border = maximize_border(seq, initial_border(seq, info.preserving_rank))
+        try:
+            return case2_certificate(seq, border)
+        except InsufficientBorderError as exc:
+            raise ProofGapError(f"obligation failed at a fixed-point border: {exc}") from exc
+    finally:
+        _ACTIVE.reset(token)
 
 
 # ---------------------------------------------------------------------------
@@ -577,10 +706,38 @@ class VerificationResult:
         return self.ok
 
 
+def _replayed_swaps(seq: AllowableSequence, times) -> dict[int, tuple[int, tuple[int, ...]]]:
+    """For each time t: the position of tau_t and pi^{t-1}, t taken mod 2N.
+
+    One replay of the full word, in order of time, answers every t; it walks
+    the permutation directly, sharing no code with the kernels.
+    """
+    period, word = seq.period, seq.full_word()
+    perm = list(seq.pi0)
+    out = {}
+    done = 0
+    for t in sorted(set(times), key=lambda t: (t - 1) % period):
+        step = (t - 1) % period
+        for p in word[done:step]:
+            perm[p], perm[p + 1] = perm[p + 1], perm[p]
+        done = step
+        out[t] = (word[step], tuple(perm))
+    return out
+
+
 def verify_certificate(seq: AllowableSequence, cert: Certificate) -> VerificationResult:
-    """Re-check a certificate from scratch, without the incremental kernels."""
+    """Re-check a certificate from scratch, without the incremental kernels.
+
+    Each witness must be a balanced transposition at its time, and its origin
+    must name the part and rank of its border-color member just before the
+    swap (``B{k}`` over the blues in Case 1). Case 2 adds the border, the
+    F/G/H split and the charge ledger, whose charges must match its
+    transactions curve by curve.
+    """
     diagnostics: list[str] = []
     seen = set()
+    swaps = _replayed_swaps(seq, [w.t for w in cert.witnesses if w.t is not None])
+    balanced = []
     for w in cert.witnesses:
         if w.pair in seen:
             diagnostics.append(f"DUPLICATE_PAIR {w.pair}")
@@ -588,45 +745,67 @@ def verify_certificate(seq: AllowableSequence, cert: Certificate) -> Verificatio
         if w.t is None:
             diagnostics.append(f"NOT_BALANCED {w.pair}: witness carries no time")
             continue
-        tr = transposition_at(seq, w.t)
+        q, prev = swaps[w.t]
         ok = (
-            tr.pair == w.pair
+            tuple(sorted(prev[q : q + 2])) == w.pair
             and seq.colors[w.blue_id] is Color.BLUE
             and seq.colors[w.red_id] is Color.RED
-            and tr.left_weight == seq.delta
+            and sum(seq.weights[v] for v in prev[:q]) == seq.delta
             and w.left_weight == seq.delta
         )
-        if not ok:
+        if ok:
+            balanced.append(w)
+        else:
             diagnostics.append(f"NOT_BALANCED {w.pair} at t={w.t}")
     if len(cert.witnesses) < cert.target:
         diagnostics.append(f"INSUFFICIENT_COUNT {len(cert.witnesses)} < {cert.target}")
 
-    if cert.case == Case.CASE2.value:
-        if cert.border is None or cert.ledger is None:
-            diagnostics.append("MISSING_CASE2_DATA")
-        else:
-            if check_border(seq, cert.border):
-                diagnostics.append("BAD_BORDER")
-            else:  # F/G/H must be the valid border's time-0 split, in time-0 order
-                p0, c = seq.pi0, cert.border.color
-                gq, mq = (p0.index(cert.border.elements[t]) for t in (0, seq.half_period))
-                runs = (p0[: gq + 1], p0[gq + 1 : mq], p0[mq:])
-                split = tuple(tuple(v for v in run if seq.colors[v] is c) for run in runs)
-                if (cert.f_set, cert.g_set, cert.h_set) != split:
-                    diagnostics.append("BAD_PARTITION")
-            ledger = cert.ledger
-            if any(v < 0 for v in ledger.ch_f + ledger.ch_h):
-                diagnostics.append("BAD_LEDGER negative charge")
-            if ledger.total_charges != len(ledger.transactions):
-                diagnostics.append("BAD_LEDGER charge/transaction mismatch")
-            origin = dict(cert.witness_origins)
-            fh = sum(1 for p in seen if origin.get(p, "?")[0] in ("F", "H"))
-            gg = sum(1 for p in seen if origin.get(p, "?")[0] == "G")
-            g_n = len(cert.g_set)
-            if fh < len(cert.f_set) + len(cert.h_set) + ledger.total_charges:
-                diagnostics.append("LEDGER_FH_COUNT")
-            if gg < 2 * (g_n // 2) + (g_n % 2) - ledger.total_charges:
-                diagnostics.append("LEDGER_G_COUNT")
+    origin = dict(cert.witness_origins)
+    part_of = None  # the origin letter of each border-color point
+    if cert.case == Case.CASE1.value:
+        color = Color.BLUE
+        part_of = {v: "B" for v in range(seq.n) if seq.colors[v] is color}
+    elif cert.border is None or cert.ledger is None:
+        diagnostics.append("MISSING_CASE2_DATA")
+    else:
+        color = cert.border.color
+        parts = (cert.f_set, cert.g_set, cert.h_set)
+        if None not in parts:
+            part_of = {v: name for name, ids in zip("FGH", parts) for v in ids}
+        if check_border(seq, cert.border):
+            diagnostics.append("BAD_BORDER")
+        else:  # F/G/H must be the valid border's time-0 split, in time-0 order
+            p0 = seq.pi0
+            gq, mq = (p0.index(cert.border.elements[t]) for t in (0, seq.half_period))
+            runs = (p0[: gq + 1], p0[gq + 1 : mq], p0[mq:])
+            split = tuple(tuple(v for v in run if seq.colors[v] is color) for run in runs)
+            if parts != split:
+                diagnostics.append("BAD_PARTITION")
+        ledger = cert.ledger
+        if any(v < 0 for v in ledger.ch_f + ledger.ch_h):
+            diagnostics.append("BAD_LEDGER negative charge")
+        charges = Counter({f"{side}{j}": v for side, chs in (("F", ledger.ch_f), ("H", ledger.ch_h))
+                           for j, v in enumerate(chs, start=1)})
+        if Counter(charged for _, _, charged in ledger.transactions) != charges:
+            diagnostics.append("BAD_LEDGER charge/transaction mismatch")
+        fh = sum(1 for p in seen if origin.get(p, "?")[0] in ("F", "H"))
+        gg = sum(1 for p in seen if origin.get(p, "?")[0] == "G")
+        g_n = len(cert.g_set)
+        if fh < len(cert.f_set) + len(cert.h_set) + ledger.total_charges:
+            diagnostics.append("LEDGER_FH_COUNT")
+        if gg < 2 * (g_n // 2) + (g_n % 2) - ledger.total_charges:
+            diagnostics.append("LEDGER_G_COUNT")
+
+    if part_of is not None:  # the origin names the member's part and its rank there at t-1
+        for w in balanced:
+            _, prev = swaps[w.t]
+            member = w.blue_id if color is Color.BLUE else w.red_id
+            name = part_of.get(member, "?")
+            label = f"{name}{1 + sum(part_of.get(v) == name for v in prev[: prev.index(member)])}"
+            if origin.get(w.pair) != label:
+                diagnostics.append(
+                    f"BAD_ORIGIN {w.pair} at t={w.t}: {origin.get(w.pair)} is not {label}"
+                )
     return VerificationResult(ok=not diagnostics, diagnostics=tuple(diagnostics))
 
 

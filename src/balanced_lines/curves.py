@@ -7,10 +7,14 @@ certificate scans.
 """
 from __future__ import annotations
 
-import numpy as np
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain, pairwise
+from operator import itemgetter
+
+import numpy as np
 
 from . import _kernels
 from .errors import BadParamsError, MixedColorsError, ProofGapError
@@ -33,10 +37,12 @@ class CurveSpec:
 class WeightTrack:
     """Curve data over one full period (times 0..2N inclusive).
 
-    Built from the curve's change points, ``(time, element, prefix weight,
-    position)`` rows from time 0 on. The per-time arrays are forward-filled on
-    first access, which also checks strong continuity (per-step weight change
-    in {-1, 0, +1}, adjacent-or-equal positions) and periodicity.
+    Held as the curve's change points: ``rows`` are ``(time, element, prefix
+    weight, position)`` from time 0 on, each holding until the next. The first
+    read of ``rows`` checks strong continuity (per-step weight change in
+    {-1, 0, +1}, adjacent-or-equal positions) and periodicity. Lookups bisect
+    the rows; the per-time arrays ``elem``/``wt``/``pos`` are forward-filled
+    only when asked for.
     """
 
     def __init__(self, seq: AllowableSequence, spec: CurveSpec, changes):
@@ -46,17 +52,41 @@ class WeightTrack:
         self._changes = changes
 
     @cached_property
-    def _columns(self):
-        rows = np.asarray(self._changes, np.int64)
+    def rows(self) -> list[tuple[int, int, int, int]]:
+        rows = self._changes
         self._changes = None
         # Between change points nothing moves, so checking consecutive change
         # points checks every step.
-        if np.abs(np.diff(rows[:, 2:], axis=0)).max(initial=0) > 1:
-            raise ProofGapError("strong continuity violated; sequence is malformed")
-        if rows[0, 1] != rows[-1, 1]:
+        for (_, _, w0, q0), (_, _, w1, q1) in pairwise(rows):
+            if abs(w1 - w0) > 1 or abs(q1 - q0) > 1:
+                raise ProofGapError("strong continuity violated; sequence is malformed")
+        if rows[0][1] != rows[-1][1]:
             raise ProofGapError("track is not periodic; sequence is malformed")
+        return rows
+
+    def row_at(self, t: int) -> tuple[int, int, int, int]:
+        """The change row in force at time t (taken mod 2N)."""
+        return self.rows[row_index(self.rows, t % self.period)]
+
+    def element_at(self, t: int) -> int:
+        return self.row_at(t)[1]
+
+    def weight_at(self, t: int) -> int:
+        return self.row_at(t)[2]
+
+    def position_at(self, t: int) -> int:
+        return self.row_at(t)[3]
+
+    def fill(self) -> np.ndarray:
+        """Per-time (element, weight, position) over [0, 2N], built afresh: shape (3, 2N + 1)."""
+        flat = np.fromiter(chain.from_iterable(self.rows), np.int64, 4 * len(self.rows))
+        rows = flat.reshape(-1, 4)
         counts = np.diff(rows[:, 0], append=self.period + 1)
-        return np.repeat(rows[:, 1:], counts, axis=0).T.copy()
+        return np.repeat(rows[:, 1:], counts, axis=0).T
+
+    @cached_property
+    def _columns(self) -> np.ndarray:
+        return self.fill()
 
     @property
     def elem(self) -> np.ndarray:
@@ -70,19 +100,32 @@ class WeightTrack:
     def pos(self) -> np.ndarray:
         return self._columns[2]
 
-    def element_at(self, t: int) -> int:
-        return int(self.elem[t % self.period])
-
-    def weight_at(self, t: int) -> int:
-        return int(self.wt[t % self.period])
-
-    def position_at(self, t: int) -> int:
-        return int(self.pos[t % self.period])
-
     def to_csv(self) -> str:
         lines = ["time,element,weight"]
         lines += [f"{t},{int(self.elem[t])},{int(self.wt[t])}" for t in range(self.period + 1)]
         return "\n".join(lines) + "\n"
+
+
+_START = itemgetter(0)  # a change row's start time
+
+
+def row_index(rows, t: int) -> int:
+    """Index of the change row in force at time t.
+
+    Change rows are tuples whose first field is the time they start, in
+    increasing order; each holds until the next one starts.
+    """
+    return bisect_right(rows, t, key=_START) - 1
+
+
+def row_spans(rows, t: int, end: int):
+    """``(row, length)`` for each change row in force over [t, end)."""
+    i = row_index(rows, t)
+    while t < end:
+        stop = min(rows[i + 1][0], end) if i + 1 < len(rows) else end
+        yield rows[i], stop - t
+        t = stop
+        i += 1
 
 
 class CurveClass(Enum):
@@ -97,7 +140,7 @@ def track_all(seq: AllowableSequence, members) -> list[WeightTrack]:
     """Tracks of every rank of a subset over a full period, in rank order.
 
     One replay of the full word logs every rank's change points; each track
-    builds its arrays, and checks them, on first access.
+    checks them on first access.
     """
     members = frozenset(members)
     member = [False] * seq.n
@@ -113,7 +156,7 @@ def track_all(seq: AllowableSequence, members) -> list[WeightTrack]:
 def track(seq: AllowableSequence, spec: CurveSpec) -> WeightTrack:
     """Track of one rank curve, checked for strong continuity and periodicity."""
     trk = track_all(seq, spec.members)[spec.k - 1]
-    trk._columns  # build and check now, not on first use
+    trk.rows  # check now, not on first use
     return trk
 
 
@@ -140,29 +183,31 @@ def classify(seq: AllowableSequence, spec: CurveSpec) -> CurveClass:
 
 
 def classify_track(trk: WeightTrack) -> CurveClass:
-    """Threshold classification of a monochromatic curve's track."""
+    """Threshold classification of a monochromatic curve's track, read off its change rows."""
     seq = trk.seq
     color = _subset_color(seq, trk.spec.members)
-    on_side = color.weight * (trk.wt[: seq.period] - seq.delta) >= 0
-    blue = color is Color.BLUE
-    if on_side.all():
-        return CurveClass.GE_DELTA if blue else CurveClass.LE_DELTA
-    if not on_side.any():
-        return CurveClass.LT_DELTA if blue else CurveClass.GT_DELTA
-    return CurveClass.CHANGING
+    sign, delta, period = color.weight, seq.delta, seq.period
+    on_side = sign * (trk.rows[0][2] - delta) >= 0
+    for t, _, w, _ in trk.rows:
+        if t < period and (sign * (w - delta) >= 0) is not on_side:
+            return CurveClass.CHANGING
+    if color is Color.BLUE:
+        return CurveClass.GE_DELTA if on_side else CurveClass.LT_DELTA
+    return CurveClass.LE_DELTA if on_side else CurveClass.GT_DELTA
 
 
 def find_weight_changes(trk: WeightTrack, from_w: int, to_w: int, window=None) -> list[int]:
     """Times t in the window with weight from_w at t and to_w at t+1.
 
     The window ``(lo, hi)`` is half-open and lies within [0, 2N]; the default
-    is the full period.
+    is the full period. The weight moves only at a change row, so t + 1 is
+    the time of a row whose predecessor holds from_w.
     """
     if abs(from_w - to_w) != 1:
         raise BadParamsError("weight changes are between consecutive values")
     lo, hi = window if window is not None else (0, trk.period)
-    wt = trk.wt
-    return (lo + np.flatnonzero((wt[lo:hi] == from_w) & (wt[lo + 1 : hi + 1] == to_w))).tolist()
+    return [t - 1 for (_, _, w0, _), (t, _, w1, _) in pairwise(trk.rows)
+            if w0 == from_w and w1 == to_w and lo < t <= hi]
 
 
 @dataclass(frozen=True)

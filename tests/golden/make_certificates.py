@@ -5,6 +5,8 @@ Usage: PYTHONPATH=src python tests/golden/make_certificates.py
 Certifies every corpus entry and writes one JSON line per entry: the entry
 and its certificate. The small corpus goes to ``certificates.jsonl``; six
 n = 120 Case-2 point sets (b:r = 90:30) go to ``certificates_n120.jsonl``.
+Two n = 200 point sets (b:r = 150:50) are pinned by the sha256 of their
+certificate JSON only; the script prints those digests.
 ``certificate_to_json`` is compact JSON of plain ints, strings, booleans and
 nulls, so ``json.dumps(row["certificate"], separators=(",", ":"))`` gives back
 its exact text; the golden test compares that text byte for byte. Regenerate
@@ -12,6 +14,7 @@ only when a change to the certificate output is intended.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -48,6 +51,19 @@ def corpus_n120():
         yield {"kind": "points", "blue": 90, "red": 30, "seed": seed}
 
 
+def corpus_n200():
+    for seed in (1, 2):
+        yield {"kind": "points", "blue": 150, "red": 50, "seed": seed}
+
+
+def certificate_sha256(entry):
+    """sha256 of the entry's certificate JSON, which must verify."""
+    seq = build(entry)
+    cert = certify(seq)
+    assert verify_certificate(seq, cert).ok, entry
+    return hashlib.sha256(certificate_to_json(cert).encode()).hexdigest()
+
+
 def build(entry):
     if entry["kind"] == "abstract":
         return random_sequence(entry["n"], entry["blue"], seed=entry["seed"])
@@ -72,6 +88,8 @@ def write(path, entries):
 def main():
     write(OUT, corpus())
     write(OUT_N120, corpus_n120())
+    for entry in corpus_n200():
+        print(f"certificate sha256 of {entry}: {certificate_sha256(entry)}")
 
 
 if __name__ == "__main__":

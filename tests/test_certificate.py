@@ -20,17 +20,24 @@ from balanced_lines.certificate import (
     maximize_border,
     partition_fgh,
     verify_certificate,
+    _Certifier,
     _cyclic_runs,
     _mirror_positions,
     _nearest_left_curve,
+    _replayed_swaps,
+    _splice,
     _swap,
-    _walk_positions,
 )
 from balanced_lines.curves import CurveClass, CurveSpec, classify, track, track_all
 from balanced_lines.errors import InsufficientBorderError, ProofGapError
 from balanced_lines.geometry import Color
 from balanced_lines.harness import random_instance
-from balanced_lines.sequence import build_from_points, permutation_at, random_sequence
+from balanced_lines.sequence import (
+    build_from_points,
+    permutation_at,
+    random_sequence,
+    transposition_at,
+)
 
 from conftest import all_permutations, oracle_border_problems
 from golden import make_certificates
@@ -218,8 +225,8 @@ class TestCarriedPositions:
     def test_improve_once_positions_match_replay(self, monkeypatch, t_red_border, t_blue_border):
         returned = []
 
-        def recording(seq, border, bpos):
-            out = improve_once(seq, border, bpos)
+        def recording(session, border, bpos):
+            out = improve_once(session, border, bpos)
             if out is not None:
                 returned.append(out)
             return out
@@ -244,6 +251,7 @@ class TestCarriedPositions:
         outcomes = set()
         for s in range(12):
             seq = random_mixed_sequence(f"nl:{s}")
+            session = _Certifier(seq)
             perms = all_permutations(seq)
             for color in (Color.BLUE, Color.RED):
                 ids = [i for i in range(seq.n) if seq.colors[i] is color]
@@ -260,10 +268,10 @@ class TestCarriedPositions:
                             expected.append((perm[left[-1]], left[-1]))
                         if expected is None:
                             with pytest.raises(ProofGapError, match="element left of position"):
-                                _nearest_left_curve(seq, trk.pos, want)
+                                _nearest_left_curve(session, trk, want)
                             outcomes.add("none")
                             continue
-                        elements, positions = _nearest_left_curve(seq, trk.pos, want)
+                        elements, positions = _nearest_left_curve(session, trk, want)
                         assert list(zip(elements, positions)) == expected
                         outcomes.add("found")
         assert outcomes == {"found", "none"}
@@ -274,10 +282,141 @@ class TestCarriedPositions:
             seq = build_from_points(inst)
             border = maximize_border(seq, initial_border(seq, 1))
             elements = [rng.randrange(seq.n) for _ in range(seq.period)]
+            walk = _Certifier(seq).walk
             for cand in (border, Border(border.color, tuple(elements))):
-                bpos = _walk_positions(seq, cand.elements)
+                bpos = walk(cand.elements)
                 assert bpos == replayed_positions(all_permutations(seq), cand.elements)
-                assert _mirror_positions(seq, bpos) == _walk_positions(seq, cand.mirror_elements())
+                assert list(_mirror_positions(seq, bpos)) == walk(cand.mirror_elements())
+
+
+def replay_nearest_left(seq, positions, want):
+    """Per time, the nearest want-colored element strictly left of the given position.
+
+    The replay the rank lookup replaced: walk every permutation and scan
+    left from the position. Returns the elements and their positions.
+    """
+    colors = seq.colors
+    perm = list(seq.pi0)
+    out, qs = [], []
+    for t, sp in enumerate(seq.full_word()):
+        q = int(positions[t]) - 1
+        while q >= 0 and colors[perm[q]] is not want:
+            q -= 1
+        if q < 0:
+            raise ProofGapError(f"no {want.value} element left of position {positions[t]} at t={t}")
+        out.append(perm[q])
+        qs.append(q)
+        perm[sp], perm[sp + 1] = perm[sp + 1], perm[sp]
+    return tuple(out), qs
+
+
+class TestFastPaths:
+    """The session's fast paths against the from-scratch checks they stand in for."""
+
+    GOLDEN_SMALL = [  # the abstract sequences and two n = 48 point sets
+        row["entry"] for row in map(json.loads, make_certificates.OUT.read_text().splitlines())
+        if row["entry"]["kind"] == "abstract" or row["entry"] in (
+            {"kind": "points", "blue": 36, "red": 12, "seed": seed} for seed in (0, 1))
+    ]
+
+    def test_every_splice_candidate_agrees_with_check_border(self, monkeypatch):
+        calls = []
+        splice = certificate_mod._splice
+
+        def recording(session, border, bpos, run, elem, wt, pos):
+            out = splice(session, border, bpos, run, elem, wt, pos)
+            calls.append((border, run.tolist(), elem.tolist(), out))
+            return out
+
+        monkeypatch.setattr(certificate_mod, "_splice", recording)
+        verdicts = set()
+        for entry in TestCarriedPositions.GOLDEN_CASE2:
+            seq = make_certificates.build(entry)
+            calls.clear()
+            certify(seq)
+            perms = all_permutations(seq)
+            for border, run, elem, out in calls:
+                elements = list(border.elements)
+                for t, e in zip(run, elem):
+                    elements[t] = e
+                cand = Border(border.color, tuple(elements))
+                assert (out is None) == bool(check_border(seq, cand))
+                if out is not None:
+                    assert out[0] == cand
+                    assert list(out[1]) == replayed_positions(perms, cand.elements)
+                verdicts.add(out is None)
+        assert verdicts == {True, False}
+
+    def test_one_point_runs_agree_with_check_border(self):
+        # Overwrite a valid border with one point of its color over one or
+        # three times: every such run on the abstract Case-2 corpus, and 30
+        # random one-time runs on each Case-2 point set. Weak continuity
+        # breaks at either seam alone, or at both.
+        seen = set()
+        for entry in TestCarriedPositions.GOLDEN_CASE2:
+            seq = make_certificates.build(entry)
+            border = certify(seq).border
+            session = _Certifier(seq)
+            perms = all_permutations(seq)
+            bpos = np.asarray(replayed_positions(perms, border.elements))
+            same = [v for v in range(seq.n) if seq.colors[v] is border.color]
+            if entry["kind"] == "abstract":
+                runs = [(t, length, x) for length in (1, 3) for t in range(seq.period) for x in same]
+            else:
+                rng = random.Random(seq.n)
+                runs = [(rng.randrange(seq.period), 1, rng.choice(same)) for _ in range(30)]
+            for t0, length, x in runs:
+                run = [(t0 + i) % seq.period for i in range(length)]
+                qs = [perms[t].index(x) for t in run]
+                ws = [sum(seq.weights[v] for v in perms[t][:q]) for t, q in zip(run, qs)]
+                out = _splice(session, border, bpos, np.array(run), np.array([x] * length),
+                              np.array(ws), np.array(qs))
+                elements = list(border.elements)
+                for t in run:
+                    elements[t] = x
+                problems = check_border(seq, Border(border.color, tuple(elements)))
+                assert (out is None) == bool(problems), (entry, run, x, problems)
+                seams = {f"WEAK_CONTINUITY t={(run[0] - 1) % seq.period}": "WEAK_CONTINUITY at entry",
+                         f"WEAK_CONTINUITY t={run[-1]}": "WEAK_CONTINUITY at exit"}
+                if problems and all(p in seams for p in problems):
+                    seen.update(seams[p] + (" only" if len(problems) == 1 else "") for p in problems)
+                seen.update({p.split()[0] for p in problems} or {"valid"})
+        assert seen >= {"valid", "WEIGHT", "MIRROR_ORDER", "WEAK_CONTINUITY at entry only",
+                        "WEAK_CONTINUITY at exit only"}
+
+    def test_splice_reads_mirror_order_off_the_positions(self, t_red_border):
+        # No splice tried on the corpus breaks mirror order alone, so hand
+        # _splice a border's own element with a position at its mirror's.
+        seq = build_from_points(t_red_border)
+        border = certify(seq).border
+        session = _Certifier(seq)
+        bpos = np.asarray(session.walk(border.elements))
+        mpos = _mirror_positions(seq, bpos)
+        t = 3
+        run, elem = np.array([t]), np.array([border.elements[t]])
+        wt = np.array([session.where(border.elements[t], t)[1]])
+        assert _splice(session, border, bpos, run, elem, wt, bpos[run]) is not None
+        assert _splice(session, border, bpos, run, elem, wt, mpos[run]) is None
+
+    def test_nearest_left_rank_lookup_matches_replay(self):
+        outcomes = set()
+        for entry in self.GOLDEN_SMALL:
+            seq = make_certificates.build(entry)
+            session = _Certifier(seq)
+            for color in (Color.BLUE, Color.RED):
+                for trk in session.family(color):
+                    for want in (Color.BLUE, Color.RED):
+                        try:
+                            expected = replay_nearest_left(seq, trk.pos, want)
+                        except ProofGapError as exc:
+                            with pytest.raises(ProofGapError) as got:
+                                _nearest_left_curve(session, trk, want)
+                            assert str(got.value) == str(exc)
+                            outcomes.add("none")
+                            continue
+                        assert _nearest_left_curve(session, trk, want) == expected
+                        outcomes.add("found")
+        assert outcomes == {"found", "none"}
 
 
 def loop_cyclic_runs(flags):
@@ -442,6 +581,39 @@ class TestCertify:
         with pytest.raises(ProofGapError, match=expected):
             certify(seq)
 
+    def test_one_replay_per_color_family_and_nothing_left_behind(self, monkeypatch):
+        # Within one certify call the steps share one session: each color's
+        # family is replayed at most once, and so is run_word. The session
+        # is gone when the call returns and nothing is cached on the sequence.
+        replays = []
+        track_rank, run_word = certificate_mod._kernels.track_rank, certificate_mod._kernels.run_word
+
+        def counting_track_rank(pi0, word, weights, member):
+            replays.append(frozenset(v for v, m in enumerate(member) if m))
+            return track_rank(pi0, word, weights, member)
+
+        def counting_run_word(pi0, word, weights):
+            replays.append("run_word")
+            return run_word(pi0, word, weights)
+
+        monkeypatch.setattr(certificate_mod._kernels, "track_rank", counting_track_rank)
+        monkeypatch.setattr(certificate_mod._kernels, "run_word", counting_run_word)
+        cases = set()
+        for b, r, seed in ((24, 24, 1), (36, 12, 0), (27, 9, 5)):
+            seq = build_from_points(random_instance(b, r, 10**6, seed=seed))
+            before = dict(vars(seq))
+            replays.clear()
+            cert = certify(seq)
+            cases.add(cert.case)
+            families = [frozenset(v for v in range(seq.n) if seq.colors[v] is c) for c in Color]
+            assert replays.count("run_word") == 1
+            assert all(replays.count(f) <= 1 for f in families)
+            if cert.case == Case.CASE1.value:
+                assert replays == [families[0], "run_word"]  # the blue family, then the steps
+            assert certificate_mod._ACTIVE.get() is None
+            assert vars(seq) == before
+        assert cases == {Case.CASE1.value, Case.CASE2.value}
+
     def test_no_offside_curve_right_of_final_border(self, t_red_border, t_blue_border):
         # No threshold-avoiding curve at a mirror-sandwiched rank (k at most
         # half the family, the only ranks the counting uses) lies strictly
@@ -450,9 +622,7 @@ class TestCertify:
             seq = build_from_points(inst)
             cert = certify(seq)
             border = cert.border
-            from balanced_lines.certificate import _walk_positions
-
-            bpos = _walk_positions(seq, border.elements)
+            bpos = _Certifier(seq).walk(border.elements)
             c = border.color
             f, g, h = partition_fgh(seq, border)
             families = [tuple(sorted(set(f) | set(g) | set(h)))]
@@ -532,6 +702,79 @@ class TestVerifier:
             tampered = dataclasses.replace(cert, f_set=f2, g_set=g2, h_set=h2)
             result = verify_certificate(seq, tampered)
             assert "BAD_PARTITION" in result.diagnostics, label
+
+    def test_charge_moved_between_f_curves_detected(self):
+        seq = build_from_points(random_instance(27, 9, 10**6, seed=5))
+        cert = certify(seq)
+        assert cert.ledger.ch_f == (2, 0, 0)
+        moved = dataclasses.replace(cert.ledger, ch_f=(1, 1, 0))
+        result = verify_certificate(seq, dataclasses.replace(cert, ledger=moved))
+        assert result.diagnostics == ("BAD_LEDGER charge/transaction mismatch",)
+
+    def test_relabelled_g_origin_detected(self):
+        relabelled = 0
+        for i in range(6):
+            seq = build_from_points(random_instance(36, 12, 10**6, seed=7000 + i))
+            cert = certify(seq)
+            if cert.case != Case.CASE2.value:
+                continue
+            origins = list(cert.witness_origins)
+            j = next(j for j, (_, label) in enumerate(origins) if label.startswith("G"))
+            pair, label = origins[j]
+            origins[j] = (pair, "F1")
+            result = verify_certificate(seq, dataclasses.replace(cert, witness_origins=tuple(origins)))
+            t = next(w.t for w in cert.witnesses if w.pair == pair)
+            assert f"BAD_ORIGIN {pair} at t={t}: F1 is not {label}" in result.diagnostics
+            relabelled += 1
+        assert relabelled == 5
+
+    def test_case1_origin_names_the_blue_rank(self):
+        seq = build_from_points(random_instance(24, 24, 10**6, seed=1))
+        cert = certify(seq)
+        assert cert.case == Case.CASE1.value and verify_certificate(seq, cert).ok
+        (pair, label), *rest = cert.witness_origins
+        wrong = f"B{int(label[1:]) + 1}"
+        tampered = dataclasses.replace(cert, witness_origins=((pair, wrong), *rest))
+        t = next(w.t for w in cert.witnesses if w.pair == pair)
+        result = verify_certificate(seq, tampered)
+        assert result.diagnostics == (f"BAD_ORIGIN {pair} at t={t}: {wrong} is not {label}",)
+
+    def test_single_replay_matches_transposition_at(self):
+        # Every golden witness time, and the same times moved by -1, +1, a
+        # period and minus three periods; the swap, the permutation before it
+        # and the verifier's NOT_BALANCED verdicts agree with per-witness
+        # from-scratch replays.
+        rows = [json.loads(line) for line in make_certificates.OUT.read_text().splitlines()]
+        n120 = [json.loads(line) for line in make_certificates.OUT_N120.read_text().splitlines()]
+        checked = 0
+        for row in rows + n120:
+            seq = make_certificates.build(row["entry"])
+            times = [w["t"] for w in row["certificate"]["witnesses"]]
+            shifts = (0, -1, 1, seq.period, -3 * seq.period)
+            moved = [t + shifts[i % len(shifts)] for i, t in enumerate(times)]
+            if row in n120:  # per-witness replays at n = 120 are slow; sample them
+                times, moved = times[::4], moved[1::4]
+            swaps = _replayed_swaps(seq, times + moved)
+            for t in times + moved:
+                q, prev = swaps[t]
+                tr = transposition_at(seq, t)
+                assert (q, prev[q], prev[q + 1]) == (tr.pos, tr.lo_id, tr.hi_id)
+                assert sum(seq.weights[v] for v in prev[:q]) == tr.left_weight
+                assert prev == permutation_at(seq, t - 1)
+                checked += 1
+        assert checked > 1300
+        for row in rows[::7]:
+            seq = make_certificates.build(row["entry"])
+            cert = certify(seq)
+            witnesses = tuple(dataclasses.replace(w, t=w.t + (i % 3) - 1)
+                              for i, w in enumerate(cert.witnesses))
+            result = verify_certificate(seq, dataclasses.replace(cert, witnesses=witnesses))
+            expected = []
+            for w in witnesses:
+                tr = transposition_at(seq, w.t)
+                if not (tr.pair == w.pair and tr.left_weight == seq.delta):
+                    expected.append(f"NOT_BALANCED {w.pair} at t={w.t}")
+            assert [d for d in result.diagnostics if d.startswith("NOT_BALANCED")] == expected
 
 
 class TestCertificateJson:

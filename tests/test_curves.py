@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,10 @@ from balanced_lines.curves import (
     CurveSpec,
     classify,
     classify_change,
+    classify_track,
     find_weight_changes,
     mirror_track,
+    WeightTrack,
     track,
     track_all,
 )
@@ -17,6 +21,7 @@ from balanced_lines.geometry import Color
 from balanced_lines.sequence import build_from_points, random_sequence, reverse_sequence
 
 from conftest import oracle_track
+from golden import make_certificates
 
 
 def blue_ids(seq):
@@ -224,6 +229,62 @@ class TestFindWeightChanges:
                     trk = track(seq, spec)
                     assert find_weight_changes(trk, seq.delta, seq.delta - 1)
                     assert find_weight_changes(trk, seq.delta - 1, seq.delta)
+
+
+def filled_classify(trk, color, delta):
+    """The classification read off the forward-filled weights."""
+    on_side = color.weight * (trk.wt[: trk.period] - delta) >= 0
+    blue = color is Color.BLUE
+    if on_side.all():
+        return CurveClass.GE_DELTA if blue else CurveClass.LE_DELTA
+    if not on_side.any():
+        return CurveClass.LT_DELTA if blue else CurveClass.GT_DELTA
+    return CurveClass.CHANGING
+
+
+def filled_changes(trk, from_w, to_w, lo, hi):
+    """Weight changes in [lo, hi) found by comparing neighbours in the forward-filled weights."""
+    wt = trk.wt
+    return (lo + np.flatnonzero((wt[lo:hi] == from_w) & (wt[lo + 1 : hi + 1] == to_w))).tolist()
+
+
+class TestChangeRows:
+    """Reads off a track's change rows agree with its forward-filled arrays."""
+
+    def test_golden_sequences(self):
+        rows = [json.loads(line) for line in make_certificates.OUT.read_text().splitlines()]
+        tracks = 0
+        for row in rows[::3]:
+            seq = make_certificates.build(row["entry"])
+            delta, period = seq.delta, seq.period
+            windows = ((0, period), (0, seq.half_period), (period // 3, period // 2),
+                       (period - 1, period))
+            for color, members in ((Color.BLUE, blue_ids(seq)), (Color.RED, red_ids(seq))):
+                for trk in track_all(seq, members):
+                    assert classify_track(trk) is filled_classify(trk, color, delta)
+                    edges = {t + d for t, *_ in trk.rows for d in (-1, 0, 1)} | {period + 1}
+                    for t in sorted(edges):  # each side of every change, and past the period
+                        assert trk.element_at(t) == trk.elem[t % period]
+                        assert trk.weight_at(t) == trk.wt[t % period]
+                        assert trk.position_at(t) == trk.pos[t % period]
+                    for from_w in range(delta - 2, delta + 2):
+                        for to_w in (from_w - 1, from_w + 1):
+                            for lo, hi in windows:
+                                assert find_weight_changes(trk, from_w, to_w, window=(lo, hi)) \
+                                    == filled_changes(trk, from_w, to_w, lo, hi)
+                    tracks += 1
+        assert tracks > 300
+
+    @pytest.mark.parametrize("changes, message", [
+        ([(0, 1, 0, 2), (4, 1, 0, 4), (9, 1, 0, 2)], "strong continuity"),  # position jumps by 2
+        ([(0, 1, 0, 2), (4, 1, 2, 2), (9, 1, 0, 2)], "strong continuity"),  # weight jumps by 2
+        ([(0, 1, 0, 2), (4, 2, 1, 3)], "not periodic"),
+    ])
+    def test_rows_are_checked_on_first_read(self, changes, message):
+        seq = random_sequence(6, 4, seed=13)
+        trk = WeightTrack(seq, CurveSpec(blue_ids(seq), 1), changes)
+        with pytest.raises(ProofGapError, match=message):
+            trk.rows
 
 
 class TestChangeDichotomy:

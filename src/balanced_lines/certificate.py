@@ -14,8 +14,9 @@ already a fixed point of the improvement devices.
 
 One ``certify`` call runs in one ``_Certifier`` session, which holds what its
 steps share: each color's family of rank tracks (replayed at most once per
-call), the ``run_word`` steps and an element timeline. The public functions
-keep their signatures; called on their own, each makes a session of its own.
+call), the ``run_word`` steps and an element timeline, both over one
+half-period. The public functions keep their signatures; called on their
+own, each makes a session of its own.
 Tracks are change rows (see ``curves.WeightTrack``); per-time arrays are made
 only for the candidate in hand and dropped with it.
 """
@@ -67,13 +68,16 @@ class _Certifier:
       other color's answers the nearest-left device by rank lookup.
     - ``tracks(ids)``: any other subset's tracks, kept until the next subset
       is asked for (consecutive rounds often share their G).
-    - ``steps``: ``run_word``'s per-step ``lo``, ``hi`` and ``lw``.
+    - ``step(t)``: the swap from pi^t to pi^{t+1}, from ``run_word`` over
+      one half-period. Both it and ``where`` read any t >= N through
+      pi^{t} = reverse(pi^{t-N}), so step t swaps step t - N's pair back.
     - ``where(e, t)``: an element's position and prefix weight at time t,
-      from a timeline of each element's change points built off ``steps``.
+      from a timeline of each element's change points over [0, N].
     """
 
     def __init__(self, seq: AllowableSequence):
         self.seq = seq
+        self._total = sum(seq.weights)  # the weight of any whole permutation
         self._families: dict[Color, list[WeightTrack]] = {}
         self._subset: tuple[frozenset[int] | None, list[WeightTrack]] = (None, [])
 
@@ -90,13 +94,22 @@ class _Certifier:
         return self._subset[1]
 
     @cached_property
-    def steps(self):
+    def _steps(self):
         seq = self.seq
-        return _kernels.run_word(seq.pi0, seq.full_word(), seq.weights)[:3]
+        return _kernels.run_word(seq.pi0, seq.word, seq.weights)[:3]
+
+    def step(self, t: int) -> tuple[int, int, int]:
+        """(left element, right element, prefix weight) of the swap from pi^t, 0 <= t < 2N."""
+        lo, hi, lw = self._steps
+        s = t - self.seq.half_period
+        if s < 0:
+            return lo[t], hi[t], lw[t]
+        a, b = lo[s], hi[s]  # pi^t reverses pi^s: the pair swaps back, mirrored
+        return b, a, self._total - lw[s] - self.seq.weights[a] - self.seq.weights[b]
 
     @cached_property
     def _timeline(self) -> list[list[tuple[int, int, int]]]:
-        """Per element, its change rows ``(time, position, prefix weight)``, time 0 first."""
+        """Per element, its change rows ``(time, position, prefix weight)`` over [0, N]."""
         seq = self.seq
         weights = seq.weights
         rows: list[list[tuple[int, int, int]]] = [[] for _ in range(seq.n)]
@@ -104,16 +117,19 @@ class _Certifier:
         for q, v in enumerate(seq.pi0):
             rows[v].append((0, q, pre))
             pre += weights[v]
-        for t, p, a, b, w in zip(count(1), seq.full_word(), *self.steps):
+        for t, p, a, b, w in zip(count(1), seq.word, *self._steps):
             rows[b].append((t, p, w))
             rows[a].append((t, p + 1, w + weights[b]))
         return rows
 
     def where(self, e: int, t: int) -> tuple[int, int]:
         """Position and prefix weight of element e at time t, 0 <= t <= 2N."""
+        s = t - self.seq.half_period
         rows = self._timeline[e]
-        _, q, w = rows[row_index(rows, t)]
-        return q, w
+        _, q, w = rows[row_index(rows, t if s < 0 else s)]
+        if s < 0:
+            return q, w
+        return self.seq.n - 1 - q, self._total - w - self.seq.weights[e]  # pi^t reverses pi^s
 
     def left_count(self, e: int, t: int, color: Color) -> int:
         """Points of ``color`` left of e at time t: weights are +-1, so (q +- w) / 2."""
@@ -355,16 +371,17 @@ class _WitnessPool:
         return tuple(self.by_pair[p] for p in sorted(self.by_pair))
 
 
-def _swap(steps, t: int, member: int):
+def _swap(step, t: int, member: int):
     """The step-t swap seen from ``member``: (partner, moved_right, left_weight).
 
-    ``steps`` holds ``run_word``'s ``lo``, ``hi`` and ``lw`` lists.
+    ``step`` is the session's ``step(t)``: left element, right element and
+    prefix weight.
     """
-    lo, hi, lw = steps
-    if member == lo[t]:
-        return hi[t], True, lw[t]
-    if member == hi[t]:
-        return lo[t], False, lw[t]
+    lo, hi, lw = step
+    if member == lo:
+        return hi, True, lw
+    if member == hi:
+        return lo, False, lw
     raise ProofGapError(f"change at t={t} bypassed the tracked element")
 
 
@@ -377,7 +394,7 @@ def case1_certificate(seq: AllowableSequence) -> Certificate:
     """
     delta, b = seq.delta, seq.b
     s = _session(seq)
-    tracks, steps = s.family(Color.BLUE), s.steps
+    tracks = s.family(Color.BLUE)
     changes = {"descent": (delta, delta - 1), "ascent": (delta - 1, delta)}
     pool = _WitnessPool(seq)
     events = []
@@ -385,7 +402,7 @@ def case1_certificate(seq: AllowableSequence) -> Certificate:
     def witness(k: int, t: int, kind: str, mid: bool):
         """Record B_k's event at t as a witness; mid ranks must move toward the partner."""
         member = tracks[k - 1].element_at(t)
-        partner, moved_right, w = _swap(steps, t, member)
+        partner, moved_right, w = _swap(s.step(t), t, member)
         if mid and moved_right is not (kind == "descent"):
             raise ProofGapError(f"B_{k} {kind} at t={t} has the member on the wrong side")
         if seq.colors[partner] is Color.BLUE or w != delta:
@@ -444,7 +461,6 @@ def case2_certificate(seq: AllowableSequence, border: Border) -> Certificate:
     target = sum(len(p) for p in parts)
 
     s = _session(seq)
-    steps = s.steps
     g_tracks = s.tracks(g_ids)  # maximisation's last round asked for the same G
     f_tracks, h_tracks = track_all(seq, f_ids), track_all(seq, h_ids)
     changes = {"descent": (delta, delta - c.weight), "ascent": (delta - c.weight, delta)}
@@ -461,9 +477,10 @@ def case2_certificate(seq: AllowableSequence, border: Border) -> Certificate:
         return tuple(s.where(border.element_at(u), t)[0] for u in (t, t + half))
 
     def swap_parts(t, member_set, member):
-        if (steps[0][t] in member_set) == (steps[1][t] in member_set):
+        step = s.step(t)
+        if (step[0] in member_set) == (step[1] in member_set):
             raise ProofGapError(f"change at t={t} does not involve exactly one member")
-        return _swap(steps, t, member)
+        return _swap(step, t, member)
 
     def rank_in(tracks, element, t):
         for idx, trk in enumerate(tracks):

@@ -118,7 +118,10 @@ def _scale_to_integers(pts: Sequence[ChromaticPoint]) -> list[tuple[int, int]]:
         denoms.add(p.x.denominator)
         denoms.add(p.y.denominator)
     lcm = math.lcm(*denoms) if denoms else 1
-    return [(int(p.x * lcm), int(p.y * lcm)) for p in pts]
+    return [
+        (p.x.numerator * (lcm // p.x.denominator), p.y.numerator * (lcm // p.y.denominator))
+        for p in pts
+    ]
 
 
 def orientation(p: ChromaticPoint, q: ChromaticPoint, s: ChromaticPoint) -> int:

@@ -2,15 +2,18 @@
 
 An allowable sequence is stored as one half-period: the starting permutation
 plus the word of adjacent-swap positions tau_1..tau_N, N = C(n, 2). All other
-times follow from the half-period reversal and 2N periodicity.
+times follow from the half-period reversal and 2N periodicity; the mirrored
+full-period word is built only when first asked for. ``build_from_points``
+makes the sequence of a point set in one exact pass over the pairs, and its
+strict event order is also its general-position check.
 """
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+
+import numpy as np
 
 from . import _kernels
 from .errors import BadParamsError, DegenerateInputError
@@ -27,12 +30,12 @@ class AllowableSequence:
 
     def __init__(self, colors, pi0, word):
         self.colors: tuple[Color, ...] = tuple(colors)
-        self.pi0: tuple[int, ...] = tuple(int(v) for v in pi0)
-        self.word: tuple[int, ...] = tuple(int(v) for v in word)
+        self.pi0: tuple[int, ...] = tuple(map(int, pi0))
+        self.word: tuple[int, ...] = tuple(map(int, word))
         self.n = len(self.colors)
         self.weights: tuple[int, ...] = tuple(c.weight for c in self.colors)
         self.b: int = self.weights.count(1)
-        self._full_word = self.word + tuple(self.n - 2 - p for p in self.word)
+        self._full_word: tuple[int, ...] | None = None
 
     @property
     def half_period(self) -> int:
@@ -51,7 +54,9 @@ class AllowableSequence:
         return (self.b - self.r) // 2
 
     def full_word(self) -> tuple[int, ...]:
-        """Word over a full period: tau_{t+N} mirrors tau_t's position."""
+        """Word over a full period: tau_{t+N} mirrors tau_t's position; built on first use."""
+        if self._full_word is None:
+            self._full_word = self.word + tuple(self.n - 2 - p for p in self.word)
         return self._full_word
 
     def __repr__(self):
@@ -170,76 +175,76 @@ def validate(seq: AllowableSequence) -> SequenceReport:
     )
 
 
-def _sweep_slope(dirs) -> int:
-    """Smallest integer k >= 0 such that u0 = (1, k) is perpendicular to no spanned line.
+def _sweep_slope(coords) -> int:
+    """Smallest integer k >= 0 for which the projections x + k*y are all distinct.
 
-    u0 is perpendicular to a line of direction (dx, dy) iff dx + k*dy == 0.
-    A reduced direction forbids an integer k only when dy = +-1, and then
-    k = -dx*dy.
+    u0 = (1, k) is perpendicular to line(i, j) exactly when i and j project
+    equally, so this is the first k whose u0 is perpendicular to no spanned
+    line. The points must be distinct; each pair then forbids at most one k.
     """
-    forbidden = {-dx * dy for dx, dy in dirs if dy == 1 or dy == -1}
+    n = len(coords)
     k = 0
-    while k in forbidden:
+    while len({x + k * y for x, y in coords}) < n:
         k += 1
     return k
+
+
+def _degenerate(n: int, coords) -> DegenerateInputError:
+    """The error for a degenerate instance, counting its defects by the gcd pass."""
+    r = _general_position_report(n, _pair_directions(coords))
+    return DegenerateInputError(
+        f"instance has {len(r.collinear_triples)} collinear triple(s), {len(r.parallel_pair_pairs)}"
+        f" parallel spanned pair(s), and {len(r.coincident_pairs)} coincident pair(s)")
+
+
+def _strictly_ordered(fa, fb) -> bool:
+    """Every event direction strictly precedes the next: a zero cross product fails."""
+    return bool((fa[:-1] * fb[1:] > fb[:-1] * fa[1:]).all())
 
 
 def build_from_points(inst: Instance) -> AllowableSequence:
     """Rotating-sweep construction of the allowable sequence of a clean instance.
 
-    pi0 orders the points by projection onto a deterministically chosen
-    direction with all projections distinct; the word lists each pair at the
-    sweep angle where its spanned line becomes perpendicular to the sweep.
+    pi0 orders the points by projection u = x + k0*y onto u0 = (1, k0); the
+    word lists each pair at the sweep angle where its spanned line becomes
+    perpendicular to the sweep. One pass over the pairs, as numpy arrays of
+    Python ints, keeps every value exact. The input is in general position
+    exactly when the event directions are distinct, that is when the exact
+    event order is strict; only a degenerate input pays for the gcd pass.
     """
-    n = inst.n
     coords = inst.scaled_coords()
-    dirs = _pair_directions(coords)
-    report = _general_position_report(n, dirs)
-    if not report.clean:
-        raise DegenerateInputError(
-            f"instance has {len(report.collinear_triples)} collinear triple(s), "
-            f"{len(report.parallel_pair_pairs)} parallel spanned pair(s), and "
-            f"{len(report.coincident_pairs)} coincident pair(s)"
-        )
+    n = len(coords)
+    if len(set(coords)) < n:
+        raise _degenerate(n, coords)
+    k0 = _sweep_slope(coords)
+    u = [x + k0 * y for x, y in coords]
+    pi0 = sorted(range(n), key=u.__getitem__)
 
-    k0 = _sweep_slope(dirs)
-    pi0 = sorted(range(n), key=lambda i: coords[i][0] + k0 * coords[i][1])
+    # In the frame rotating u0 to the x-axis, the pair at pi0 positions p < q
+    # has the normal (fa, fb) = (v_q - v_p, u_q - u_p), v = k0*x - y, with
+    # fb > 0 since pi0 sorts u: event order is the order of its angles in
+    # (0, pi). Float angles only presort; exact signs decide the order.
+    r = np.arange(n)
+    pp, qq = np.nonzero(r[:, None] < r)
+    uo = np.array([u[i] for i in pi0], dtype=object)
+    vo = np.array([k0 * coords[i][0] - coords[i][1] for i in pi0], dtype=object)
+    fb = uo[qq] - uo[pp]
+    fa = vo[qq] - vo[pp]
+    try:
+        order = np.arctan2(fb.astype(float), fa.astype(float)).argsort(kind="stable")
+    except OverflowError:  # past float range the exact sort below decides alone
+        order = np.arange(len(fb))
+    fa = fa[order]
+    fb = fb[order]
+    if not _strictly_ordered(fa, fb):
+        # Float keys collided, mis-ordered or overflowed: sort exactly.
+        exact = sorted(range(len(order)), key=lambda e: Fraction(-fa[e], fb[e]))
+        if not _strictly_ordered(fa[exact], fb[exact]):
+            raise _degenerate(n, coords)
+        order = order[exact]
 
-    # Each pair swaps when the sweep direction is perpendicular to its spanned
-    # line. In the frame rotating u0 to the x-axis the event direction has a
-    # positive y-component, so event order is the order of angles in (0, pi).
-    # Float angles are only a presort key; exact signs decide the final order.
-    atan2 = math.atan2
-    events = []
-    append = events.append
-    for (i, j), (dx, dy) in zip(combinations(range(n), 2), dirs):
-        # (fa, fb) is the normal (-dy, dx) in the rotated frame, turned to fb > 0.
-        fb = dx + k0 * dy
-        fa = k0 * dx - dy
-        if fb < 0:
-            fa, fb = -fa, -fb
-        shift = max(fa.bit_length(), fb.bit_length()) - 52
-        if shift > 0:  # keep the ratio while staying in float range
-            key = atan2(fb >> shift, fa >> shift)
-        else:
-            key = atan2(fb, fa)
-        append((key, fa, fb, i, j))
-    del dirs
-    events.sort(key=lambda e: e[0])
-
-    def exactly_ordered(evs) -> bool:
-        return all(a[1] * b[2] > a[2] * b[1] for a, b in zip(evs, islice(evs, 1, None)))
-
-    if not exactly_ordered(events):
-        # Float keys collided or mis-ordered: fall back to an exact sort.
-        events.sort(key=lambda e: Fraction(-e[1], e[2]))
-        if not exactly_ordered(events):
-            raise DegenerateInputError("two spanned lines are parallel")
-
-    ev_i = [e[3] for e in events]
-    ev_j = [e[4] for e in events]
-    del events
-    word = _kernels.events_to_word(pi0, ev_i, ev_j)
+    ids = np.array(pi0)
+    word = _kernels.events_to_word(pi0, ids[pp[order]].tolist(), ids[qq[order]].tolist())
     if word and word[-1] < 0:
         raise DegenerateInputError("sweep produced a non-adjacent swap; input is degenerate")
     return AllowableSequence(colors=inst.colors(), pi0=pi0, word=word)

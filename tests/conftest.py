@@ -148,6 +148,39 @@ def oracle_sweep_slope(inst):
     return k
 
 
+def oracle_sweep(inst):
+    """(pi0, word) of the rotating sweep, from the points' Fractions alone.
+
+    The sweep direction starts at (1, k), k from ``oracle_sweep_slope``, and
+    turns counterclockwise: at angle theta it is cos(theta)*(1, k) +
+    sin(theta)*(-k, 1). Pair (i, j) swaps where that direction is
+    perpendicular to d = p_j - p_i, at cot(theta) = -c/a with a = d.(1, k)
+    and c = d.(-k, 1), so later events have larger c/a. Raises ValueError
+    when two events share an angle or a swapped pair is not adjacent.
+    """
+    pts = inst.points
+    n = inst.n
+    k = oracle_sweep_slope(inst)
+    pi0 = sorted(range(n), key=lambda i: pts[i].x + k * pts[i].y)
+    events = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            dx, dy = pts[j].x - pts[i].x, pts[j].y - pts[i].y
+            events.append(((-k * dx + dy) / (dx + k * dy), i, j))
+    if len({key for key, _, _ in events}) < len(events):
+        raise ValueError("two events at one angle")
+    events.sort()
+    perm = list(pi0)
+    word = []
+    for _, i, j in events:
+        p, q = sorted((perm.index(i), perm.index(j)))
+        if q != p + 1:
+            raise ValueError("event pair not adjacent")
+        perm[p], perm[q] = perm[q], perm[p]
+        word.append(p)
+    return tuple(pi0), tuple(word)
+
+
 def oracle_balanced_pairs(inst):
     """Brute-force balanced-line pairs from halfplane counts."""
     delta = inst.delta

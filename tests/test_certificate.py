@@ -541,11 +541,51 @@ class TestCase2:
 
 
 def test_swap_reads_one_step_from_the_member():
-    steps = ([4], [7], [2])  # run_word's lo, hi, lw for one step
-    assert _swap(steps, 0, 4) == (7, True, 2)
-    assert _swap(steps, 0, 7) == (4, False, 2)
+    step = (4, 7, 2)  # left element, right element, prefix weight of one step
+    assert _swap(step, 0, 4) == (7, True, 2)
+    assert _swap(step, 0, 7) == (4, False, 2)
     with pytest.raises(ProofGapError, match=r"^change at t=0 bypassed the tracked element$"):
-        _swap(steps, 0, 5)
+        _swap(step, 0, 5)
+
+
+class TestHalfPeriodSession:
+    """The session replays one half-period and reads the other through pi^{t+N} = reverse(pi^t)."""
+
+    def test_steps_match_transposition_at(self):
+        for entry in TestFastPaths.GOLDEN_SMALL:
+            seq = make_certificates.build(entry)
+            session = _Certifier(seq)
+            for t in range(seq.period):
+                tr = transposition_at(seq, t + 1)
+                assert session.step(t) == (tr.lo_id, tr.hi_id, tr.left_weight), (entry, t)
+                assert _swap(session.step(t), t, tr.lo_id) == (tr.hi_id, True, tr.left_weight)
+                assert _swap(session.step(t), t, tr.hi_id) == (tr.lo_id, False, tr.left_weight)
+
+    def test_where_matches_permutation_at(self):
+        for entry in TestFastPaths.GOLDEN_SMALL:
+            seq = make_certificates.build(entry)
+            session = _Certifier(seq)
+            for t in range(seq.period + 1):
+                perm = permutation_at(seq, t)
+                pre = 0
+                for q, e in enumerate(perm):
+                    assert session.where(e, t) == (q, pre), (entry, t, e)
+                    pre += seq.weights[e]
+
+    def test_replays_the_half_word_once(self, monkeypatch):
+        words = []
+        run_word = certificate_mod._kernels.run_word
+
+        def recording(pi0, word, weights):
+            words.append(tuple(word))
+            return run_word(pi0, word, weights)
+
+        monkeypatch.setattr(certificate_mod._kernels, "run_word", recording)
+        seq = build_from_points(random_instance(9, 5, 10**6, seed=3))
+        session = _Certifier(seq)
+        session.step(seq.period - 1)
+        session.where(0, seq.period)
+        assert words == [seq.word]
 
 
 class TestCertify:
@@ -601,6 +641,7 @@ class TestCertify:
         cases = set()
         for b, r, seed in ((24, 24, 1), (36, 12, 0), (27, 9, 5)):
             seq = build_from_points(random_instance(b, r, 10**6, seed=seed))
+            seq.full_word()  # built on first use: the sequence's own, not certify's
             before = dict(vars(seq))
             replays.clear()
             cert = certify(seq)

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -67,6 +68,28 @@ class TestInstance:
     def test_delta_nonnegative(self):
         inst = make_instance([(0, 0, "B"), (1, 1, "R")])
         assert (inst.b, inst.r, inst.delta) == (1, 1, 0)
+
+
+    def test_scaled_coords_are_the_fraction_products(self):
+        # Negative values, large coprime denominators and integers mixed: the
+        # coordinates scaled by the lcm of all denominators, as Fraction products.
+        rng = random.Random(3)
+        for trial in range(200):
+            n = rng.choice((2, 4, 6))
+            dens = [1, 7, 10**9 + 7, 2**61 - 1, rng.randint(1, 10**30)]
+            rows = [
+                (Fraction(rng.randint(-10**40, 10**40), rng.choice(dens)),
+                 Fraction(rng.randint(-99, 99), rng.choice(dens)), "BR"[i % 2])
+                for i in range(n)
+            ]
+            inst = make_instance(rows)
+            lcm = 1
+            for x, y, _ in rows:
+                for v in (x, y):
+                    lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
+            expected = [(int(x * lcm), int(y * lcm)) for x, y, _ in rows]
+            assert all(x * lcm == int(x * lcm) and y * lcm == int(y * lcm) for x, y, _ in rows)
+            assert inst.scaled_coords() == expected, trial
 
 
 class TestValidation:

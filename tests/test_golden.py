@@ -7,7 +7,9 @@ written by the same script at commit 897acd2. ``N200_SHA256`` pins the
 certificate-JSON sha256 of two n = 200 Case-2 point sets, as the script
 prints it, recorded at commit 17daeaa. ``golden/sweeps.jsonl``
 holds the sha256 of each entry's sequence text and scan JSON, written by
-``golden/make_sweeps.py`` at commit 87d057d. Every refactor of the sweep or the
+``golden/make_sweeps.py`` at commit 87d057d; the entries with a
+``coord_bound``, whose sweeps start at slope k0 = 1 or 2, were added by the
+same script at commit e57cf5c. Every refactor of the sweep or the
 certificate pipeline must reproduce each of them exactly. The geometric
 enumerator finds the same pairs as the scan, so for every sweep entry with
 n <= 120 the ``lines`` JSON must hash to the stored scan digest too.
@@ -17,7 +19,7 @@ import json
 
 import pytest
 
-from balanced_lines import enumerate_balanced_lines, random_instance, witnesses_to_json
+from balanced_lines import enumerate_balanced_lines, witnesses_to_json
 from balanced_lines.certificate import certificate_to_json, certify, verify_certificate
 from golden import make_certificates, make_sweeps
 
@@ -73,7 +75,6 @@ def test_sweep_and_scan_are_byte_identical(row):
     ids=lambda row: "-".join(str(v) for v in row["entry"].values()),
 )
 def test_lines_json_matches_scan_digest(row):
-    entry = row["entry"]
-    inst = random_instance(entry["blue"], entry["red"], make_sweeps.COORD_BOUND, seed=entry["seed"])
+    inst = make_sweeps.instance(row["entry"])
     lines = witnesses_to_json(enumerate_balanced_lines(inst), inst.delta)
     assert hashlib.sha256(lines.encode()).hexdigest() == row["scan_sha256"]

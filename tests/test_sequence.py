@@ -1,11 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import balanced_lines.sequence as sequence_mod
 from balanced_lines.errors import BadParamsError, DegenerateInputError
-from balanced_lines.geometry import Color, _pair_directions
+from balanced_lines.geometry import Color, validate_general_position
 from balanced_lines.harness import random_instance, separated_instance
 from balanced_lines.sequence import (
     AllowableSequence,
@@ -21,7 +23,28 @@ from balanced_lines.sequence import (
 )
 from balanced_lines.balance import scan_balanced_transpositions
 
-from conftest import all_permutations, make_instance, oracle_sweep_slope, oracle_validate_word
+from conftest import (
+    all_permutations,
+    make_instance,
+    oracle_general_position,
+    oracle_sweep,
+    oracle_sweep_slope,
+    oracle_validate_word,
+)
+
+
+def degenerate_message(inst):
+    report = validate_general_position(inst)
+    return (
+        f"instance has {len(report.collinear_triples)} collinear triple(s), "
+        f"{len(report.parallel_pair_pairs)} parallel spanned pair(s), and "
+        f"{len(report.coincident_pairs)} coincident pair(s)"
+    )
+
+
+small_coords = st.integers(1, 3).flatmap(
+    lambda den: st.integers(-5 * den, 5 * den).map(lambda num: Fraction(num, den))
+)
 
 
 class TestBuildFromPoints:
@@ -75,6 +98,79 @@ class TestBuildFromPoints:
         assert validate(seq).clean
 
 
+class TestSweepAgainstOracle:
+    """The one-pass sweep against ``oracle_sweep``, a Fraction-keyed order built from scratch."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4).flatmap(
+        lambda half: st.lists(st.tuples(small_coords, small_coords), min_size=2 * half, max_size=2 * half)
+    ))
+    def test_small_coordinates(self, xy):
+        inst = make_instance([(x, y, "BR"[i % 2]) for i, (x, y) in enumerate(xy)])
+        if oracle_general_position(inst).clean:
+            seq = build_from_points(inst)
+            assert (seq.pi0, seq.word) == oracle_sweep(inst)
+        else:
+            with pytest.raises(DegenerateInputError) as exc:
+                build_from_points(inst)
+            assert str(exc.value) == degenerate_message(inst)
+
+    @pytest.mark.parametrize("rows", [
+        [(0, 0, "B"), (0, 0, "R"), (1, 2, "B"), (3, 1, "R")],  # a coincident pair
+        [(0, 0, "B"), (1, 1, "R"), (2, 2, "B"), (5, 0, "R")],  # a collinear triple
+        # 0-1 and 2-3 are parallel with opposite projection signs: 1 projects
+        # past 0, but 3 projects short of 2, so their i < j vectors point apart
+        [(0, 0, "B"), (1, 2, "R"), (5, 0, "B"), (4, -2, "R"), (9, 7, "B"), (-3, 8, "R")],
+    ], ids=["coincident", "collinear", "parallel-opposite"])
+    def test_degenerate_kinds_report_their_counts(self, rows):
+        inst = make_instance(rows)
+        report = validate_general_position(inst)
+        assert not report.clean
+        with pytest.raises(DegenerateInputError) as exc:
+            build_from_points(inst)
+        assert str(exc.value) == degenerate_message(inst)
+
+    def test_past_float_range(self):
+        rng = random.Random(11)
+        big = 10**400
+        for n in (2, 4, 8):
+            inst = make_instance([
+                (rng.randint(-big, big), big + rng.randint(-big // 3, big // 3), "BR"[i % 2])
+                for i in range(n)
+            ])
+            assert oracle_general_position(inst).clean
+            seq = build_from_points(inst)
+            assert (seq.pi0, seq.word) == oracle_sweep(inst)
+            assert validate(seq).clean
+
+    def test_clean_build_makes_no_gcd_pass(self, monkeypatch):
+        directions = []
+        real = sequence_mod._pair_directions
+
+        def counting(coords):
+            directions.append(1)
+            return real(coords)
+
+        monkeypatch.setattr(sequence_mod, "_pair_directions", counting)
+        for seed in range(4):
+            build_from_points(random_instance(6, 6, 10**6, seed=seed))
+            build_from_points(random_instance(12, 4, 2, seed=seed))
+        assert directions == []
+        with pytest.raises(DegenerateInputError):
+            build_from_points(make_instance([(0, 0, "B"), (1, 1, "R"), (2, 2, "B"), (5, 0, "R")]))
+        assert directions == [1]
+
+    def test_golden_corpus_needs_small_slopes(self):
+        # The coord_bound entries of the golden sweep corpus start off u0 = (1, 0).
+        from golden import make_sweeps
+
+        slopes = {
+            oracle_sweep_slope(make_sweeps.instance(entry))
+            for entry in make_sweeps.corpus() if "coord_bound" in entry
+        }
+        assert slopes == {1, 2}
+
+
 class TestSweepSlope:
     def test_matches_fraction_rule(self):
         # Small grids with many pairs one row apart forbid the small slopes.
@@ -85,10 +181,10 @@ class TestSweepSlope:
             inst = make_instance([
                 (rng.randint(-6, 6), rng.randint(-2, 2), "BR"[i % 2]) for i in range(n)
             ])
-            dirs = _pair_directions(inst.scaled_coords())
-            if None in dirs:
+            coords = inst.scaled_coords()
+            if len(set(coords)) < n:
                 continue
-            k = _sweep_slope(dirs)
+            k = _sweep_slope(coords)
             assert k == oracle_sweep_slope(inst)
             slopes.append(k)
         assert len(slopes) >= 300 and max(slopes) >= 3
@@ -100,6 +196,20 @@ class TestSweepSlope:
         pts = inst.points
         expected = sorted(range(inst.n), key=lambda i: pts[i].x + k * pts[i].y)
         assert list(build_from_points(inst).pi0) == expected
+
+
+class TestFullWord:
+    @pytest.mark.parametrize("make", [
+        lambda: build_from_points(random_instance(5, 3, 10**6, seed=4)),
+        lambda: random_sequence(8, 5, seed=6),
+        lambda: reverse_sequence(random_sequence(10, 6, seed=2)),
+        lambda: sequence_from_text(sequence_to_text(random_sequence(6, 4, seed=1))),
+    ], ids=["built", "random", "reversed", "text"])
+    def test_matches_the_eager_definition(self, make):
+        seq = make()
+        expected = seq.word + tuple(seq.n - 2 - p for p in seq.word)
+        assert seq.full_word() == expected
+        assert seq.full_word() is seq.full_word()
 
 
 class TestPermutationAt:

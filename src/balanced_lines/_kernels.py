@@ -7,10 +7,8 @@ sequences (lists or tuples; indexing numpy scalars costs several times more)
 and returns lists. ``track_rank`` follows every rank of a subset in one
 replay and logs only change points, so curve tracking costs one replay per
 subset, not one per rank, and a track is O(changes), not O(2N). ``certify``
-replays each color's family once per call, and reads element positions from
-a timeline built off one ``run_word``, so the package no longer calls
-``element_walk``; it stays as a tested standalone kernel, and
-``perfbench/tracing.py`` names it and ``track_rank`` as trace targets. The
+replays each color's family once per call and takes a border's positions
+from one ``element_walk``. Every kernel has a caller in the package. The
 from-scratch references they are tested against are ``permutation_at`` and
 ``transposition_at`` in ``sequence``.
 """

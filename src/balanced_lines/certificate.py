@@ -14,21 +14,21 @@ already a fixed point of the improvement devices.
 
 One ``certify`` call runs in one ``_Certifier`` session, which holds what its
 steps share: each color's family of rank tracks (replayed at most once per
-call), the ``run_word`` steps and an element timeline, both over one
-half-period. The public functions keep their signatures; called on their
-own, each makes a session of its own.
+call) and the ``run_word`` steps over one half-period. Border positions come
+from one ``element_walk`` per border. The public functions keep their
+signatures; called on their own, each makes a session of its own.
 Tracks are change rows (see ``curves.WeightTrack``); per-time arrays are made
 only for the candidate in hand and dropped with it.
 """
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from collections import Counter
 from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import count
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .curves import (
     WeightTrack,
     classify_track,
     find_weight_changes,
-    row_index,
     row_spans,
     track_all,
 )
@@ -69,10 +68,10 @@ class _Certifier:
     - ``tracks(ids)``: any other subset's tracks, kept until the next subset
       is asked for (consecutive rounds often share their G).
     - ``step(t)``: the swap from pi^t to pi^{t+1}, from ``run_word`` over
-      one half-period. Both it and ``where`` read any t >= N through
-      pi^{t} = reverse(pi^{t-N}), so step t swaps step t - N's pair back.
-    - ``where(e, t)``: an element's position and prefix weight at time t,
-      from a timeline of each element's change points over [0, N].
+      one half-period; any t >= N is read through pi^{t} = reverse(pi^{t-N}),
+      so step t swaps step t - N's pair back.
+    - ``count_left(color, t, q)``: the points of a color left of a position,
+      by bisecting that color's family.
     """
 
     def __init__(self, seq: AllowableSequence):
@@ -107,38 +106,12 @@ class _Certifier:
         a, b = lo[s], hi[s]  # pi^t reverses pi^s: the pair swaps back, mirrored
         return b, a, self._total - lw[s] - self.seq.weights[a] - self.seq.weights[b]
 
-    @cached_property
-    def _timeline(self) -> list[list[tuple[int, int, int]]]:
-        """Per element, its change rows ``(time, position, prefix weight)`` over [0, N]."""
-        seq = self.seq
-        weights = seq.weights
-        rows: list[list[tuple[int, int, int]]] = [[] for _ in range(seq.n)]
-        pre = 0
-        for q, v in enumerate(seq.pi0):
-            rows[v].append((0, q, pre))
-            pre += weights[v]
-        for t, p, a, b, w in zip(count(1), seq.word, *self._steps):
-            rows[b].append((t, p, w))
-            rows[a].append((t, p + 1, w + weights[b]))
-        return rows
+    def count_left(self, color: Color, t: int, q: int) -> int:
+        """Points of ``color`` strictly left of position q at time t.
 
-    def where(self, e: int, t: int) -> tuple[int, int]:
-        """Position and prefix weight of element e at time t, 0 <= t <= 2N."""
-        s = t - self.seq.half_period
-        rows = self._timeline[e]
-        _, q, w = rows[row_index(rows, t if s < 0 else s)]
-        if s < 0:
-            return q, w
-        return self.seq.n - 1 - q, self._total - w - self.seq.weights[e]  # pi^t reverses pi^s
-
-    def left_count(self, e: int, t: int, color: Color) -> int:
-        """Points of ``color`` left of e at time t: weights are +-1, so (q +- w) / 2."""
-        q, w = self.where(e, t)
-        return (q + color.weight * w) // 2
-
-    def walk(self, elems_per_time) -> list[int]:
-        """Positions of one prescribed element per time, over [0, 2N)."""
-        return [self.where(e, t)[0] for t, e in enumerate(elems_per_time)]
+        The color's rank curves are in position order at every time.
+        """
+        return bisect_left(self.family(color), q, key=lambda trk: trk.position_at(t))
 
 
 # ``certify`` sets this for its own length only, so the public steps it calls
@@ -186,6 +159,11 @@ class Border:
         """The mirror element per time over [0, 2N): the element at t + N."""
         half = len(self.elements) // 2
         return self.elements[half:] + self.elements[:half]
+
+
+def _border_positions(seq: AllowableSequence, elements) -> np.ndarray:
+    """Position of elements[t] in pi^t over [0, 2N), from one replay of the full word."""
+    return np.asarray(_kernels.element_walk(seq.pi0, seq.full_word(), elements))
 
 
 def _mirror_positions(seq: AllowableSequence, bpos) -> np.ndarray:
@@ -451,8 +429,10 @@ def case2_certificate(seq: AllowableSequence, border: Border) -> Certificate:
     The count is symmetric: F curves give witnesses at descents and H curves
     at ascents, and a deflected G descent (ascent) charges the F (H) curve it
     passed, which shows the reverse change. ``outer`` maps each kind to its
-    side. Raises InsufficientBorderError when a border-dependent obligation
-    fails; structural violations raise ProofGapError.
+    side. A G change is confined when the curve lies between the border and
+    its mirror, whose positions come from one ``element_walk``. Raises
+    InsufficientBorderError when a border-dependent obligation fails;
+    structural violations raise ProofGapError.
     """
     c = border.color
     delta, half = seq.delta, seq.half_period
@@ -472,9 +452,9 @@ def case2_certificate(seq: AllowableSequence, border: Border) -> Certificate:
     def window_changes(trk, kind):
         return find_weight_changes(trk, *changes[kind], window=(0, half))
 
-    def sandwich(t):
-        """Positions of the border element and of its mirror at time t."""
-        return tuple(s.where(border.element_at(u), t)[0] for u in (t, t + half))
+    bpos = _border_positions(seq, border.elements)
+    mpos = _mirror_positions(seq, bpos).tolist()  # the mirror element's, per time
+    bpos = bpos.tolist()
 
     def swap_parts(t, member_set, member):
         step = s.step(t)
@@ -498,8 +478,8 @@ def case2_certificate(seq: AllowableSequence, border: Border) -> Certificate:
         name = f"G{rank}"
         for kind in changes:
             for t in window_changes(trk, kind):
-                (b0, m0), (b1, m1) = sandwich(t), sandwich(t + 1)
-                confined = b0 <= trk.position_at(t) <= m0 and b1 < trk.position_at(t + 1) < m1
+                confined = (bpos[t] <= trk.position_at(t) <= mpos[t]
+                            and bpos[t + 1] < trk.position_at(t + 1) < mpos[t + 1])
                 member = trk.element_at(t)
                 partner, moved_right, w = swap_parts(t, g_set, member)
                 pair = (min(member, partner), max(member, partner))
@@ -606,10 +586,12 @@ def _splice(s: _Certifier, border: Border, bpos: np.ndarray, run: np.ndarray, el
     The border must be valid and the curve a rank curve of a subset of the
     border's color (or the run one time long). Then within the run two
     consecutive elements are equal or adjacent, so weak continuity can fail
-    only at the run's two seams, where it holds iff the two elements' counts
-    of border-color points on their left differ by at most one. Mirror
-    order comes from the positions. Returns ``(border, positions)``, or None
-    where ``check_border`` would report a problem.
+    only at the run's two seams. Across the step from t to u = t + 1 it
+    holds iff the two elements' counts of border-color points on their left
+    at u differ by at most one; the element leaving sits at its position at
+    t, moved by one if step t swaps it. Mirror order comes from the
+    positions. Returns ``(border, positions)``, or None where
+    ``check_border`` would report a problem.
     """
     seq = s.seq
     c, period = border.color, seq.period
@@ -624,8 +606,10 @@ def _splice(s: _Certifier, border: Border, bpos: np.ndarray, run: np.ndarray, el
         elements[t] = e
     if len(run) < period:
         for t in ((int(run[0]) - 1) % period, int(run[-1])):  # the steps across the seams
-            e, e_next = elements[t], elements[(t + 1) % period]
-            if abs(s.left_count(e_next, t + 1, c) - s.left_count(e, t + 1, c)) > 1:
+            u = (t + 1) % period
+            lo, hi, _ = s.step(t)
+            q = int(cpos[t]) + (elements[t] == lo) - (elements[t] == hi)
+            if abs(s.count_left(c, u, int(cpos[u])) - s.count_left(c, u, q)) > 1:
                 return None
     return Border(c, tuple(elements)), cpos
 
@@ -676,13 +660,13 @@ def _improve_once(s: _Certifier, border: Border, bpos: np.ndarray):
 def maximize_border(seq: AllowableSequence, start: Border) -> Border:
     """Iterate the improvement devices to a fixed point.
 
-    The start border's positions come from the session's timeline; each
-    round hands its positions to the next. Each round strictly increases the
+    The start border's positions come from one ``element_walk``; each round
+    hands its positions to the next. Each round strictly increases the
     total position of the border, so the loop terminates within n * 2N rounds.
     """
     s = _session(seq)
     border = start
-    bpos = np.asarray(s.walk(start.elements))
+    bpos = _border_positions(seq, start.elements)
     for _ in range(seq.n * seq.period + 1):
         improved = _improve_once(s, border, bpos)
         if improved is None:

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from . import balance
 from .balance import check_correspondence, enumerate_balanced_lines, scan_balanced_transpositions
 from .certificate import certify, verify_certificate
 from .errors import BadParamsError, GenerationExhaustedError

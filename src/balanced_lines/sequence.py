@@ -255,7 +255,9 @@ def random_sequence(n: int, blue_count: int, seed) -> AllowableSequence:
 
     At each step one uniformly random adjacent position whose pair has not
     yet swapped is applied; this always terminates because a permutation in
-    which every adjacent pair has swapped is fully reversed.
+    which every adjacent pair has swapped is fully reversed. From the
+    identity, a swap inverts its pair and no pair swaps twice, so a pair has
+    not swapped exactly when it is still in increasing order.
     """
     if n < 2 or n % 2 != 0:
         raise BadParamsError(f"n must be even and >= 2, got {n}")
@@ -265,17 +267,9 @@ def random_sequence(n: int, blue_count: int, seed) -> AllowableSequence:
     colors = [Color.BLUE] * blue_count + [Color.RED] * (n - blue_count)
     rng.shuffle(colors)
     perm = list(range(n))
-    swapped = set()
     word = []
-    total = n * (n - 1) // 2
-    for _ in range(total):
-        eligible = [
-            p for p in range(n - 1)
-            if (min(perm[p], perm[p + 1]), max(perm[p], perm[p + 1])) not in swapped
-        ]
-        p = rng.choice(eligible)
-        pair = (min(perm[p], perm[p + 1]), max(perm[p], perm[p + 1]))
-        swapped.add(pair)
+    for _ in range(n * (n - 1) // 2):
+        p = rng.choice([p for p in range(n - 1) if perm[p] < perm[p + 1]])
         perm[p], perm[p + 1] = perm[p + 1], perm[p]
         word.append(p)
     return AllowableSequence(colors=colors, pi0=range(n), word=word)

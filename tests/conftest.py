@@ -5,6 +5,7 @@ from-scratch permutation replay) so they share no code path with the
 incremental implementations they check.
 """
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -213,6 +214,26 @@ def oracle_validate_word(seq):
     complete = len(seq.word) == n * (n - 1) // 2 and not position_errors
     not_reversed = complete and perm != list(reversed(seq.pi0))
     return tuple(position_errors), tuple(sorted(set(repeated))), not_reversed
+
+
+def oracle_random_sequence(n, blue_count, seed):
+    """(colors, word) of ``random_sequence``, keeping a set of the pairs already swapped."""
+    rng = random.Random(f"seq:{seed}")
+    colors = [Color.BLUE] * blue_count + [Color.RED] * (n - blue_count)
+    rng.shuffle(colors)
+    perm = list(range(n))
+    swapped = set()
+    word = []
+    for _ in range(n * (n - 1) // 2):
+        eligible = [
+            p for p in range(n - 1)
+            if (min(perm[p], perm[p + 1]), max(perm[p], perm[p + 1])) not in swapped
+        ]
+        p = rng.choice(eligible)
+        swapped.add((min(perm[p], perm[p + 1]), max(perm[p], perm[p + 1])))
+        perm[p], perm[p + 1] = perm[p + 1], perm[p]
+        word.append(p)
+    return tuple(colors), tuple(word)
 
 
 def oracle_border_problems(seq, border):

@@ -19,7 +19,7 @@ from balanced_lines.geometry import Color
 from balanced_lines.harness import random_instance, separated_instance
 from balanced_lines.sequence import build_from_points, random_sequence
 
-from conftest import all_permutations, make_instance, oracle_balanced_pairs
+from conftest import all_permutations, oracle_balanced_pairs
 
 TRIALS = 10_000
 

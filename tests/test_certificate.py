@@ -21,6 +21,7 @@ from balanced_lines.certificate import (
     partition_fgh,
     verify_certificate,
     _Certifier,
+    _border_positions,
     _cyclic_runs,
     _mirror_positions,
     _nearest_left_curve,
@@ -282,11 +283,12 @@ class TestCarriedPositions:
             seq = build_from_points(inst)
             border = maximize_border(seq, initial_border(seq, 1))
             elements = [rng.randrange(seq.n) for _ in range(seq.period)]
-            walk = _Certifier(seq).walk
+            perms = all_permutations(seq)
             for cand in (border, Border(border.color, tuple(elements))):
-                bpos = walk(cand.elements)
-                assert bpos == replayed_positions(all_permutations(seq), cand.elements)
-                assert list(_mirror_positions(seq, bpos)) == walk(cand.mirror_elements())
+                bpos = _border_positions(seq, cand.elements)
+                assert list(bpos) == replayed_positions(perms, cand.elements)
+                mpos = replayed_positions(perms, cand.mirror_elements())
+                assert list(_mirror_positions(seq, bpos)) == mpos
 
 
 def replay_nearest_left(seq, positions, want):
@@ -390,11 +392,12 @@ class TestFastPaths:
         seq = build_from_points(t_red_border)
         border = certify(seq).border
         session = _Certifier(seq)
-        bpos = np.asarray(session.walk(border.elements))
+        perms = all_permutations(seq)
+        bpos = np.asarray(replayed_positions(perms, border.elements))
         mpos = _mirror_positions(seq, bpos)
         t = 3
         run, elem = np.array([t]), np.array([border.elements[t]])
-        wt = np.array([session.where(border.elements[t], t)[1]])
+        wt = np.array([sum(seq.weights[v] for v in perms[t][: bpos[t]])])
         assert _splice(session, border, bpos, run, elem, wt, bpos[run]) is not None
         assert _splice(session, border, bpos, run, elem, wt, mpos[run]) is None
 
@@ -561,16 +564,17 @@ class TestHalfPeriodSession:
                 assert _swap(session.step(t), t, tr.lo_id) == (tr.hi_id, True, tr.left_weight)
                 assert _swap(session.step(t), t, tr.hi_id) == (tr.lo_id, False, tr.left_weight)
 
-    def test_where_matches_permutation_at(self):
+    def test_count_left_matches_permutation_at(self):
         for entry in TestFastPaths.GOLDEN_SMALL:
             seq = make_certificates.build(entry)
             session = _Certifier(seq)
-            for t in range(seq.period + 1):
+            for t in range(seq.period):
                 perm = permutation_at(seq, t)
-                pre = 0
-                for q, e in enumerate(perm):
-                    assert session.where(e, t) == (q, pre), (entry, t, e)
-                    pre += seq.weights[e]
+                for color in Color:
+                    left = 0
+                    for q, e in enumerate(perm):
+                        assert session.count_left(color, t, q) == left, (entry, t, q, color)
+                        left += seq.colors[e] is color
 
     def test_replays_the_half_word_once(self, monkeypatch):
         words = []
@@ -584,7 +588,7 @@ class TestHalfPeriodSession:
         seq = build_from_points(random_instance(9, 5, 10**6, seed=3))
         session = _Certifier(seq)
         session.step(seq.period - 1)
-        session.where(0, seq.period)
+        session.step(0)
         assert words == [seq.word]
 
 
@@ -623,10 +627,12 @@ class TestCertify:
 
     def test_one_replay_per_color_family_and_nothing_left_behind(self, monkeypatch):
         # Within one certify call the steps share one session: each color's
-        # family is replayed at most once, and so is run_word. The session
+        # family is replayed at most once, and so is run_word. Case 2 walks
+        # the start border and the final one, Case 1 no border. The session
         # is gone when the call returns and nothing is cached on the sequence.
         replays = []
-        track_rank, run_word = certificate_mod._kernels.track_rank, certificate_mod._kernels.run_word
+        kernels = certificate_mod._kernels
+        track_rank, run_word, element_walk = kernels.track_rank, kernels.run_word, kernels.element_walk
 
         def counting_track_rank(pi0, word, weights, member):
             replays.append(frozenset(v for v, m in enumerate(member) if m))
@@ -636,8 +642,13 @@ class TestCertify:
             replays.append("run_word")
             return run_word(pi0, word, weights)
 
-        monkeypatch.setattr(certificate_mod._kernels, "track_rank", counting_track_rank)
-        monkeypatch.setattr(certificate_mod._kernels, "run_word", counting_run_word)
+        def counting_element_walk(pi0, word, elems):
+            replays.append("element_walk")
+            return element_walk(pi0, word, elems)
+
+        monkeypatch.setattr(kernels, "track_rank", counting_track_rank)
+        monkeypatch.setattr(kernels, "run_word", counting_run_word)
+        monkeypatch.setattr(kernels, "element_walk", counting_element_walk)
         cases = set()
         for b, r, seed in ((24, 24, 1), (36, 12, 0), (27, 9, 5)):
             seq = build_from_points(random_instance(b, r, 10**6, seed=seed))
@@ -651,6 +662,8 @@ class TestCertify:
             assert all(replays.count(f) <= 1 for f in families)
             if cert.case == Case.CASE1.value:
                 assert replays == [families[0], "run_word"]  # the blue family, then the steps
+            else:
+                assert replays.count("element_walk") == 2
             assert certificate_mod._ACTIVE.get() is None
             assert vars(seq) == before
         assert cases == {Case.CASE1.value, Case.CASE2.value}
@@ -663,7 +676,7 @@ class TestCertify:
             seq = build_from_points(inst)
             cert = certify(seq)
             border = cert.border
-            bpos = _Certifier(seq).walk(border.elements)
+            bpos = _border_positions(seq, border.elements)
             c = border.color
             f, g, h = partition_fgh(seq, border)
             families = [tuple(sorted(set(f) | set(g) | set(h)))]

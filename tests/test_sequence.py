@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import balanced_lines.sequence as sequence_mod
 from balanced_lines.errors import BadParamsError, DegenerateInputError
 from balanced_lines.geometry import Color, validate_general_position
-from balanced_lines.harness import random_instance, separated_instance
+from balanced_lines.harness import random_instance
 from balanced_lines.sequence import (
     AllowableSequence,
     _sweep_slope,
@@ -27,6 +27,7 @@ from conftest import (
     all_permutations,
     make_instance,
     oracle_general_position,
+    oracle_random_sequence,
     oracle_sweep,
     oracle_sweep_slope,
     oracle_validate_word,
@@ -324,6 +325,13 @@ class TestRandomSequence:
     def test_weight_sum_is_twice_delta(self):
         seq = random_sequence(10, 7, seed=1)
         assert sum(seq.weights) == 2 * seq.delta
+
+    def test_matches_swapped_set_generator(self):
+        for n in range(2, 41, 2):
+            for blue in sorted({n // 2, (3 * n + 3) // 4, n}):
+                for seed in range(3):
+                    seq = random_sequence(n, blue, seed=seed)
+                    assert (seq.colors, seq.word) == oracle_random_sequence(n, blue, seed), (n, blue)
 
 
 class TestReverseSequence:

@@ -7,10 +7,11 @@ sequences (lists or tuples; indexing numpy scalars costs several times more)
 and returns lists. ``track_rank`` follows every rank of a subset in one
 replay and logs only change points, so curve tracking costs one replay per
 subset, not one per rank, and a track is O(changes), not O(2N). ``certify``
-replays each color's family once per call and takes a border's positions
-from one ``element_walk``. Every kernel has a caller in the package. The
-from-scratch references they are tested against are ``permutation_at`` and
-``transposition_at`` in ``sequence``.
+replays each color's family once per call and makes one ``element_walk``,
+over the start border of maximisation, whose rounds carry the positions on.
+Every kernel has a caller in the package. The from-scratch references they
+are tested against are ``permutation_at`` and ``transposition_at`` in
+``sequence``.
 """
 from __future__ import annotations
 

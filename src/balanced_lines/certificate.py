@@ -14,11 +14,11 @@ already a fixed point of the improvement devices.
 
 One ``certify`` call runs in one ``_Certifier`` session, which holds what its
 steps share: each color's family of rank tracks (replayed at most once per
-call) and the ``run_word`` steps over one half-period. Border positions come
-from one ``element_walk`` per border. The public functions keep their
-signatures; called on their own, each makes a session of its own.
-Tracks are change rows (see ``curves.WeightTrack``); per-time arrays are made
-only for the candidate in hand and dropped with it.
+call), the ``run_word`` steps over one half-period and the last border's
+positions, so only the start border is walked (``element_walk``). The public
+functions keep their signatures; called on their own, each makes a session of
+its own. Tracks are change rows (see ``curves.WeightTrack``); maximisation
+expands only a candidate that passes its row test into per-time arrays.
 """
 from __future__ import annotations
 
@@ -29,6 +29,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -72,6 +73,8 @@ class _Certifier:
       so step t swaps step t - N's pair back.
     - ``count_left(color, t, q)``: the points of a color left of a position,
       by bisecting that color's family.
+    - ``positions(border)``: a border's positions over [0, 2N), walked unless
+      it is ``kept``: the last border asked for or made by maximisation.
     """
 
     def __init__(self, seq: AllowableSequence):
@@ -79,6 +82,7 @@ class _Certifier:
         self._total = sum(seq.weights)  # the weight of any whole permutation
         self._families: dict[Color, list[WeightTrack]] = {}
         self._subset: tuple[frozenset[int] | None, list[WeightTrack]] = (None, [])
+        self.kept: tuple[Border | None, np.ndarray | None] = (None, None)  # border, positions
 
     def family(self, color: Color) -> list[WeightTrack]:
         if color not in self._families:
@@ -112,6 +116,11 @@ class _Certifier:
         The color's rank curves are in position order at every time.
         """
         return bisect_left(self.family(color), q, key=lambda trk: trk.position_at(t))
+
+    def positions(self, border: Border) -> np.ndarray:
+        if self.kept[0] is not border:
+            self.kept = border, _border_positions(self.seq, border.elements)
+        return self.kept[1]
 
 
 # ``certify`` sets this for its own length only, so the public steps it calls
@@ -256,7 +265,8 @@ def initial_border(seq: AllowableSequence, k: int) -> Border:
     trk = s.family(Color.BLUE)[k - 1]
     cls = classify_track(trk)
     if cls is CurveClass.GE_DELTA:
-        border = Border(Color.BLUE, tuple(trk.fill()[0, : seq.period].tolist()))
+        spans = row_spans(trk.rows, 0, seq.period)
+        border = Border(Color.BLUE, tuple(e for (_, e, _, _), m in spans for _ in range(m)))
     elif cls is CurveClass.LT_DELTA:
         border = Border(Color.RED, _nearest_left_curve(s, trk, Color.RED)[0])
     else:
@@ -430,7 +440,7 @@ def case2_certificate(seq: AllowableSequence, border: Border) -> Certificate:
     at ascents, and a deflected G descent (ascent) charges the F (H) curve it
     passed, which shows the reverse change. ``outer`` maps each kind to its
     side. A G change is confined when the curve lies between the border and
-    its mirror, whose positions come from one ``element_walk``. Raises
+    its mirror, whose positions come from the session's ``positions``. Raises
     InsufficientBorderError when a border-dependent obligation fails;
     structural violations raise ProofGapError.
     """
@@ -452,7 +462,7 @@ def case2_certificate(seq: AllowableSequence, border: Border) -> Certificate:
     def window_changes(trk, kind):
         return find_weight_changes(trk, *changes[kind], window=(0, half))
 
-    bpos = _border_positions(seq, border.elements)
+    bpos = s.positions(border)
     mpos = _mirror_positions(seq, bpos).tolist()  # the mirror element's, per time
     bpos = bpos.tolist()
 
@@ -614,6 +624,22 @@ def _splice(s: _Certifier, border: Border, bpos: np.ndarray, run: np.ndarray, el
     return Border(c, tuple(elements)), cpos
 
 
+def _right_of_border(trk: WeightTrack, bpos: np.ndarray):
+    """A candidate's per-time (element, weight, position) over [0, 2N), or None.
+
+    None iff no change row's position q exceeds the border's least position
+    over the row's span, i.e. the curve is never strictly right of it. Row
+    start times strictly increase (a swap logs at most one row per rank), so
+    ``np.minimum.reduceat`` over them gives those least positions.
+    """
+    period = len(bpos)
+    rows = np.fromiter(chain.from_iterable(trk.rows), np.int64, 4 * len(trk.rows)).reshape(-1, 4)
+    rows = rows[rows[:, 0] < period]
+    if not (rows[:, 3] > np.minimum.reduceat(bpos, rows[:, 0])).any():
+        return None
+    return np.repeat(rows[:, 1:], np.diff(rows[:, 0], append=period), axis=0).T
+
+
 def _improve_once(s: _Certifier, border: Border, bpos: np.ndarray):
     """One strict improvement of the border, or None at a fixed point.
 
@@ -629,26 +655,21 @@ def _improve_once(s: _Certifier, border: Border, bpos: np.ndarray):
     """
     seq = s.seq
     c = border.color
-    delta, period = seq.delta, seq.period
     g_ids = partition_fgh(seq, border)[1]
     base_sum = int(bpos.sum())
-
-    def candidates():  # the G replay is made only when G is not empty
-        if g_ids:
-            yield from s.tracks(g_ids)
-        yield from s.family(c)
-
-    for trk in candidates():
-        elem, wt, pos = trk.fill()[:, :period]
-        rel = pos - bpos
-        if not (rel > 0).any():  # no device applies
+    # The G replay is made only when G is not empty.
+    for trk in chain(s.tracks(g_ids) if g_ids else (), s.family(c)):
+        curve = _right_of_border(trk, bpos)
+        if curve is None:  # no device applies
             continue
+        elem, wt, pos = curve
+        rel = pos - bpos
         for run in _cyclic_runs(rel >= 0):
             if (rel[run] > 0).any():
                 spliced = _splice(s, border, bpos, run, elem[run], wt[run], pos[run])
                 if spliced is not None and int(spliced[1].sum()) > base_sum:
                     return spliced
-        if not (c.weight * (wt - delta) >= 0).any() and (rel > 0).all():
+        if not (c.weight * (wt - seq.delta) >= 0).any() and (rel > 0).all():
             rho, q = _nearest_left_curve(s, trk, c.opposite)
             cand, cpos = Border(c.opposite, rho), np.asarray(q)
             if (int(cpos.sum()) > base_sum and (cpos < _mirror_positions(seq, cpos)).all()
@@ -661,17 +682,18 @@ def maximize_border(seq: AllowableSequence, start: Border) -> Border:
     """Iterate the improvement devices to a fixed point.
 
     The start border's positions come from one ``element_walk``; each round
-    hands its positions to the next. Each round strictly increases the
-    total position of the border, so the loop terminates within n * 2N rounds.
+    hands its positions to the next and keeps them for the F/G/H scan. Each
+    round strictly increases the total position of the border, so the loop
+    terminates within n * 2N rounds.
     """
     s = _session(seq)
-    border = start
-    bpos = _border_positions(seq, start.elements)
+    border, bpos = start, s.positions(start)
     for _ in range(seq.n * seq.period + 1):
         improved = _improve_once(s, border, bpos)
         if improved is None:
             return border
         border, bpos = improved
+        s.kept = improved
     raise ProofGapError("border improvement exceeded its termination bound")
 
 

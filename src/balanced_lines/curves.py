@@ -11,10 +11,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, pairwise
+from itertools import pairwise
 from operator import itemgetter
-
-import numpy as np
 
 from . import _kernels
 from .errors import BadParamsError, MixedColorsError, ProofGapError
@@ -41,8 +39,7 @@ class WeightTrack:
     weight, position)`` from time 0 on, each holding until the next. The first
     read of ``rows`` checks strong continuity (per-step weight change in
     {-1, 0, +1}, adjacent-or-equal positions) and periodicity. Lookups bisect
-    the rows; the per-time arrays ``elem``/``wt``/``pos`` are forward-filled
-    only when asked for.
+    the rows; the rows are the track's only form.
     """
 
     def __init__(self, seq: AllowableSequence, spec: CurveSpec, changes):
@@ -77,32 +74,10 @@ class WeightTrack:
     def position_at(self, t: int) -> int:
         return self.row_at(t)[3]
 
-    def fill(self) -> np.ndarray:
-        """Per-time (element, weight, position) over [0, 2N], built afresh: shape (3, 2N + 1)."""
-        flat = np.fromiter(chain.from_iterable(self.rows), np.int64, 4 * len(self.rows))
-        rows = flat.reshape(-1, 4)
-        counts = np.diff(rows[:, 0], append=self.period + 1)
-        return np.repeat(rows[:, 1:], counts, axis=0).T
-
-    @cached_property
-    def _columns(self) -> np.ndarray:
-        return self.fill()
-
-    @property
-    def elem(self) -> np.ndarray:
-        return self._columns[0]
-
-    @property
-    def wt(self) -> np.ndarray:
-        return self._columns[1]
-
-    @property
-    def pos(self) -> np.ndarray:
-        return self._columns[2]
-
     def to_csv(self) -> str:
         lines = ["time,element,weight"]
-        lines += [f"{t},{int(self.elem[t])},{int(self.wt[t])}" for t in range(self.period + 1)]
+        lines += [f"{s},{e},{w}" for (t, e, w, _), m in row_spans(self.rows, 0, self.period + 1)
+                  for s in range(t, t + m)]
         return "\n".join(lines) + "\n"
 
 

@@ -8,6 +8,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from balanced_lines.geometry import ChromaticPoint, Color, GeneralPositionReport, Instance
@@ -296,3 +297,16 @@ def oracle_track(seq, members, k):
         q = perm.index(e)
         out.append((e, sum(seq.weights[v] for v in perm[:q])))
     return out
+
+
+def filled(trk):
+    """Per-time (element, weight, position) arrays over [0, 2N], forward-filled from ``trk.rows``.
+
+    Each change row holds until the next one starts; the last holds to 2N.
+    Build it once per track: it is O(2N).
+    """
+    rows = trk.rows
+    per_time = []
+    for (t, *values), (end, *_) in zip(rows, rows[1:] + [(trk.period + 1,)]):
+        per_time += [values] * (end - t)
+    return tuple(np.array(per_time, dtype=np.int64).T)

@@ -40,7 +40,7 @@ from balanced_lines.sequence import (
     transposition_at,
 )
 
-from conftest import all_permutations, oracle_border_problems
+from conftest import all_permutations, filled, oracle_border_problems
 from golden import make_certificates
 
 
@@ -257,11 +257,12 @@ class TestCarriedPositions:
             for color in (Color.BLUE, Color.RED):
                 ids = [i for i in range(seq.n) if seq.colors[i] is color]
                 for trk in track_all(seq, ids):
+                    elem = filled(trk)[0]
                     for want in (Color.BLUE, Color.RED):
                         expected = []
                         for t in range(seq.period):
                             perm = perms[t]
-                            left = [q for q in range(perm.index(int(trk.elem[t])))
+                            left = [q for q in range(perm.index(int(elem[t])))
                                     if seq.colors[perm[q]] is want]
                             if not left:
                                 expected = None
@@ -386,6 +387,38 @@ class TestFastPaths:
         assert seen >= {"valid", "WEIGHT", "MIRROR_ORDER", "WEAK_CONTINUITY at entry only",
                         "WEAK_CONTINUITY at exit only"}
 
+    def test_row_test_agrees_with_forward_fill(self, monkeypatch):
+        # Every candidate of every maximisation round on the Case-2 corpus:
+        # the row-level test keeps a curve iff its forward-filled positions
+        # exceed the border's somewhere, and a kept curve expands to exactly
+        # its forward-filled arrays. A wrong test only changes the cost, so
+        # the golden certificates cannot catch it.
+        calls = []
+        right_of_border = certificate_mod._right_of_border
+
+        def recording(trk, bpos):
+            out = right_of_border(trk, bpos)
+            calls.append((trk, bpos, out))
+            return out
+
+        monkeypatch.setattr(certificate_mod, "_right_of_border", recording)
+        kept = skipped = 0
+        for entry in TestCarriedPositions.GOLDEN_CASE2:
+            seq = make_certificates.build(entry)
+            calls.clear()
+            certify(seq)
+            oracle = {}  # a track's forward-filled arrays over [0, 2N), built once
+            for trk, bpos, out in calls:
+                if trk not in oracle:
+                    oracle[trk] = np.stack(filled(trk))[:, : seq.period]
+                if ((oracle[trk][2] - bpos) > 0).any():
+                    assert out is not None and (np.asarray(out) == oracle[trk]).all(), entry
+                    kept += 1
+                else:
+                    assert out is None, entry
+                    skipped += 1
+        assert kept > 0 and skipped > 0
+
     def test_splice_reads_mirror_order_off_the_positions(self, t_red_border):
         # No splice tried on the corpus breaks mirror order alone, so hand
         # _splice a border's own element with a position at its mirror's.
@@ -408,9 +441,10 @@ class TestFastPaths:
             session = _Certifier(seq)
             for color in (Color.BLUE, Color.RED):
                 for trk in session.family(color):
+                    pos = filled(trk)[2]
                     for want in (Color.BLUE, Color.RED):
                         try:
-                            expected = replay_nearest_left(seq, trk.pos, want)
+                            expected = replay_nearest_left(seq, pos, want)
                         except ProofGapError as exc:
                             with pytest.raises(ProofGapError) as got:
                                 _nearest_left_curve(session, trk, want)
@@ -628,7 +662,8 @@ class TestCertify:
     def test_one_replay_per_color_family_and_nothing_left_behind(self, monkeypatch):
         # Within one certify call the steps share one session: each color's
         # family is replayed at most once, and so is run_word. Case 2 walks
-        # the start border and the final one, Case 1 no border. The session
+        # the start border only (maximisation hands the final border's
+        # positions to the F/G/H scan), Case 1 no border. The session
         # is gone when the call returns and nothing is cached on the sequence.
         replays = []
         kernels = certificate_mod._kernels
@@ -663,7 +698,7 @@ class TestCertify:
             if cert.case == Case.CASE1.value:
                 assert replays == [families[0], "run_word"]  # the blue family, then the steps
             else:
-                assert replays.count("element_walk") == 2
+                assert replays.count("element_walk") == 1
             assert certificate_mod._ACTIVE.get() is None
             assert vars(seq) == before
         assert cases == {Case.CASE1.value, Case.CASE2.value}
@@ -684,10 +719,10 @@ class TestCertify:
                 families.append(g)
             for ids in families:
                 for k in range(1, len(ids) // 2 + 1):
-                    trk = track(seq, CurveSpec(frozenset(ids), k))
-                    wt = trk.wt[: seq.period]
+                    _, wt, pos = filled(track(seq, CurveSpec(frozenset(ids), k)))
+                    wt = wt[: seq.period]
                     off = (wt < seq.delta).all() if c is Color.BLUE else (wt > seq.delta).all()
-                    strictly_right = (trk.pos[: seq.period] > bpos[: seq.period]).all()
+                    strictly_right = (pos[: seq.period] > bpos[: seq.period]).all()
                     assert not (off and strictly_right)
 
 
@@ -726,6 +761,17 @@ class TestVerifier:
         result = verify_certificate(seq, tampered)
         assert not result.ok
         assert any(d.startswith("NOT_BALANCED") for d in result.diagnostics)
+
+    def test_swapped_colors_detected(self, t_red_border):
+        # The pair and its time still name a balanced swap, but the witness
+        # calls its red point blue and its blue point red.
+        seq = build_from_points(t_red_border)
+        cert = certify(seq)
+        w, *rest = cert.witnesses
+        swapped = dataclasses.replace(w, blue_id=w.red_id, red_id=w.blue_id)
+        assert swapped.pair == w.pair
+        result = verify_certificate(seq, dataclasses.replace(cert, witnesses=(swapped, *rest)))
+        assert result.diagnostics == (f"NOT_BALANCED {w.pair} at t={w.t}",)
 
     def test_short_count_detected(self, t2):
         seq = build_from_points(t2)

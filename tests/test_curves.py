@@ -20,7 +20,7 @@ from balanced_lines.errors import BadParamsError, MixedColorsError, ProofGapErro
 from balanced_lines.geometry import Color
 from balanced_lines.sequence import build_from_points, random_sequence, reverse_sequence
 
-from conftest import oracle_track
+from conftest import filled, oracle_track
 from golden import make_certificates
 
 
@@ -35,9 +35,9 @@ def red_ids(seq):
 class TestTrack:
     def test_leftmost_of_everything_has_zero_weight(self):
         seq = random_sequence(8, 5, seed=0)
-        trk = track(seq, CurveSpec(frozenset(range(seq.n)), 1))
-        assert (trk.wt == 0).all()
-        assert (trk.pos == 0).all()
+        _, wt, pos = filled(track(seq, CurveSpec(frozenset(range(seq.n)), 1)))
+        assert (wt == 0).all()
+        assert (pos == 0).all()
 
     def test_singleton_reversal_identity(self):
         seq = random_sequence(6, 3, seed=8)
@@ -68,9 +68,9 @@ class TestTrack:
         for seed in range(20):
             seq = random_sequence(10, 6, seed=seed)
             for k in (1, 3, 6):
-                trk = track(seq, CurveSpec(blue_ids(seq), k))
-                assert np.abs(np.diff(trk.wt)).max() <= 1
-                assert np.abs(np.diff(trk.pos)).max() <= 1
+                _, wt, pos = filled(track(seq, CurveSpec(blue_ids(seq), k)))
+                assert np.abs(np.diff(wt)).max() <= 1
+                assert np.abs(np.diff(pos)).max() <= 1
 
     def test_bad_spec(self):
         with pytest.raises(BadParamsError):
@@ -86,7 +86,8 @@ class TestTrackAll:
             assert [trk.spec.k for trk in tracks] == list(range(1, len(members) + 1))
             for trk in tracks:
                 expected = oracle_track(seq, members, trk.spec.k)
-                got = [(int(e), int(w)) for e, w in zip(trk.elem, trk.wt)]
+                elem, wt, _ = filled(trk)
+                got = [(int(e), int(w)) for e, w in zip(elem, wt)]
                 assert got == expected
 
     @pytest.mark.parametrize("n, blue, seed", [(8, 5, 0), (10, 5, 1), (12, 8, 2)])
@@ -119,7 +120,7 @@ class TestTrackAll:
         monkeypatch.setattr(seq, "full_word", lambda: word)
         with pytest.raises(ProofGapError, match="strong continuity"):
             for trk in track_all(seq, blue_ids(seq)):
-                trk.wt
+                trk.rows
         with pytest.raises(ProofGapError, match="strong continuity"):
             for k in range(1, seq.b + 1):
                 track(seq, CurveSpec(blue_ids(seq), k))
@@ -156,7 +157,7 @@ class TestMirror:
         spec = CurveSpec(blue_ids(seq), 2)
         twice = mirror_track(seq, mirror_track(seq, spec).spec)
         base = track(seq, spec)
-        assert (twice.elem == base.elem).all()
+        assert (filled(twice)[0] == filled(base)[0]).all()
 
 
 class TestClassify:
@@ -169,16 +170,15 @@ class TestClassify:
     def test_rightmost_blue_on_separated(self, t2):
         seq = build_from_points(t2)
         cls = classify(seq, CurveSpec(blue_ids(seq), seq.b))
-        trk = track(seq, CurveSpec(blue_ids(seq), seq.b))
-        lo = trk.wt[: seq.period].min()
+        _, wt, _ = filled(track(seq, CurveSpec(blue_ids(seq), seq.b)))
+        lo = wt[: seq.period].min()
         expected = CurveClass.GE_DELTA if lo >= seq.delta else CurveClass.CHANGING
         assert cls is expected
 
     def test_changing_detected(self):
         seq = random_sequence(8, 5, seed=10)
         spec = CurveSpec(blue_ids(seq), 1)
-        trk = track(seq, spec)
-        wt = trk.wt[: seq.period]
+        wt = filled(track(seq, spec))[1][: seq.period]
         cls = classify(seq, spec)
         if (wt >= seq.delta).any() and (wt < seq.delta).any():
             assert cls is CurveClass.CHANGING
@@ -231,9 +231,9 @@ class TestFindWeightChanges:
                     assert find_weight_changes(trk, seq.delta - 1, seq.delta)
 
 
-def filled_classify(trk, color, delta):
-    """The classification read off the forward-filled weights."""
-    on_side = color.weight * (trk.wt[: trk.period] - delta) >= 0
+def filled_classify(wt, color, delta):
+    """The classification read off the forward-filled weights over [0, 2N]."""
+    on_side = color.weight * (wt[:-1] - delta) >= 0
     blue = color is Color.BLUE
     if on_side.all():
         return CurveClass.GE_DELTA if blue else CurveClass.LE_DELTA
@@ -242,9 +242,8 @@ def filled_classify(trk, color, delta):
     return CurveClass.CHANGING
 
 
-def filled_changes(trk, from_w, to_w, lo, hi):
+def filled_changes(wt, from_w, to_w, lo, hi):
     """Weight changes in [lo, hi) found by comparing neighbours in the forward-filled weights."""
-    wt = trk.wt
     return (lo + np.flatnonzero((wt[lo:hi] == from_w) & (wt[lo + 1 : hi + 1] == to_w))).tolist()
 
 
@@ -261,17 +260,18 @@ class TestChangeRows:
                        (period - 1, period))
             for color, members in ((Color.BLUE, blue_ids(seq)), (Color.RED, red_ids(seq))):
                 for trk in track_all(seq, members):
-                    assert classify_track(trk) is filled_classify(trk, color, delta)
+                    elem, wt, pos = filled(trk)
+                    assert classify_track(trk) is filled_classify(wt, color, delta)
                     edges = {t + d for t, *_ in trk.rows for d in (-1, 0, 1)} | {period + 1}
                     for t in sorted(edges):  # each side of every change, and past the period
-                        assert trk.element_at(t) == trk.elem[t % period]
-                        assert trk.weight_at(t) == trk.wt[t % period]
-                        assert trk.position_at(t) == trk.pos[t % period]
+                        assert trk.element_at(t) == elem[t % period]
+                        assert trk.weight_at(t) == wt[t % period]
+                        assert trk.position_at(t) == pos[t % period]
                     for from_w in range(delta - 2, delta + 2):
                         for to_w in (from_w - 1, from_w + 1):
                             for lo, hi in windows:
                                 assert find_weight_changes(trk, from_w, to_w, window=(lo, hi)) \
-                                    == filled_changes(trk, from_w, to_w, lo, hi)
+                                    == filled_changes(wt, from_w, to_w, lo, hi)
                     tracks += 1
         assert tracks > 300
 
@@ -340,3 +340,12 @@ class TestCsvDump:
         lines = trk.to_csv().strip().splitlines()
         assert lines[0] == "time,element,weight"
         assert len(lines) == seq.period + 2
+
+
+def test_csv_lists_every_time_of_the_forward_fill():
+    for seed in range(5):
+        seq = random_sequence(8, 5, seed=seed)
+        for trk in track_all(seq, blue_ids(seq)) + track_all(seq, red_ids(seq)):
+            elem, wt, _ = filled(trk)
+            lines = ["time,element,weight"] + [f"{t},{e},{w}" for t, (e, w) in enumerate(zip(elem, wt))]
+            assert trk.to_csv() == "\n".join(lines) + "\n"

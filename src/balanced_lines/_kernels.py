@@ -110,7 +110,9 @@ def element_walk(pi0, word, elems):
 def events_to_word(pi0, ev_i, ev_j):
     """Convert a sequence of swap pairs into a list of word positions.
 
-    Each event's pair must be adjacent when its turn comes; at the first
+    Each event names its pair left element first: ``ev_i[s]`` must sit just
+    left of ``ev_j[s]`` when its turn comes. The sweep's events meet this,
+    since each pair is listed in pi0 order and swaps once. At the first
     violation the output ends with a -1 entry (the caller raises).
     """
     pos_of = [0] * len(pi0)
@@ -119,14 +121,10 @@ def events_to_word(pi0, ev_i, ev_j):
     word = []
     for i, j in zip(ev_i, ev_j):
         pi = pos_of[i]
-        pj = pos_of[j]
-        if pj == pi + 1:
-            word.append(pi)
-        elif pi == pj + 1:
-            word.append(pj)
-        else:
+        if pos_of[j] != pi + 1:
             word.append(-1)
             return word
-        pos_of[i] = pj
+        word.append(pi)
+        pos_of[i] = pi + 1
         pos_of[j] = pi
     return word

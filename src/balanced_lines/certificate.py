@@ -161,9 +161,6 @@ class Border:
     color: Color
     elements: tuple[int, ...]  # element per time over [0, 2N)
 
-    def element_at(self, t: int) -> int:
-        return self.elements[t % len(self.elements)]
-
     def mirror_elements(self) -> tuple[int, ...]:
         """The mirror element per time over [0, 2N): the element at t + N."""
         half = len(self.elements) // 2
@@ -184,7 +181,8 @@ def check_border(seq: AllowableSequence, border: Border) -> list[str]:
     """Independent border validity check; empty list means valid.
 
     Walks the permutations directly in Python rather than reusing the track
-    kernels, so border acceptance never depends on the fast path.
+    kernels, so border acceptance never depends on the fast path. Only
+    ``verify_certificate`` calls it; generated borders are valid by construction.
     """
     period, n = seq.period, seq.n
     problems: list[str] = []
@@ -235,6 +233,17 @@ def _nearest_left_curve(s: _Certifier, trk: WeightTrack, want: Color):
     (q - w)/2 red points on its left, so the nearest one of color ``want``
     is the ``want`` family's rank curve of that count: a lookup per change
     row of the curve, not a replay.
+
+    Lemma. Let X be the rank-k curve of a set Q of points of color c, off
+    the threshold side at every time, and Y its nearest-other-color-left
+    curve. Only c points lie between Y and X, so Y is on the threshold side
+    and weakly continuous. Counting weights puts at least two other-color
+    points between X and a c curve left of it on the threshold side: a
+    border, or X's mirror (Q's rank-(|Q|+1-k) curve) when 2k > |Q|. So if
+    2k <= |Q| and Y exists, Y is a valid border, with the larger position
+    sum if X is strictly right of a valid border at every time; if 2k > |Q|,
+    Y breaks mirror order at every time; and no middle rank, its own mirror,
+    is off the threshold side at every time.
     """
     period = s.seq.period
     family = s.family(want)
@@ -256,8 +265,8 @@ def _nearest_left_curve(s: _Certifier, trk: WeightTrack, want: Color):
 def initial_border(seq: AllowableSequence, k: int) -> Border:
     """Border seeded from the delta-preserving blue rank-k curve.
 
-    A threshold-respecting blue curve is its own border; otherwise the
-    nearest-red-left curve of the blue curve is one.
+    A threshold-respecting blue curve is its own border; otherwise its
+    nearest-red-left curve is one (the lemma of ``_nearest_left_curve``).
     """
     if k not in _mid_rank_range(seq):
         raise BadParamsError(f"rank {k} outside the mid-rank range")
@@ -271,9 +280,6 @@ def initial_border(seq: AllowableSequence, k: int) -> Border:
         border = Border(Color.RED, _nearest_left_curve(s, trk, Color.RED)[0])
     else:
         raise BadParamsError(f"blue rank {k} is delta-changing; no border seed")
-    problems = check_border(seq, border)
-    if problems:
-        raise ProofGapError(f"seed border invalid: {problems[:3]}")
     return border
 
 
@@ -287,8 +293,7 @@ def partition_fgh(seq: AllowableSequence, border: Border):
     """
     c = border.color
     rank0 = {v: q for q, v in enumerate(seq.pi0)}
-    gq = rank0[border.element_at(0)]
-    mq = rank0[border.mirror_elements()[0]]
+    gq, mq = (rank0[border.elements[t]] for t in (0, seq.half_period))
     if not gq < mq:
         raise ProofGapError("border is not left of its mirror at time 0")
     members = sorted((i for i in range(seq.n) if seq.colors[i] is c), key=rank0.get)
@@ -644,37 +649,33 @@ def _improve_once(s: _Certifier, border: Border, bpos: np.ndarray):
     """One strict improvement of the border, or None at a fixed point.
 
     ``bpos`` holds the border's positions over [0, 2N); an improvement comes
-    back as ``(border, positions)``. Devices, per candidate curve (the G
-    ranks, then every rank of the border's color): splice the border along
-    each cyclic run where the curve lies at or right of it (a run spanning
-    the whole period adopts the curve), or replace the border by the
-    nearest-opposite-color-left curve of a threshold-avoiding curve lying
-    strictly right of it. A candidate must raise the total position, which
-    bounds the number of rounds, and be a valid border: ``_splice`` decides
-    that for a splice, ``check_border`` for a replacement.
+    back as ``(border, positions)``. Devices, per candidate rank-k curve of
+    Q (the G ranks, then every rank of the border's color): splice the
+    border along each cyclic run where the curve is at or right of it and
+    somewhere strictly right, if ``_splice`` finds that valid (a run over
+    the whole period adopts the curve); or, if 2k <= |Q| and the curve is
+    off the threshold side and strictly right of the border throughout,
+    take its nearest-opposite-color-left curve, a valid border by the lemma
+    of ``_nearest_left_curve``. Either raises the total position.
     """
-    seq = s.seq
     c = border.color
-    g_ids = partition_fgh(seq, border)[1]
-    base_sum = int(bpos.sum())
-    # The G replay is made only when G is not empty.
-    for trk in chain(s.tracks(g_ids) if g_ids else (), s.family(c)):
-        curve = _right_of_border(trk, bpos)
-        if curve is None:  # no device applies
-            continue
-        elem, wt, pos = curve
-        rel = pos - bpos
-        for run in _cyclic_runs(rel >= 0):
-            if (rel[run] > 0).any():
-                spliced = _splice(s, border, bpos, run, elem[run], wt[run], pos[run])
-                if spliced is not None and int(spliced[1].sum()) > base_sum:
-                    return spliced
-        if not (c.weight * (wt - seq.delta) >= 0).any() and (rel > 0).all():
-            rho, q = _nearest_left_curve(s, trk, c.opposite)
-            cand, cpos = Border(c.opposite, rho), np.asarray(q)
-            if (int(cpos.sum()) > base_sum and (cpos < _mirror_positions(seq, cpos)).all()
-                    and not check_border(seq, cand)):
-                return cand, cpos
+    g_ids = partition_fgh(s.seq, border)[1]
+    for tracks in (s.tracks(g_ids), s.family(c)):
+        for k, trk in enumerate(tracks, start=1):
+            curve = _right_of_border(trk, bpos)
+            if curve is None:  # no device applies
+                continue
+            elem, wt, pos = curve
+            rel = pos - bpos
+            for run in _cyclic_runs(rel >= 0):
+                if (rel[run] > 0).any():
+                    spliced = _splice(s, border, bpos, run, elem[run], wt[run], pos[run])
+                    if spliced is not None:
+                        return spliced
+            if (2 * k <= len(tracks) and (rel > 0).all()
+                    and not (c.weight * (wt - s.seq.delta) >= 0).any()):
+                rho, q = _nearest_left_curve(s, trk, c.opposite)
+                return Border(c.opposite, rho), np.asarray(q)
     return None
 
 
@@ -684,7 +685,7 @@ def maximize_border(seq: AllowableSequence, start: Border) -> Border:
     The start border's positions come from one ``element_walk``; each round
     hands its positions to the next and keeps them for the F/G/H scan. Each
     round strictly increases the total position of the border, so the loop
-    terminates within n * 2N rounds.
+    terminates within n * 2N rounds; the round limit guards that.
     """
     s = _session(seq)
     border, bpos = start, s.positions(start)

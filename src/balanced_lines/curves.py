@@ -115,13 +115,13 @@ def track_all(seq: AllowableSequence, members) -> list[WeightTrack]:
     """Tracks of every rank of a subset over a full period, in rank order.
 
     One replay of the full word logs every rank's change points; each track
-    checks them on first access.
+    checks them on first access. An empty subset has no ranks and no replay.
     """
     members = frozenset(members)
     member = [False] * seq.n
     for v in members:
         member[v] = True
-    logs = _kernels.track_rank(seq.pi0, seq.full_word(), seq.weights, member)
+    logs = _kernels.track_rank(seq.pi0, seq.full_word(), seq.weights, member) if members else []
     return [
         WeightTrack(seq, CurveSpec(members, k), changes)
         for k, changes in enumerate(logs, start=1)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from balanced_lines.certificate import (
     _splice,
     _swap,
 )
-from balanced_lines.curves import CurveClass, CurveSpec, classify, track, track_all
+from balanced_lines.curves import CurveClass, CurveSpec, classify, classify_track, track, track_all
 from balanced_lines.errors import InsufficientBorderError, ProofGapError
 from balanced_lines.geometry import Color
 from balanced_lines.harness import random_instance
@@ -53,6 +54,11 @@ def random_mixed_sequence(tag, n_max=12):
     n = rng.randrange(4, n_max + 1, 2)
     b = rng.randint((n + 1) // 2, n)
     return random_sequence(n, b, seed=tag)
+
+
+N120_ENTRIES = [  # all Case 2
+    row["entry"] for row in map(json.loads, make_certificates.OUT_N120.read_text().splitlines())
+]
 
 
 class TestClassifyCase:
@@ -141,15 +147,24 @@ class TestBorders:
         assert border.color is Color.RED
         assert check_border(seq, border) == []
 
+    def test_seed_border_is_valid_on_the_case2_corpus(self):
+        # initial_border does not check its seed: the lemma of
+        # _nearest_left_curve makes it valid. The checker confirms it on
+        # every Case-2 golden entry.
+        for entry in TestCarriedPositions.GOLDEN_CASE2 + N120_ENTRIES:
+            seq = make_certificates.build(entry)
+            assert check_border(seq, initial_border(seq, classify_case(seq).preserving_rank)) == []
+
     def test_mirror_order_at_symmetric_times(self, t_red_border):
         seq = build_from_points(t_red_border)
         border = initial_border(seq, 1)
         perm0 = permutation_at(seq, 0)
         half = permutation_at(seq, seq.half_period)
         mirrors = border.mirror_elements()
-        assert perm0.index(border.element_at(0)) < perm0.index(mirrors[0])
-        assert half.index(border.element_at(seq.half_period)) < half.index(mirrors[seq.half_period])
-        assert list(mirrors) == [border.element_at(t + seq.half_period) for t in range(seq.period)]
+        assert perm0.index(border.elements[0]) < perm0.index(mirrors[0])
+        assert half.index(border.elements[seq.half_period]) < half.index(mirrors[seq.half_period])
+        shifted = [(t + seq.half_period) % seq.period for t in range(seq.period)]
+        assert list(mirrors) == [border.elements[t] for t in shifted]
 
     def test_corrupted_border_rejected(self, t_red_border):
         seq = build_from_points(t_red_border)
@@ -456,6 +471,55 @@ class TestFastPaths:
         assert outcomes == {"found", "none"}
 
 
+class TestNearestLeftLemma:
+    """The lemma of ``_nearest_left_curve``, against ``check_border``.
+
+    Every curve off the threshold side at every time, of each color's whole
+    family and of three random subsets of it, on the small corpus's Case-2
+    golden entries and 300 random abstract sequences (n up to 24): its
+    nearest other-color curve on the left is a valid border below the
+    middle rank and breaks mirror order at every time above it. The
+    generator trusts this instead of checking.
+    """
+
+    def test_nearest_left_border_is_valid_exactly_below_the_middle_rank(self):
+        corpora = {
+            "golden": [make_certificates.build(entry) for entry in TestCarriedPositions.GOLDEN_CASE2],
+            "random": [random_mixed_sequence(f"lemma:{s}", n_max=24) for s in range(300)],
+        }
+        outcomes = Counter()
+        for corpus, seqs in corpora.items():
+            for i, seq in enumerate(seqs):
+                rng = random.Random(i)
+                session = _Certifier(seq)
+                for c in Color:
+                    family = [v for v in range(seq.n) if seq.colors[v] is c]
+                    subsets = [family] + [rng.sample(family, rng.randint(1, len(family)))
+                                          for _ in range(3) if family]
+                    for ids in subsets:
+                        for k, trk in enumerate(track_all(seq, ids), start=1):
+                            if classify_track(trk) in (CurveClass.LT_DELTA, CurveClass.GT_DELTA):
+                                outcomes[corpus, self.outcome(seq, session, trk, c, k, len(ids))] += 1
+        assert set(outcomes) == {(corpus, kind) for corpus in corpora
+                                 for kind in ("valid", "mirror order", "none on the left")}
+
+    @staticmethod
+    def outcome(seq, session, trk, c, k, size):
+        """Check the lemma on one off-side rank-k curve of a subset of ``size`` c points."""
+        assert 2 * k != size + 1, "a middle rank is off the threshold side everywhere"
+        try:
+            rho, _ = _nearest_left_curve(session, trk, c.opposite)
+        except ProofGapError:  # never above the middle rank
+            assert 2 * k <= size
+            return "none on the left"
+        problems = check_border(seq, Border(c.opposite, rho))
+        if 2 * k <= size:
+            assert problems == []
+            return "valid"
+        assert problems == [f"MIRROR_ORDER t={t}" for t in range(seq.period)]
+        return "mirror order"
+
+
 def loop_cyclic_runs(flags):
     """Maximal cyclic runs of true flags, one index at a time from the first false one."""
     m = len(flags)
@@ -496,7 +560,7 @@ class TestPartition:
         seq = build_from_points(t_blue_border)
         border = maximize_border(seq, initial_border(seq, 1))
         f, g, h = partition_fgh(seq, border)
-        assert border.element_at(0) in f
+        assert border.elements[0] in f
         assert border.mirror_elements()[0] in h
 
     def test_red_border_partitions_reds(self, t_red_border):
@@ -702,6 +766,24 @@ class TestCertify:
             assert certificate_mod._ACTIVE.get() is None
             assert vars(seq) == before
         assert cases == {Case.CASE1.value, Case.CASE2.value}
+
+    def test_no_replay_of_an_empty_subset(self, monkeypatch):
+        # Four Case-2 golden entries end with an empty G: its tracks are an
+        # empty list, made without a replay of the word.
+        members = []
+        track_rank = certificate_mod._kernels.track_rank
+
+        def recording(pi0, word, weights, member):
+            members.append(sum(member))
+            return track_rank(pi0, word, weights, member)
+
+        monkeypatch.setattr(certificate_mod._kernels, "track_rank", recording)
+        empty_g = 0
+        for entry in TestCarriedPositions.GOLDEN_CASE2 + N120_ENTRIES:
+            members.clear()
+            empty_g += not certify(make_certificates.build(entry)).g_set
+            assert members and 0 not in members, entry
+        assert empty_g == 4
 
     def test_no_offside_curve_right_of_final_border(self, t_red_border, t_blue_border):
         # No threshold-avoiding curve at a mirror-sandwiched rank (k at most

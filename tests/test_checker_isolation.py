@@ -1,0 +1,51 @@
+"""The border checker shares no code with the generator it checks.
+
+``check_border`` is the independent check of a border. The generator makes
+valid borders by construction, so in the package only ``verify_certificate``
+may name it; a generator step that called it would lean on the checker
+instead of the proof.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+import balanced_lines
+
+MODULES = sorted(Path(balanced_lines.__file__).parent.rglob("*.py"))
+
+
+def functions_naming(source: str, name: str) -> list[str]:
+    """Dotted names of the functions (``<module>`` outside any) whose code names ``name``."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        elif (isinstance(node, ast.Name) and node.id == name
+              or isinstance(node, ast.Attribute) and node.attr == name):
+            found.add(scope or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def test_finds_every_function_naming_the_checker():
+    source = (
+        "from m import check_border\n"
+        "def verify_certificate(seq, cert):\n    return check_border(seq, cert.border)\n"
+        "def documented():\n    '''Calls no check_border.'''\n"
+        "class Session:\n    def method(self):\n        return m.check_border\n"
+        "def outer():\n    def inner():\n        return [check_border]\n    return inner\n"
+        "alias = check_border\n"
+    )
+    assert functions_naming(source, "check_border") == [
+        "<module>", "Session.method", "outer.inner", "verify_certificate"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_verifier_calls_check_border(path):
+    expected = ["verify_certificate"] if path.name == "certificate.py" else []
+    assert functions_naming(path.read_text(), "check_border") == expected

@@ -12,13 +12,19 @@ surface as InsufficientBorderError from the scan, which ``certify`` reports as
 a ProofGapError (never expected on valid input), since the border it scans is
 already a fixed point of the improvement devices.
 
+Both scans only append ``CurveEvent``s: the event log is their one record.
+``_certificate`` reads the witnesses, their origins and the charge ledger off
+it, and the Case-2 quotas are counts over it.
+
 One ``certify`` call runs in one ``_Certifier`` session, which holds what its
 steps share: each color's family of rank tracks (replayed at most once per
 call), the ``run_word`` steps over one half-period and the last border's
-positions, so only the start border is walked (``element_walk``). The public
-functions keep their signatures; called on their own, each makes a session of
-its own. Tracks are change rows (see ``curves.WeightTrack``); maximisation
-expands only a candidate that passes its row test into per-time arrays.
+positions. The seed border comes with its positions and each maximisation
+round hands its own on, so ``certify`` walks no border; ``element_walk``
+serves only a border passed in from outside. The public functions keep their
+signatures; called on their own, each makes a session of its own. Tracks are
+change rows (see ``curves.WeightTrack``); maximisation expands only a
+candidate that passes its row test into per-time arrays.
 """
 from __future__ import annotations
 
@@ -29,7 +35,6 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -74,7 +79,8 @@ class _Certifier:
     - ``count_left(color, t, q)``: the points of a color left of a position,
       by bisecting that color's family.
     - ``positions(border)``: a border's positions over [0, 2N), walked unless
-      it is ``kept``: the last border asked for or made by maximisation.
+      it is ``kept``: the last border asked for, seeded or made by
+      maximisation.
     """
 
     def __init__(self, seq: AllowableSequence):
@@ -177,6 +183,11 @@ def _mirror_positions(seq: AllowableSequence, bpos) -> np.ndarray:
     return seq.n - 1 - np.roll(np.asarray(bpos), -seq.half_period)
 
 
+def _per_time(rows: np.ndarray, period: int) -> np.ndarray:
+    """Change rows (a track's ``row_array``) as per-time (element, weight, position) columns."""
+    return np.repeat(rows[:, 1:], np.diff(rows[:, 0], append=period), axis=0).T
+
+
 def check_border(seq: AllowableSequence, border: Border) -> list[str]:
     """Independent border validity check; empty list means valid.
 
@@ -267,6 +278,8 @@ def initial_border(seq: AllowableSequence, k: int) -> Border:
 
     A threshold-respecting blue curve is its own border; otherwise its
     nearest-red-left curve is one (the lemma of ``_nearest_left_curve``).
+    Either way the positions come with the elements, and the session keeps
+    them for maximisation.
     """
     if k not in _mid_rank_range(seq):
         raise BadParamsError(f"rank {k} outside the mid-rank range")
@@ -274,12 +287,14 @@ def initial_border(seq: AllowableSequence, k: int) -> Border:
     trk = s.family(Color.BLUE)[k - 1]
     cls = classify_track(trk)
     if cls is CurveClass.GE_DELTA:
-        spans = row_spans(trk.rows, 0, seq.period)
-        border = Border(Color.BLUE, tuple(e for (_, e, _, _), m in spans for _ in range(m)))
+        elements, _, positions = _per_time(trk.row_array, seq.period)
+        border = Border(Color.BLUE, tuple(elements.tolist()))
     elif cls is CurveClass.LT_DELTA:
-        border = Border(Color.RED, _nearest_left_curve(s, trk, Color.RED)[0])
+        elements, positions = _nearest_left_curve(s, trk, Color.RED)
+        border = Border(Color.RED, elements)
     else:
         raise BadParamsError(f"blue rank {k} is delta-changing; no border seed")
+    s.kept = border, np.asarray(positions)
     return border
 
 
@@ -343,25 +358,36 @@ class Certificate:
     events: tuple[CurveEvent, ...] = ()
 
 
-class _WitnessPool:
-    """Collects witnesses keyed by pair, rejecting duplicates."""
+def _certificate(seq: AllowableSequence, case: Case, target: int, events, **case2) -> Certificate:
+    """The certificate read off a scan's event log, its one record.
 
-    def __init__(self, seq: AllowableSequence):
-        self.seq = seq
-        self.by_pair: dict[tuple[int, int], BalancedWitness] = {}
-        self.origins: list[tuple[tuple[int, int], str]] = []
+    Witnesses are the witness events' pairs in pair order, origins name each
+    one's curve in event order, and a pair found twice is a proof gap. In
+    Case 2 (``case2``: the border and the F/G/H parts) the ledger counts the
+    charge events per F/H curve and lists them as transactions.
+    """
+    origins = tuple((e.pair, e.curve) for e in events if e.outcome == "witness")
+    times = {e.pair: e.t for e in events if e.outcome == "witness"}
+    if len(times) < len(origins):
+        pair = Counter(p for p, _ in origins).most_common(1)[0][0]
+        raise ProofGapError(f"witness pair {pair} found twice")
+    blue_red = {p: p if seq.colors[p[0]] is Color.BLUE else p[::-1] for p in sorted(times)}
+    witnesses = tuple(BalancedWitness(*ids, WitnessSource.SCAN, times[p], seq.delta)
+                      for p, ids in blue_red.items())
+    ledger = None
+    if case2:
+        charges = tuple((e.t, e.curve, e.charged) for e in events if e.outcome == "charge")
+        per_curve = Counter(charged for *_, charged in charges)
+        ch_f, ch_h = (tuple(per_curve[f"{side}{j}"] for j in range(1, len(case2[part]) + 1))
+                      for side, part in (("F", "f_set"), ("H", "h_set")))
+        ledger = ChargeLedger(ch_f, ch_h, charges)
+    return Certificate(case.value, target, witnesses, origins,
+                       ledger=ledger, events=tuple(events), **case2)
 
-    def add(self, a: int, b: int, t: int, origin: str):
-        pair = (min(a, b), max(a, b))
-        if pair in self.by_pair:
-            raise ProofGapError(f"witness pair {pair} found twice (t={t} and earlier)")
-        blue, red = (a, b) if self.seq.colors[a] is Color.BLUE else (b, a)
-        self.by_pair[pair] = BalancedWitness(blue, red, WitnessSource.SCAN, t, self.seq.delta)
-        self.origins.append((pair, origin))
-        return pair
 
-    def sorted_witnesses(self) -> tuple[BalancedWitness, ...]:
-        return tuple(self.by_pair[p] for p in sorted(self.by_pair))
+def _changes(c: Color, delta: int) -> dict[str, tuple[int, int]]:
+    """Weights before and after a c curve's descent (off delta) and ascent (back to it)."""
+    return {"descent": (delta, delta - c.weight), "ascent": (delta - c.weight, delta)}
 
 
 def _swap(step, t: int, member: int):
@@ -378,64 +404,57 @@ def _swap(step, t: int, member: int):
     raise ProofGapError(f"change at t={t} bypassed the tracked element")
 
 
+def _witness(seq: AllowableSequence, curve: str, t: int, kind: str, confined, member: int, swap):
+    """``curve``'s witness event at step t, where ``swap`` is ``_swap``'s view from its member.
+
+    A witness is branch (i) of the weight-change dichotomy: the member moves
+    right at a descent and left at an ascent, past a partner of the other
+    color, at left weight delta. Anything else is a proof gap.
+    """
+    partner, moved_right, w = swap
+    if (moved_right is not (kind == "descent") or w != seq.delta
+            or seq.colors[partner] is seq.colors[member]):
+        raise ProofGapError(f"{curve} {kind} at t={t} is not a balanced transposition")
+    pair = (min(member, partner), max(member, partner))
+    return CurveEvent(curve, t + 1, kind, confined, "witness", pair)
+
+
 def case1_certificate(seq: AllowableSequence) -> Certificate:
     """Two witnesses per mid-rank blue curve plus the odd-b middle witness.
 
     With the full blue set there is no branch (ii), so every threshold change
-    of a mid-rank curve is a balanced transposition; the two per-rank events
-    are distinct pairs because a coincidence would force b = 2k-1.
+    of a blue curve is a balanced transposition; the two per-rank events are
+    distinct pairs because a coincidence would force b = 2k-1, and
+    ``_certificate`` rejects a pair found twice.
     """
-    delta, b = seq.delta, seq.b
+    b = seq.b
     s = _session(seq)
     tracks = s.family(Color.BLUE)
-    changes = {"descent": (delta, delta - 1), "ascent": (delta - 1, delta)}
-    pool = _WitnessPool(seq)
+    changes = _changes(Color.BLUE, seq.delta)
     events = []
 
-    def witness(k: int, t: int, kind: str, mid: bool):
-        """Record B_k's event at t as a witness; mid ranks must move toward the partner."""
+    def witness(k: int, t: int, kind: str):
         member = tracks[k - 1].element_at(t)
-        partner, moved_right, w = _swap(s.step(t), t, member)
-        if mid and moved_right is not (kind == "descent"):
-            raise ProofGapError(f"B_{k} {kind} at t={t} has the member on the wrong side")
-        if seq.colors[partner] is Color.BLUE or w != delta:
-            if mid:
-                raise ProofGapError(f"B_{k} {kind} at t={t} is not a balanced transposition")
-            raise ProofGapError(f"middle event at t={t} is not balanced")
-        pair = pool.add(member, partner, t + 1, f"B{k}")
-        events.append(CurveEvent(f"B{k}", t + 1, kind, None, "witness", pair))
-        return pair
+        events.append(_witness(seq, f"B{k}", t, kind, None, member, _swap(s.step(t), t, member)))
 
     for k in _mid_rank_range(seq):
-        picked = []
-        for kind, (from_w, to_w) in changes.items():
-            ts = find_weight_changes(tracks[k - 1], from_w, to_w)
+        for kind, change in changes.items():
+            ts = find_weight_changes(tracks[k - 1], *change)
             if not ts:
                 raise ProofGapError(f"B_{k} has no {kind} despite being delta-changing")
-            picked.append(witness(k, ts[0], kind, mid=True))
-        if picked[0] == picked[1]:
-            raise ProofGapError(f"B_{k} events collapsed to one pair; forces b = 2k-1")
+            witness(k, ts[0], kind)
     if b % 2 == 1:
         k0 = (b + 1) // 2
-        firsts = [
-            (t, kind)
-            for kind, (from_w, to_w) in changes.items()
-            for t in find_weight_changes(tracks[k0 - 1], from_w, to_w)[:1]
-        ]
+        firsts = [(t, kind) for kind, change in changes.items()
+                  for t in find_weight_changes(tracks[k0 - 1], *change)[:1]]
         if not firsts:
             raise ProofGapError(f"middle curve B_{k0} never crosses the threshold")
-        witness(k0, *min(firsts), mid=False)
+        witness(k0, *min(firsts))
 
-    witnesses = pool.sorted_witnesses()
-    if len(witnesses) < seq.r:
-        raise ProofGapError(f"case-1 counting got {len(witnesses)} < r = {seq.r}")
-    return Certificate(
-        case=Case.CASE1.value,
-        target=seq.r,
-        witnesses=witnesses,
-        witness_origins=tuple(pool.origins),
-        events=tuple(events),
-    )
+    cert = _certificate(seq, Case.CASE1, seq.r, events)
+    if len(cert.witnesses) < seq.r:
+        raise ProofGapError(f"case-1 counting got {len(cert.witnesses)} < r = {seq.r}")
+    return cert
 
 
 def case2_certificate(seq: AllowableSequence, border: Border) -> Certificate:
@@ -445,23 +464,22 @@ def case2_certificate(seq: AllowableSequence, border: Border) -> Certificate:
     at ascents, and a deflected G descent (ascent) charges the F (H) curve it
     passed, which shows the reverse change. ``outer`` maps each kind to its
     side. A G change is confined when the curve lies between the border and
-    its mirror, whose positions come from the session's ``positions``. Raises
-    InsufficientBorderError when a border-dependent obligation fails;
-    structural violations raise ProofGapError.
+    its mirror, whose positions come from the session's ``positions``. The
+    G quotas and each outer curve's charges are counts over the events so
+    far. Raises InsufficientBorderError when a border-dependent obligation
+    fails; structural violations raise ProofGapError.
     """
-    c = border.color
-    delta, half = seq.delta, seq.half_period
+    c, half = border.color, seq.half_period
     parts = partition_fgh(seq, border)
     f_ids, g_ids, h_ids = parts
     target = sum(len(p) for p in parts)
 
     s = _session(seq)
     g_tracks = s.tracks(g_ids)  # maximisation's last round asked for the same G
-    f_tracks, h_tracks = track_all(seq, f_ids), track_all(seq, h_ids)
-    changes = {"descent": (delta, delta - c.weight), "ascent": (delta - c.weight, delta)}
-    outer = {  # kind -> (side, ids, tracks, charges)
-        "descent": ("F", frozenset(f_ids), f_tracks, [0] * len(f_ids)),
-        "ascent": ("H", frozenset(h_ids), h_tracks, [0] * len(h_ids)),
+    changes = _changes(c, seq.delta)
+    outer = {  # kind -> (side, ids, tracks)
+        "descent": ("F", frozenset(f_ids), track_all(seq, f_ids)),
+        "ascent": ("H", frozenset(h_ids), track_all(seq, h_ids)),
     }
 
     def window_changes(trk, kind):
@@ -477,17 +495,7 @@ def case2_certificate(seq: AllowableSequence, border: Border) -> Certificate:
             raise ProofGapError(f"change at t={t} does not involve exactly one member")
         return _swap(step, t, member)
 
-    def rank_in(tracks, element, t):
-        for idx, trk in enumerate(tracks):
-            if trk.element_at(t) == element:
-                return idx + 1
-        raise ProofGapError(f"element {element} has no rank at t={t}")
-
-    pool = _WitnessPool(seq)
     events: list[CurveEvent] = []
-    transactions: list[tuple[int, str, str]] = []
-    g_confined = [0] * (len(g_ids) + 1)
-
     g_set = frozenset(g_ids)
     for rank, trk in enumerate(g_tracks, start=1):
         name = f"G{rank}"
@@ -496,82 +504,54 @@ def case2_certificate(seq: AllowableSequence, border: Border) -> Certificate:
                 confined = (bpos[t] <= trk.position_at(t) <= mpos[t]
                             and bpos[t + 1] < trk.position_at(t + 1) < mpos[t + 1])
                 member = trk.element_at(t)
-                partner, moved_right, w = swap_parts(t, g_set, member)
+                swap = swap_parts(t, g_set, member)
+                partner, moved_right, _ = swap
                 pair = (min(member, partner), max(member, partner))
                 if not confined:
                     events.append(CurveEvent(name, t + 1, kind, False, "unconfined", pair))
-                    continue
-                g_confined[rank] += 1
-                if moved_right is (kind == "descent"):
-                    if seq.colors[partner] is c or w != delta:
-                        raise ProofGapError(f"G event at t={t} misclassified as balanced")
-                    pool.add(member, partner, t + 1, name)
-                    events.append(CurveEvent(name, t + 1, kind, True, "witness", pair))
-                    continue
-                side, ids, tracks, charges = outer[kind]
-                if partner not in ids:
-                    raise ProofGapError(f"deflected G {kind} at t={t} missed {side}")
-                j = rank_in(tracks, partner, t)
-                trk_j = tracks[j - 1]  # must show the reverse change
-                if (trk_j.weight_at(t), trk_j.weight_at(t + 1)) != changes[kind][::-1]:
-                    raise ProofGapError(f"charge target {side}{j} shows no matching change at t={t}")
-                charges[j - 1] += 1
-                transactions.append((t + 1, name, f"{side}{j}"))
-                events.append(CurveEvent(name, t + 1, kind, True, "charge", pair, f"{side}{j}"))
+                elif moved_right is (kind == "descent"):
+                    events.append(_witness(seq, name, t, kind, True, member, swap))
+                else:
+                    side, ids, tracks = outer[kind]
+                    if partner not in ids:
+                        raise ProofGapError(f"deflected G {kind} at t={t} missed {side}")
+                    j = 1 + [trk.element_at(t) for trk in tracks].index(partner)
+                    trk_j = tracks[j - 1]  # must show the reverse change
+                    if (trk_j.weight_at(t), trk_j.weight_at(t + 1)) != changes[kind][::-1]:
+                        raise ProofGapError(f"charge target {side}{j} shows no matching change at t={t}")
+                    events.append(CurveEvent(name, t + 1, kind, True, "charge", pair, f"{side}{j}"))
 
-    # Confined-change quotas on the G ranks (mirror-rank pairs share one quota).
-    for k in range(1, len(g_ids) // 2 + 1):
-        m = len(g_ids) + 1 - k
-        if g_confined[k] + g_confined[m] < 2:
+    # Confined changes per G rank and charges per F/H curve; the names never collide.
+    tally = Counter(name for e in events if e.confined for name in (e.curve, e.charged) if name)
+    g_n = len(g_ids)
+    for k in range(1, (g_n + 1) // 2 + 1):  # mirror ranks share one quota, one change each
+        ranks = {f"G{k}", f"G{g_n + 1 - k}"}
+        got = sum(tally[name] for name in ranks)
+        if got < len(ranks):
             raise InsufficientBorderError(
-                f"G rank pair ({k}, {m}) has {g_confined[k] + g_confined[m]} confined changes",
-                hint=("G", k),
-            )
-    if len(g_ids) % 2 == 1:
-        mid = (len(g_ids) + 1) // 2
-        if g_confined[mid] < 1:
-            raise InsufficientBorderError(
-                f"middle G rank {mid} has no confined change", hint=("G", mid)
+                f"G rank pair ({k}, {g_n + 1 - k}) has {got} confined changes", hint=("G", k)
             )
 
-    for kind, (side, ids, tracks, charges) in outer.items():
-        direction = "rightward" if kind == "descent" else "leftward"
+    for kind, (side, ids, tracks) in outer.items():
         for j, trk in enumerate(tracks, start=1):
+            name = f"{side}{j}"
             ts = window_changes(trk, kind)
-            if len(ts) < charges[j - 1] + 1:
+            if len(ts) < tally[name] + 1:
                 raise InsufficientBorderError(
-                    f"{side}{j} has {len(ts)} {kind}s for charge {charges[j - 1]}",
-                    hint=(side, j),
+                    f"{name} has {len(ts)} {kind}s for charge {tally[name]}", hint=(side, j)
                 )
             for t in ts:
                 member = trk.element_at(t)
-                partner, moved_right, w = swap_parts(t, ids, member)
-                if moved_right is not (kind == "descent") or seq.colors[partner] is c or w != delta:
-                    raise ProofGapError(
-                        f"in-window {side}{j} {kind} at t={t} is not a {direction} swap "
-                        f"with an opposite-color partner"
-                    )
-                pair = pool.add(member, partner, t + 1, f"{side}{j}")
-                events.append(CurveEvent(f"{side}{j}", t + 1, kind, None, "witness", pair))
+                swap = swap_parts(t, ids, member)
+                events.append(_witness(seq, name, t, kind, None, member, swap))
 
-    witnesses = pool.sorted_witnesses()
-    if len(witnesses) < target:
+    cert = _certificate(seq, Case.CASE2, target, events,
+                        border=border, f_set=f_ids, g_set=g_ids, h_set=h_ids)
+    if len(cert.witnesses) < target:
         raise InsufficientBorderError(
-            f"scan found {len(witnesses)} witnesses for target {target}", hint=None
+            f"scan found {len(cert.witnesses)} witnesses for target {target}", hint=None
         )
-    ch_f, ch_h = (tuple(outer[kind][3]) for kind in ("descent", "ascent"))
-    return Certificate(
-        case=Case.CASE2.value,
-        target=target,
-        witnesses=witnesses,
-        witness_origins=tuple(pool.origins),
-        border=border,
-        f_set=f_ids,
-        g_set=g_ids,
-        h_set=h_ids,
-        ledger=ChargeLedger(ch_f, ch_h, tuple(transactions)),
-        events=tuple(events),
-    )
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -637,12 +617,10 @@ def _right_of_border(trk: WeightTrack, bpos: np.ndarray):
     start times strictly increase (a swap logs at most one row per rank), so
     ``np.minimum.reduceat`` over them gives those least positions.
     """
-    period = len(bpos)
-    rows = np.fromiter(chain.from_iterable(trk.rows), np.int64, 4 * len(trk.rows)).reshape(-1, 4)
-    rows = rows[rows[:, 0] < period]
+    rows = trk.row_array
     if not (rows[:, 3] > np.minimum.reduceat(bpos, rows[:, 0])).any():
         return None
-    return np.repeat(rows[:, 1:], np.diff(rows[:, 0], append=period), axis=0).T
+    return _per_time(rows, len(bpos))
 
 
 def _improve_once(s: _Certifier, border: Border, bpos: np.ndarray):
@@ -682,8 +660,9 @@ def _improve_once(s: _Certifier, border: Border, bpos: np.ndarray):
 def maximize_border(seq: AllowableSequence, start: Border) -> Border:
     """Iterate the improvement devices to a fixed point.
 
-    The start border's positions come from one ``element_walk``; each round
-    hands its positions to the next and keeps them for the F/G/H scan. Each
+    The start border's positions come from the session (the seed's own, or
+    one ``element_walk`` for a border from outside); each round hands its
+    positions to the next and keeps them for the F/G/H scan. Each
     round strictly increases the total position of the border, so the loop
     terminates within n * 2N rounds; the round limit guards that.
     """
@@ -852,31 +831,12 @@ def certificate_to_json(cert: Certificate) -> str:
         "border": (
             None
             if cert.border is None
-            else {"color": cert.border.color.value, "elements": list(cert.border.elements)}
+            else {"color": cert.border.color.value, "elements": cert.border.elements}
         ),
-        "f": list(cert.f_set) if cert.f_set is not None else None,
-        "g": list(cert.g_set) if cert.g_set is not None else None,
-        "h": list(cert.h_set) if cert.h_set is not None else None,
-        "ledger": (
-            None
-            if cert.ledger is None
-            else {
-                "ch_f": list(cert.ledger.ch_f),
-                "ch_h": list(cert.ledger.ch_h),
-                "transactions": [list(tr) for tr in cert.ledger.transactions],
-            }
-        ),
-        "events": [
-            {
-                "curve": e.curve,
-                "t": e.t,
-                "kind": e.kind,
-                "confined": e.confined,
-                "outcome": e.outcome,
-                "pair": list(e.pair),
-                "charged": e.charged,
-            }
-            for e in cert.events
-        ],
+        "f": cert.f_set,
+        "g": cert.g_set,
+        "h": cert.h_set,
+        "ledger": None if cert.ledger is None else vars(cert.ledger),
+        "events": [vars(e) for e in cert.events],
     }
     return json.dumps(payload, separators=(",", ":"))

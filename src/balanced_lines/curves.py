@@ -11,8 +11,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import pairwise
+from itertools import chain, pairwise
 from operator import itemgetter
+
+import numpy as np
 
 from . import _kernels
 from .errors import BadParamsError, MixedColorsError, ProofGapError
@@ -39,7 +41,7 @@ class WeightTrack:
     weight, position)`` from time 0 on, each holding until the next. The first
     read of ``rows`` checks strong continuity (per-step weight change in
     {-1, 0, +1}, adjacent-or-equal positions) and periodicity. Lookups bisect
-    the rows; the rows are the track's only form.
+    the rows; ``row_array`` holds the same rows for whole-array reads.
     """
 
     def __init__(self, seq: AllowableSequence, spec: CurveSpec, changes):
@@ -60,6 +62,13 @@ class WeightTrack:
         if rows[0][1] != rows[-1][1]:
             raise ProofGapError("track is not periodic; sequence is malformed")
         return rows
+
+    @cached_property
+    def row_array(self) -> np.ndarray:
+        """The rows that start before 2N as one int64 array, one row per line."""
+        rows = np.fromiter(chain.from_iterable(self.rows), np.int64, 4 * len(self.rows))
+        rows = rows.reshape(-1, 4)
+        return rows[rows[:, 0] < self.period]
 
     def row_at(self, t: int) -> tuple[int, int, int, int]:
         """The change row in force at time t (taken mod 2N)."""

@@ -1,10 +1,13 @@
 import dataclasses
 import json
 import random
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import balanced_lines.certificate as certificate_mod
 from balanced_lines.balance import scan_balanced_transpositions
@@ -23,6 +26,7 @@ from balanced_lines.certificate import (
     verify_certificate,
     _Certifier,
     _border_positions,
+    _certificate,
     _cyclic_runs,
     _mirror_positions,
     _nearest_left_curve,
@@ -237,6 +241,25 @@ class TestCarriedPositions:
         row["entry"] for row in map(json.loads, make_certificates.OUT.read_text().splitlines())
         if row["certificate"]["case"] == "Case2"
     ]
+
+    def test_seed_border_comes_with_its_replayed_positions(self, t_blue_border):
+        # initial_border hands its positions to the session, so certify walks
+        # no border: from the blue track's rows or from the nearest-red-left
+        # lookup, they must be the seed's positions. Every golden seed is red.
+        colors = set()
+        seqs = [make_certificates.build(entry) for entry in self.GOLDEN_CASE2]
+        for seq in seqs + [build_from_points(t_blue_border)]:
+            session = _Certifier(seq)
+            token = certificate_mod._ACTIVE.set(session)
+            try:
+                border = initial_border(seq, classify_case(seq).preserving_rank)
+            finally:
+                certificate_mod._ACTIVE.reset(token)
+            assert session.kept[0] is border
+            perms = all_permutations(seq)
+            assert list(session.kept[1]) == replayed_positions(perms, border.elements)
+            colors.add(border.color)
+        assert colors == set(Color)
 
     def test_improve_once_positions_match_replay(self, monkeypatch, t_red_border, t_blue_border):
         returned = []
@@ -641,6 +664,63 @@ class TestCase2:
         assert exc.value.hint == (side, 1)
 
 
+class TestEventLog:
+    """The scans only log events; ``_certificate`` reads the certificate off them."""
+
+    def test_ledger_counts_the_charge_events(self):
+        charged = 0
+        for entry in TestCarriedPositions.GOLDEN_CASE2 + N120_ENTRIES:
+            cert = certify(make_certificates.build(entry))
+            charges = [e for e in cert.events if e.outcome == "charge"]
+            assert cert.ledger.transactions == tuple((e.t, e.curve, e.charged) for e in charges)
+            for side, chs in (("F", cert.ledger.ch_f), ("H", cert.ledger.ch_h)):
+                for j, v in enumerate(chs, start=1):
+                    assert v == sum(e.charged == f"{side}{j}" for e in charges), (entry, side, j)
+            charged += bool(charges)
+        assert charged >= 5
+
+    @pytest.mark.parametrize("fixture", ["t1", "t_red_border"])
+    def test_a_pair_found_twice_is_a_proof_gap(self, request, fixture):
+        seq = build_from_points(request.getfixturevalue(fixture))
+        cert = certify(seq)
+        case2 = {} if cert.case == Case.CASE1.value else dict(
+            border=cert.border, f_set=cert.f_set, g_set=cert.g_set, h_set=cert.h_set)
+        rebuilt = _certificate(seq, Case(cert.case), cert.target, cert.events, **case2)
+        assert rebuilt == cert
+        first = next(e for e in cert.events if e.outcome == "witness")
+        again = dataclasses.replace(first, curve="X1", t=first.t + seq.period)
+        with pytest.raises(ProofGapError, match=re.escape(f"witness pair {first.pair} found twice")):
+            _certificate(seq, Case(cert.case), cert.target, [*cert.events, again], **case2)
+
+
+class TestCase2Properties:
+    """Fresh Case-2 inputs at b:r = 3:1 and n from 24 to 40.
+
+    The golden corpus pins Case 2 at fixed seeds only (n <= 80); these draw
+    new sequences and point sets and check every Case-2 certificate.
+    """
+
+    @staticmethod
+    def check(seq):
+        assume(classify_case(seq).case is Case.CASE2)
+        cert = certify(seq)
+        result = verify_certificate(seq, cert)
+        assert result.ok, result.diagnostics
+        pairs = {w.pair for w in cert.witnesses}
+        assert pairs <= {w.pair for w in scan_balanced_transpositions(seq)}
+        assert len(pairs) >= seq.r
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(6, 10), st.integers(0, 10**6))
+    def test_abstract_sequences(self, r, seed):
+        self.check(random_sequence(4 * r, 3 * r, seed=seed))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(6, 10), st.integers(0, 10**6))
+    def test_point_sets(self, r, seed):
+        self.check(build_from_points(random_instance(3 * r, r, 10**6, seed=seed)))
+
+
 def test_swap_reads_one_step_from_the_member():
     step = (4, 7, 2)  # left element, right element, prefix weight of one step
     assert _swap(step, 0, 4) == (7, True, 2)
@@ -725,9 +805,9 @@ class TestCertify:
 
     def test_one_replay_per_color_family_and_nothing_left_behind(self, monkeypatch):
         # Within one certify call the steps share one session: each color's
-        # family is replayed at most once, and so is run_word. Case 2 walks
-        # the start border only (maximisation hands the final border's
-        # positions to the F/G/H scan), Case 1 no border. The session
+        # family is replayed at most once, and so is run_word. No border is
+        # walked: the seed border comes with its positions, and maximisation
+        # hands the final border's to the F/G/H scan. The session
         # is gone when the call returns and nothing is cached on the sequence.
         replays = []
         kernels = certificate_mod._kernels
@@ -762,7 +842,7 @@ class TestCertify:
             if cert.case == Case.CASE1.value:
                 assert replays == [families[0], "run_word"]  # the blue family, then the steps
             else:
-                assert replays.count("element_walk") == 1
+                assert replays.count("element_walk") == 0
             assert certificate_mod._ACTIVE.get() is None
             assert vars(seq) == before
         assert cases == {Case.CASE1.value, Case.CASE2.value}

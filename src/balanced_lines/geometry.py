@@ -167,11 +167,15 @@ class GeneralPositionReport:
 
 
 def validate_general_position(inst: Instance) -> GeneralPositionReport:
-    """Report collinear triples and parallel spanned lines.
+    """Report collinear triples, parallel spanned lines and coincident pairs.
 
-    Runs in O(n^2) via direction hashing; an empty report certifies both the
-    general-position assumption and the no-parallel-spanned-lines assumption.
+    An empty report (general position, no parallel spanned lines) is read off
+    the exact sweep order, shared with ``build_from_points``; only a
+    degenerate input pays for the gcd pass that lists its defects.
     """
+    from .sequence import _sweep_order  # sequence imports this module
+    if _sweep_order(inst) is not None:
+        return GeneralPositionReport((), ())
     return _general_position_report(inst.n, _pair_directions(inst.scaled_coords()))
 
 

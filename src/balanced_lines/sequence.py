@@ -4,8 +4,8 @@ An allowable sequence is stored as one half-period: the starting permutation
 plus the word of adjacent-swap positions tau_1..tau_N, N = C(n, 2). All other
 times follow from the half-period reversal and 2N periodicity; the mirrored
 full-period word is built only when first asked for. ``build_from_points``
-makes the sequence of a point set in one exact pass over the pairs, and its
-strict event order is also its general-position check.
+makes one exact pass over the pairs, memoised on the instance; its strict
+event order is also the general-position check of ``validate_general_position``.
 """
 from __future__ import annotations
 
@@ -202,20 +202,17 @@ def _strictly_ordered(fa, fb) -> bool:
     return bool((fa[:-1] * fb[1:] > fb[:-1] * fa[1:]).all())
 
 
-def build_from_points(inst: Instance) -> AllowableSequence:
-    """Rotating-sweep construction of the allowable sequence of a clean instance.
+def _sweep_order(inst: Instance):
+    """pi0 and the events' (left, right) id rows in strict order, None if degenerate; memoised."""
+    if not hasattr(inst, "_sweep"):
+        inst._sweep = _exact_sweep(inst.n, inst.scaled_coords())
+    return inst._sweep
 
-    pi0 orders the points by projection u = x + k0*y onto u0 = (1, k0); the
-    word lists each pair at the sweep angle where its spanned line becomes
-    perpendicular to the sweep. One pass over the pairs, as numpy arrays of
-    Python ints, keeps every value exact. The input is in general position
-    exactly when the event directions are distinct, that is when the exact
-    event order is strict; only a degenerate input pays for the gcd pass.
-    """
-    coords = inst.scaled_coords()
-    n = len(coords)
+
+def _exact_sweep(n: int, coords):
+    """One exact pass over the pairs; see ``build_from_points``."""
     if len(set(coords)) < n:
-        raise _degenerate(n, coords)
+        return None
     k0 = _sweep_slope(coords)
     u = [x + k0 * y for x, y in coords]
     pi0 = sorted(range(n), key=u.__getitem__)
@@ -228,23 +225,37 @@ def build_from_points(inst: Instance) -> AllowableSequence:
     pp, qq = np.nonzero(r[:, None] < r)
     uo = np.array([u[i] for i in pi0], dtype=object)
     vo = np.array([k0 * coords[i][0] - coords[i][1] for i in pi0], dtype=object)
+    try:
+        uf, vf = uo.astype(float), vo.astype(float)
+        order = np.arctan2(uf[qq] - uf[pp], vf[qq] - vf[pp]).argsort(kind="stable")
+    except OverflowError:  # past float range the exact sort below decides alone
+        order = np.arange(len(pp))
+    pp, qq = pp[order], qq[order]
     fb = uo[qq] - uo[pp]
     fa = vo[qq] - vo[pp]
-    try:
-        order = np.arctan2(fb.astype(float), fa.astype(float)).argsort(kind="stable")
-    except OverflowError:  # past float range the exact sort below decides alone
-        order = np.arange(len(fb))
-    fa = fa[order]
-    fb = fb[order]
     if not _strictly_ordered(fa, fb):
         # Float keys collided, mis-ordered or overflowed: sort exactly.
-        exact = sorted(range(len(order)), key=lambda e: Fraction(-fa[e], fb[e]))
+        exact = sorted(range(len(pp)), key=lambda e: Fraction(-fa[e], fb[e]))
         if not _strictly_ordered(fa[exact], fb[exact]):
-            raise _degenerate(n, coords)
-        order = order[exact]
+            return None
+        pp, qq = pp[exact], qq[exact]
+    return pi0, np.array(pi0, dtype=np.int32)[np.stack((pp, qq))]
 
-    ids = np.array(pi0)
-    word = _kernels.events_to_word(pi0, ids[pp[order]].tolist(), ids[qq[order]].tolist())
+
+def build_from_points(inst: Instance) -> AllowableSequence:
+    """Rotating-sweep construction of the allowable sequence of a clean instance.
+
+    pi0 orders the points by projection u = x + k0*y onto u0 = (1, k0); the
+    word lists each pair at the sweep angle where its spanned line becomes
+    perpendicular to the sweep. One pass over the pairs, as numpy arrays of
+    Python ints, keeps every value exact. The input is in general position
+    exactly when the event directions are distinct, that is when the exact
+    event order is strict; only a degenerate input pays for the gcd pass.
+    """
+    if (order := _sweep_order(inst)) is None:
+        raise _degenerate(inst.n, inst.scaled_coords())
+    pi0, events = order
+    word = _kernels.events_to_word(pi0, *events.tolist())
     if word and word[-1] < 0:
         raise DegenerateInputError("sweep produced a non-adjacent swap; input is degenerate")
     return AllowableSequence(colors=inst.colors(), pi0=pi0, word=word)

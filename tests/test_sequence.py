@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import balanced_lines.geometry as geometry_mod
 import balanced_lines.sequence as sequence_mod
 from balanced_lines.errors import BadParamsError, DegenerateInputError
 from balanced_lines.geometry import Color, validate_general_position
@@ -126,7 +127,7 @@ class TestSweepAgainstOracle:
     def test_degenerate_kinds_report_their_counts(self, rows):
         inst = make_instance(rows)
         report = validate_general_position(inst)
-        assert not report.clean
+        assert not report.clean and report == oracle_general_position(inst)
         with pytest.raises(DegenerateInputError) as exc:
             build_from_points(inst)
         assert str(exc.value) == degenerate_message(inst)
@@ -160,6 +161,41 @@ class TestSweepAgainstOracle:
         with pytest.raises(DegenerateInputError):
             build_from_points(make_instance([(0, 0, "B"), (1, 1, "R"), (2, 2, "B"), (5, 0, "R")]))
         assert directions == [1]
+
+    def test_validated_build_makes_one_exact_pass(self, monkeypatch):
+        insts = [random_instance(6, 6, 10**6, seed=seed) for seed in range(4)]
+        insts += [random_instance(12, 4, 2, seed=seed) for seed in range(4)]
+        passes, directions = [], []
+        real_sweep = sequence_mod._exact_sweep
+        monkeypatch.setattr(sequence_mod, "_exact_sweep", lambda *a: passes.append(1) or real_sweep(*a))
+        for mod in (geometry_mod, sequence_mod):
+            real = mod._pair_directions
+            monkeypatch.setattr(mod, "_pair_directions", lambda c, real=real: directions.append(1) or real(c))
+        for inst in insts:
+            assert validate_general_position(inst).clean
+            seq = build_from_points(inst)
+            assert (seq.pi0, seq.word) == oracle_sweep(inst)
+        assert len(passes) == len(insts) and directions == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda bound: st.integers(1, 4).flatmap(
+        lambda half: st.lists(
+            st.tuples(st.integers(1, 3), st.integers(-bound, bound), st.integers(-bound, bound)),
+            min_size=2 * half, max_size=2 * half))))
+    def test_verdicts_agree_at_small_bounds(self, rows):
+        def fresh():
+            return make_instance([(Fraction(x, d), Fraction(y, d), "BR"[i % 2])
+                                  for i, (d, x, y) in enumerate(rows)])
+
+        validated = fresh()
+        clean = validate_general_position(validated).clean
+        gcd_clean = geometry_mod._clean_directions(geometry_mod._pair_directions(validated.scaled_coords()))
+        assert clean == gcd_clean == oracle_general_position(validated).clean
+        if clean:
+            expected = oracle_sweep(validated)
+            for inst in (validated, fresh()):
+                seq = build_from_points(inst)
+                assert (seq.pi0, seq.word) == expected
 
     def test_golden_corpus_needs_small_slopes(self):
         # The coord_bound entries of the golden sweep corpus start off u0 = (1, 0).

@@ -3,6 +3,10 @@
 All coordinates are exact rationals and every predicate is computed without
 rounding: a single wrong orientation sign would silently corrupt the
 combinatorial structure built on top of this module.
+
+General position is decided here only: ``Instance.sweep_order``, one exact
+pass over the C(n, 2) pairs memoised on the instance, is strict exactly in
+general position; the gcd pass only lists a degenerate input's defects.
 """
 from __future__ import annotations
 
@@ -12,8 +16,11 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import CollinearWitnessError, FailsToSeparateError, ParityError
 
@@ -111,6 +118,11 @@ class Instance:
         """
         return self._scaled
 
+    @cached_property
+    def sweep_order(self):
+        """pi0 and the events' (left, right) id rows in strict order, None if degenerate."""
+        return _exact_sweep(self.n, self._scaled)
+
 
 def _scale_to_integers(pts: Sequence[ChromaticPoint]) -> list[tuple[int, int]]:
     denoms = set()
@@ -170,19 +182,12 @@ def validate_general_position(inst: Instance) -> GeneralPositionReport:
     """Report collinear triples, parallel spanned lines and coincident pairs.
 
     An empty report (general position, no parallel spanned lines) is read off
-    the exact sweep order, shared with ``build_from_points``; only a
-    degenerate input pays for the gcd pass that lists its defects.
+    the strict sweep order; only a degenerate input pays for the gcd pass that
+    lists its defects.
     """
-    from .sequence import _sweep_order  # sequence imports this module
-    if _sweep_order(inst) is not None:
+    if inst.sweep_order is not None:
         return GeneralPositionReport((), ())
     return _general_position_report(inst.n, _pair_directions(inst.scaled_coords()))
-
-
-def _clean_directions(dirs) -> bool:
-    """True iff no pair is coincident and no direction repeats: an empty report."""
-    distinct = set(dirs)
-    return len(distinct) == len(dirs) and None not in distinct
 
 
 def _general_position_report(n: int, dirs) -> GeneralPositionReport:
@@ -192,8 +197,6 @@ def _general_position_report(n: int, dirs) -> GeneralPositionReport:
     parallel when they share none; a coincident pair is collinear with every
     third point.
     """
-    if _clean_directions(dirs):
-        return GeneralPositionReport((), ())
     coincident = []
     triples = set()
     parallels = []
@@ -219,6 +222,71 @@ def _general_position_report(n: int, dirs) -> GeneralPositionReport:
     )
 
 
+def _sweep_slope(coords) -> int:
+    """Smallest integer k >= 0 for which the projections x + k*y are all distinct.
+
+    u0 = (1, k) is perpendicular to line(i, j) exactly when i and j project
+    equally, so this is the first k whose u0 is perpendicular to no spanned
+    line. The points must be distinct; each pair then forbids at most one k.
+    """
+    n = len(coords)
+    k = 0
+    while len({x + k * y for x, y in coords}) < n:
+        k += 1
+    return k
+
+
+def _strictly_ordered(fa, fb) -> bool | None:
+    """Every event direction strictly precedes the next: True; two neighbours
+    share one (a zero cross product, so the input is degenerate): None; else False."""
+    ahead, behind = fa[:-1] * fb[1:], fb[:-1] * fa[1:]
+    if (ahead > behind).all():
+        return True
+    return None if (ahead == behind).any() else False
+
+
+def _exact_sweep(n: int, coords):
+    """One exact pass over the pairs, as numpy arrays of Python ints.
+
+    pi0 orders the points by projection u = x + k0*y onto u0 = (1, k0); a
+    pair's event is the angle where its spanned line is perpendicular to the
+    sweep. The order is strict exactly when the event directions are distinct.
+    """
+    if len(set(coords)) < n:
+        return None
+    k0 = _sweep_slope(coords)
+    u = [x + k0 * y for x, y in coords]
+    pi0 = sorted(range(n), key=u.__getitem__)
+
+    # In the frame rotating u0 to the x-axis, the pair at pi0 positions p < q
+    # has the normal (fa, fb) = (v_q - v_p, u_q - u_p), v = k0*x - y, with
+    # fb > 0 since pi0 sorts u: event order is the order of its angles in
+    # (0, pi). Float angles only presort; exact signs decide the order.
+    r = np.arange(n)
+    pp, qq = np.nonzero(r[:, None] < r)
+    uo = np.array([u[i] for i in pi0], dtype=object)
+    vo = np.array([k0 * coords[i][0] - coords[i][1] for i in pi0], dtype=object)
+    try:
+        uf, vf = uo.astype(float), vo.astype(float)
+        order = np.arctan2(uf[qq] - uf[pp], vf[qq] - vf[pp]).argsort(kind="stable")
+    except OverflowError:  # past float range the exact sort below decides alone
+        order = np.arange(len(pp))
+    pp, qq = pp[order], qq[order]
+    fb = uo[qq] - uo[pp]
+    fa = vo[qq] - vo[pp]
+    if not (ordered := _strictly_ordered(fa, fb)):
+        if ordered is None:  # neighbours share a direction
+            return None
+        # Float keys collided, mis-ordered or overflowed: sort exactly.
+        exact = sorted(range(len(pp)), key=lambda e: Fraction(-fa[e], fb[e]))
+        if not _strictly_ordered(fa[exact], fb[exact]):
+            return None
+        pp, qq = pp[exact], qq[exact]
+    events = np.array(pi0, dtype=np.int32)[np.stack((pp, qq))]
+    events.flags.writeable = False  # shared by every reader of the memo
+    return tuple(pi0), events
+
+
 def _perturb_scale(inst: Instance) -> Fraction:
     diffs = []
     pts = inst.points
@@ -236,7 +304,7 @@ def perturb(inst: Instance, seed: int) -> Instance:
     Epsilon starts at half the smallest nonzero coordinate difference and
     halves on every retry round; clean instances are returned unchanged.
     """
-    if validate_general_position(inst).clean:
+    if inst.sweep_order is not None:
         return inst
     eps = _perturb_scale(inst)
     rng = random.Random(f"perturb:{seed}")
@@ -248,7 +316,7 @@ def perturb(inst: Instance, seed: int) -> Instance:
             dy = eps * Fraction(rng.randint(-(grain - 1), grain - 1), grain)
             moved.append(ChromaticPoint(p.id, p.x + dx, p.y + dy, p.color))
         candidate = Instance(moved)
-        if validate_general_position(candidate).clean:
+        if candidate.sweep_order is not None:
             return candidate
         eps /= 2
     raise FailsToSeparateError("could not clear degeneracies in 64 rounds")

@@ -10,15 +10,14 @@ from .balance import check_correspondence, enumerate_balanced_lines, scan_balanc
 from .certificate import certify, verify_certificate
 from .errors import BadParamsError, GenerationExhaustedError
 from .geometry import ChromaticPoint, Color, Instance, instance_to_json
-from .geometry import _clean_directions, _pair_directions
 from .sequence import build_from_points, random_sequence, sequence_to_text
 
 
 def random_instance(b: int, r: int, coord_bound: int, seed) -> Instance:
     """Clean random instance with rational coordinates in the given square.
 
-    Resamples until the general-position report is empty; deterministic per
-    seed.
+    Resamples until the sweep order is strict (general position); the
+    accepted instance keeps it for its build. Deterministic per seed.
     """
     if not (b >= r >= 0) or (b + r) % 2 != 0 or b + r < 2:
         raise BadParamsError(f"need b >= r >= 0 with b+r even and >= 2, got ({b}, {r})")
@@ -35,7 +34,7 @@ def random_instance(b: int, r: int, coord_bound: int, seed) -> Instance:
             y = Fraction(rng.randint(-coord_bound * den, coord_bound * den), den)
             pts.append(ChromaticPoint(i, x, y, colors[i]))
         inst = Instance(pts)
-        if _clean_directions(_pair_directions(inst.scaled_coords())):
+        if inst.sweep_order is not None:
             return inst
     raise GenerationExhaustedError(
         f"no clean instance after 512 attempts (b={b}, r={r}, coord_bound={coord_bound})"

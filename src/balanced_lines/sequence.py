@@ -4,20 +4,17 @@ An allowable sequence is stored as one half-period: the starting permutation
 plus the word of adjacent-swap positions tau_1..tau_N, N = C(n, 2). All other
 times follow from the half-period reversal and 2N periodicity; the mirrored
 full-period word is built only when first asked for. ``build_from_points``
-makes one exact pass over the pairs, memoised on the instance; its strict
-event order is also the general-position check of ``validate_general_position``.
+turns the exact sweep order that ``geometry`` memoises on the instance into
+the word; it makes no pass over the pairs of its own.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-
-import numpy as np
 
 from . import _kernels
-from .errors import BadParamsError, DegenerateInputError
-from .geometry import Color, Instance, _general_position_report, _pair_directions
+from .errors import BadParamsError, DegenerateInputError, ProofGapError
+from .geometry import Color, Instance, validate_general_position
 
 
 class AllowableSequence:
@@ -175,89 +172,22 @@ def validate(seq: AllowableSequence) -> SequenceReport:
     )
 
 
-def _sweep_slope(coords) -> int:
-    """Smallest integer k >= 0 for which the projections x + k*y are all distinct.
-
-    u0 = (1, k) is perpendicular to line(i, j) exactly when i and j project
-    equally, so this is the first k whose u0 is perpendicular to no spanned
-    line. The points must be distinct; each pair then forbids at most one k.
-    """
-    n = len(coords)
-    k = 0
-    while len({x + k * y for x, y in coords}) < n:
-        k += 1
-    return k
-
-
-def _degenerate(n: int, coords) -> DegenerateInputError:
-    """The error for a degenerate instance, counting its defects by the gcd pass."""
-    r = _general_position_report(n, _pair_directions(coords))
-    return DegenerateInputError(
-        f"instance has {len(r.collinear_triples)} collinear triple(s), {len(r.parallel_pair_pairs)}"
-        f" parallel spanned pair(s), and {len(r.coincident_pairs)} coincident pair(s)")
-
-
-def _strictly_ordered(fa, fb) -> bool:
-    """Every event direction strictly precedes the next: a zero cross product fails."""
-    return bool((fa[:-1] * fb[1:] > fb[:-1] * fa[1:]).all())
-
-
-def _sweep_order(inst: Instance):
-    """pi0 and the events' (left, right) id rows in strict order, None if degenerate; memoised."""
-    if not hasattr(inst, "_sweep"):
-        inst._sweep = _exact_sweep(inst.n, inst.scaled_coords())
-    return inst._sweep
-
-
-def _exact_sweep(n: int, coords):
-    """One exact pass over the pairs; see ``build_from_points``."""
-    if len(set(coords)) < n:
-        return None
-    k0 = _sweep_slope(coords)
-    u = [x + k0 * y for x, y in coords]
-    pi0 = sorted(range(n), key=u.__getitem__)
-
-    # In the frame rotating u0 to the x-axis, the pair at pi0 positions p < q
-    # has the normal (fa, fb) = (v_q - v_p, u_q - u_p), v = k0*x - y, with
-    # fb > 0 since pi0 sorts u: event order is the order of its angles in
-    # (0, pi). Float angles only presort; exact signs decide the order.
-    r = np.arange(n)
-    pp, qq = np.nonzero(r[:, None] < r)
-    uo = np.array([u[i] for i in pi0], dtype=object)
-    vo = np.array([k0 * coords[i][0] - coords[i][1] for i in pi0], dtype=object)
-    try:
-        uf, vf = uo.astype(float), vo.astype(float)
-        order = np.arctan2(uf[qq] - uf[pp], vf[qq] - vf[pp]).argsort(kind="stable")
-    except OverflowError:  # past float range the exact sort below decides alone
-        order = np.arange(len(pp))
-    pp, qq = pp[order], qq[order]
-    fb = uo[qq] - uo[pp]
-    fa = vo[qq] - vo[pp]
-    if not _strictly_ordered(fa, fb):
-        # Float keys collided, mis-ordered or overflowed: sort exactly.
-        exact = sorted(range(len(pp)), key=lambda e: Fraction(-fa[e], fb[e]))
-        if not _strictly_ordered(fa[exact], fb[exact]):
-            return None
-        pp, qq = pp[exact], qq[exact]
-    return pi0, np.array(pi0, dtype=np.int32)[np.stack((pp, qq))]
-
-
 def build_from_points(inst: Instance) -> AllowableSequence:
     """Rotating-sweep construction of the allowable sequence of a clean instance.
 
-    pi0 orders the points by projection u = x + k0*y onto u0 = (1, k0); the
-    word lists each pair at the sweep angle where its spanned line becomes
-    perpendicular to the sweep. One pass over the pairs, as numpy arrays of
-    Python ints, keeps every value exact. The input is in general position
-    exactly when the event directions are distinct, that is when the exact
-    event order is strict; only a degenerate input pays for the gcd pass.
+    pi0 and the word come from ``inst.sweep_order``; a degenerate input
+    raises with the defect counts of ``validate_general_position``.
     """
-    if (order := _sweep_order(inst)) is None:
-        raise _degenerate(inst.n, inst.scaled_coords())
+    if (order := inst.sweep_order) is None:
+        r = validate_general_position(inst)
+        raise DegenerateInputError(
+            f"instance has {len(r.collinear_triples)} collinear triple(s), {len(r.parallel_pair_pairs)}"
+            f" parallel spanned pair(s), and {len(r.coincident_pairs)} coincident pair(s)")
     pi0, events = order
     word = _kernels.events_to_word(pi0, *events.tolist())
     if word and word[-1] < 0:
-        raise DegenerateInputError("sweep produced a non-adjacent swap; input is degenerate")
+        # A strict event order swaps adjacent elements only, so this is a bug.
+        raise ProofGapError("sweep produced a non-adjacent swap from a strict event order")
     return AllowableSequence(colors=inst.colors(), pi0=pi0, word=word)
 
 

@@ -111,6 +111,34 @@ class TestPipelines:
         assert out == ""
         assert err.startswith("internal error: planted gap")
 
+    @pytest.mark.parametrize("command", ["scan", "certify"])
+    def test_repeated_pair_seq_exit_2(self, capsys, tmp_path, command):
+        # Pair (0, 1) swaps at steps 1 and 2; with the word at full length a
+        # repeated pair always leaves another unswapped, so the end is not reversed.
+        path = tmp_path / "seq.txt"
+        path.write_text("4\nBBRR\n0 1 2 3\n0\n0\n1\n0\n2\n1\n")
+        code, out, err = run(capsys, command, "--seq", str(path))
+        assert code == 2 and out == ""
+        assert err == "invalid sequence: REPEATED_PAIR, NOT_REVERSED\n"
+
+    def test_scan_non_adjacent_sweep_swap_exits_3(self, capsys, monkeypatch, instance_file):
+        # A strict sweep order swaps adjacent elements only, so a non-adjacent
+        # swap is an internal fault: plant one by swapping two events.
+        import balanced_lines.geometry as geometry_mod
+
+        real = geometry_mod._exact_sweep
+
+        def swapped(n, coords):
+            pi0, events = real(n, coords)
+            events = events.copy()
+            events[:, [0, -1]] = events[:, [-1, 0]]
+            return pi0, events
+
+        monkeypatch.setattr(geometry_mod, "_exact_sweep", swapped)
+        code, out, err = run(capsys, "scan", instance_file)
+        assert code == 3 and out == ""
+        assert err.startswith("internal error: sweep produced a non-adjacent swap")
+
     def test_certify_failed_obligation_exits_3(self, capsys, monkeypatch, tmp_path):
         import balanced_lines.certificate as certificate_mod
         from balanced_lines.errors import InsufficientBorderError

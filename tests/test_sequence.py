@@ -6,13 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import balanced_lines.geometry as geometry_mod
-import balanced_lines.sequence as sequence_mod
-from balanced_lines.errors import BadParamsError, DegenerateInputError
-from balanced_lines.geometry import Color, validate_general_position
+from balanced_lines.errors import BadParamsError, DegenerateInputError, ProofGapError
+from balanced_lines.geometry import Color, _sweep_slope, perturb, validate_general_position
 from balanced_lines.harness import random_instance
 from balanced_lines.sequence import (
     AllowableSequence,
-    _sweep_slope,
     build_from_points,
     permutation_at,
     random_sequence,
@@ -33,6 +31,13 @@ from conftest import (
     oracle_sweep_slope,
     oracle_validate_word,
 )
+
+
+def counting_fractions(monkeypatch):
+    """Record every ``Fraction`` the sweep makes; only its exact sort makes any."""
+    made = []
+    monkeypatch.setattr(geometry_mod, "Fraction", lambda *a: made.append(a) or Fraction(*a))
+    return made
 
 
 def degenerate_message(inst):
@@ -89,15 +94,37 @@ class TestBuildFromPoints:
         seq = build_from_points(inst)
         assert validate(seq).clean
 
-    def test_sub_float_angle_gaps_sorted_exactly(self):
+    def test_sub_float_angle_gaps_sorted_exactly(self, monkeypatch):
         # Two spanned directions differing by ~1e-61 radians collide as float
         # keys; the exact-sign fallback must still order the sweep correctly.
         big = 10**30
         inst = make_instance([
             (0, 0, "B"), (big, 1, "B"), (5, 7, "R"), (5 + 2 * big + 1, 9, "R"),
         ])
+        made = counting_fractions(monkeypatch)
         seq = build_from_points(inst)
         assert validate(seq).clean
+        assert made  # the exact sort ran
+
+    @pytest.mark.parametrize("rows", [
+        [(0, 0, "B"), (1, 1, "R"), (2, 2, "B"), (5, 0, "R")],  # a collinear triple
+        [(0, 0, "B"), (1, 2, "R"), (5, 0, "B"), (6, 2, "R")],  # two parallel pairs
+    ], ids=["collinear", "parallel"])
+    def test_equal_float_neighbours_are_degenerate_without_exact_sort(self, monkeypatch, rows):
+        inst = make_instance(rows)
+        made = counting_fractions(monkeypatch)
+        assert inst.sweep_order is None and made == []
+        assert not oracle_general_position(inst).clean
+
+    def test_non_adjacent_swap_is_a_proof_gap(self):
+        # A strict order swaps adjacent elements only; a corrupted memo is a bug, not bad input.
+        inst = random_instance(4, 4, 50, seed=3)
+        pi0, events = inst.sweep_order
+        events = events.copy()
+        events[:, [0, -1]] = events[:, [-1, 0]]
+        inst.sweep_order = (pi0, events)
+        with pytest.raises(ProofGapError, match="non-adjacent swap"):
+            build_from_points(inst)
 
 
 class TestSweepAgainstOracle:
@@ -147,13 +174,13 @@ class TestSweepAgainstOracle:
 
     def test_clean_build_makes_no_gcd_pass(self, monkeypatch):
         directions = []
-        real = sequence_mod._pair_directions
+        real = geometry_mod._pair_directions
 
         def counting(coords):
             directions.append(1)
             return real(coords)
 
-        monkeypatch.setattr(sequence_mod, "_pair_directions", counting)
+        monkeypatch.setattr(geometry_mod, "_pair_directions", counting)
         for seed in range(4):
             build_from_points(random_instance(6, 6, 10**6, seed=seed))
             build_from_points(random_instance(12, 4, 2, seed=seed))
@@ -163,19 +190,33 @@ class TestSweepAgainstOracle:
         assert directions == [1]
 
     def test_validated_build_makes_one_exact_pass(self, monkeypatch):
+        # Passes count from generation on: an accepted draw brings its sweep,
+        # and each rejected draw (bound 2 rejects many) makes one of its own.
+        passes, directions = [], []
+        real_sweep = geometry_mod._exact_sweep
+        monkeypatch.setattr(geometry_mod, "_exact_sweep", lambda n, c: passes.append(c) or real_sweep(n, c))
+        real = geometry_mod._pair_directions
+        monkeypatch.setattr(geometry_mod, "_pair_directions", lambda c: directions.append(1) or real(c))
         insts = [random_instance(6, 6, 10**6, seed=seed) for seed in range(4)]
         insts += [random_instance(12, 4, 2, seed=seed) for seed in range(4)]
-        passes, directions = [], []
-        real_sweep = sequence_mod._exact_sweep
-        monkeypatch.setattr(sequence_mod, "_exact_sweep", lambda *a: passes.append(1) or real_sweep(*a))
-        for mod in (geometry_mod, sequence_mod):
-            real = mod._pair_directions
-            monkeypatch.setattr(mod, "_pair_directions", lambda c, real=real: directions.append(1) or real(c))
+        generated = len(passes)
+        assert generated > len(insts)  # some draws were rejected
         for inst in insts:
+            assert passes.count(inst.scaled_coords()) == 1
             assert validate_general_position(inst).clean
             seq = build_from_points(inst)
             assert (seq.pi0, seq.word) == oracle_sweep(inst)
-        assert len(passes) == len(insts) and directions == []
+        assert len(passes) == generated and directions == []
+
+    def test_perturb_tests_candidates_by_the_sweep(self, monkeypatch):
+        directions = []
+        real = geometry_mod._pair_directions
+        monkeypatch.setattr(geometry_mod, "_pair_directions", lambda c: directions.append(1) or real(c))
+        inst = make_instance([(0, 0, "B"), (1, 1, "R"), (2, 2, "B"), (5, 0, "R"), (0, 5, "B"), (5, 5, "R")])
+        moved = perturb(inst, seed=0)
+        assert moved is not inst and moved.sweep_order is not None
+        assert directions == []
+        assert oracle_general_position(moved).clean
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 3).flatmap(lambda bound: st.integers(1, 4).flatmap(
@@ -189,7 +230,8 @@ class TestSweepAgainstOracle:
 
         validated = fresh()
         clean = validate_general_position(validated).clean
-        gcd_clean = geometry_mod._clean_directions(geometry_mod._pair_directions(validated.scaled_coords()))
+        gcd_clean = geometry_mod._general_position_report(
+            validated.n, geometry_mod._pair_directions(validated.scaled_coords())).clean
         assert clean == gcd_clean == oracle_general_position(validated).clean
         if clean:
             expected = oracle_sweep(validated)

@@ -8,7 +8,7 @@ and returns lists. ``track_rank`` follows every rank of a subset in one
 replay and logs only change points, so curve tracking costs one replay per
 subset, not one per rank, and a track is O(changes), not O(2N). ``certify``
 replays each color's family once per call and walks no border (its borders
-come with their positions); ``element_walk`` serves a border from outside.
+come with their change rows); ``element_walk`` serves a border from outside.
 Every kernel has a caller in the package. The from-scratch references they
 are tested against are ``permutation_at`` and ``transposition_at`` in
 ``sequence``.

@@ -19,12 +19,12 @@ it, and the Case-2 quotas are counts over it.
 One ``certify`` call runs in one ``_Certifier`` session, which holds what its
 steps share: each color's family of rank tracks (replayed at most once per
 call), the ``run_word`` steps over one half-period and the last border's
-positions. The seed border comes with its positions and each maximisation
-round hands its own on, so ``certify`` walks no border; ``element_walk``
-serves only a border passed in from outside. The public functions keep their
-signatures; called on their own, each makes a session of its own. Tracks are
-change rows (see ``curves.WeightTrack``); maximisation expands only a
-candidate that passes its row test into per-time arrays.
+change rows. The public functions keep their signatures; called on their
+own, each makes a session of its own. Tracks are change rows (see
+``curves.WeightTrack``), and so is a border in maximisation: ``(time,
+element, position)``, tested and spliced on merged change times; the
+``Border`` is built on return. ``element_walk`` serves only a border from
+outside.
 """
 from __future__ import annotations
 
@@ -78,9 +78,9 @@ class _Certifier:
       so step t swaps step t - N's pair back.
     - ``count_left(color, t, q)``: the points of a color left of a position,
       by bisecting that color's family.
-    - ``positions(border)``: a border's positions over [0, 2N), walked unless
-      it is ``kept``: the last border asked for, seeded or made by
-      maximisation.
+    - ``rows(border)``: a border's change rows, walked unless it is
+      ``kept``: the last border asked for, or made by ``keep``, which builds
+      a ``Border`` from rows. A border from outside enters here.
     """
 
     def __init__(self, seq: AllowableSequence):
@@ -88,7 +88,7 @@ class _Certifier:
         self._total = sum(seq.weights)  # the weight of any whole permutation
         self._families: dict[Color, list[WeightTrack]] = {}
         self._subset: tuple[frozenset[int] | None, list[WeightTrack]] = (None, [])
-        self.kept: tuple[Border | None, np.ndarray | None] = (None, None)  # border, positions
+        self.kept: tuple[Border | None, np.ndarray | None] = (None, None)  # border, rows
 
     def family(self, color: Color) -> list[WeightTrack]:
         if color not in self._families:
@@ -123,10 +123,20 @@ class _Certifier:
         """
         return bisect_left(self.family(color), q, key=lambda trk: trk.position_at(t))
 
-    def positions(self, border: Border) -> np.ndarray:
+    def rows(self, border: Border) -> np.ndarray:
         if self.kept[0] is not border:
-            self.kept = border, _border_positions(self.seq, border.elements)
+            seq, c = self.seq, border.color
+            same = {v for v, col in enumerate(seq.colors) if col is c}
+            if len(border.elements) != seq.period or not same.issuperset(border.elements):
+                raise BadParamsError(f"a border needs 2N = {seq.period} elements, all {c.name.lower()}")
+            pos = _border_positions(seq, border.elements)
+            self.kept = border, _change_rows(np.stack((np.arange(seq.period), border.elements, pos), 1))
         return self.kept[1]
+
+    def keep(self, color: Color, rows: np.ndarray) -> Border:
+        spans = np.diff(rows[:, 0], append=self.seq.period)
+        self.kept = Border(color, tuple(np.repeat(rows[:, 1], spans).tolist())), rows
+        return self.kept[0]
 
 
 # ``certify`` sets this for its own length only, so the public steps it calls
@@ -183,9 +193,14 @@ def _mirror_positions(seq: AllowableSequence, bpos) -> np.ndarray:
     return seq.n - 1 - np.roll(np.asarray(bpos), -seq.half_period)
 
 
-def _per_time(rows: np.ndarray, period: int) -> np.ndarray:
-    """Change rows (a track's ``row_array``) as per-time (element, weight, position) columns."""
-    return np.repeat(rows[:, 1:], np.diff(rows[:, 0], append=period), axis=0).T
+def _change_rows(rows: np.ndarray) -> np.ndarray:
+    """Rows ``(time, element, position)`` less those that repeat the one before."""
+    return rows[np.diff(rows[:, 1:], axis=0, prepend=-1).any(axis=1)]
+
+
+def _on_grid(rows: np.ndarray, times) -> np.ndarray:
+    """The change rows in force at each of ``times``, as a new array."""
+    return rows[np.searchsorted(rows[:, 0], times, side="right") - 1]
 
 
 def check_border(seq: AllowableSequence, border: Border) -> list[str]:
@@ -237,10 +252,9 @@ def check_border(seq: AllowableSequence, border: Border) -> list[str]:
 
 
 def _nearest_left_curve(s: _Certifier, trk: WeightTrack, want: Color):
-    """Per time, the nearest want-colored element strictly left of a curve.
+    """The nearest want-colored curve strictly left of a curve, as border rows.
 
-    Returns that element and its position for each time over [0, 2N). An
-    element at position q with prefix weight w has (q + w)/2 blue and
+    An element at position q with prefix weight w has (q + w)/2 blue and
     (q - w)/2 red points on its left, so the nearest one of color ``want``
     is the ``want`` family's rank curve of that count: a lookup per change
     row of the curve, not a replay.
@@ -259,8 +273,7 @@ def _nearest_left_curve(s: _Certifier, trk: WeightTrack, want: Color):
     period = s.seq.period
     family = s.family(want)
     rows = trk.rows
-    elems: list[int] = []
-    qs: list[int] = []
+    out = []
     for (t, _, w, q), (end, *_) in zip(rows, rows[1:] + [(period,)]):
         if t >= period:
             break
@@ -268,9 +281,9 @@ def _nearest_left_curve(s: _Certifier, trk: WeightTrack, want: Color):
         if k == 0:
             raise ProofGapError(f"no {want.value} element left of position {q} at t={t}")
         for (_, e, _, qe), m in row_spans(family[k - 1].rows, t, end):
-            elems += [e] * m
-            qs += [qe] * m
-    return tuple(elems), qs
+            out.append((t, e, qe))
+            t += m
+    return _change_rows(np.array(out, np.int64))
 
 
 def initial_border(seq: AllowableSequence, k: int) -> Border:
@@ -278,8 +291,7 @@ def initial_border(seq: AllowableSequence, k: int) -> Border:
 
     A threshold-respecting blue curve is its own border; otherwise its
     nearest-red-left curve is one (the lemma of ``_nearest_left_curve``).
-    Either way the positions come with the elements, and the session keeps
-    them for maximisation.
+    The session keeps the border's rows for maximisation.
     """
     if k not in _mid_rank_range(seq):
         raise BadParamsError(f"rank {k} outside the mid-rank range")
@@ -287,15 +299,10 @@ def initial_border(seq: AllowableSequence, k: int) -> Border:
     trk = s.family(Color.BLUE)[k - 1]
     cls = classify_track(trk)
     if cls is CurveClass.GE_DELTA:
-        elements, _, positions = _per_time(trk.row_array, seq.period)
-        border = Border(Color.BLUE, tuple(elements.tolist()))
-    elif cls is CurveClass.LT_DELTA:
-        elements, positions = _nearest_left_curve(s, trk, Color.RED)
-        border = Border(Color.RED, elements)
-    else:
-        raise BadParamsError(f"blue rank {k} is delta-changing; no border seed")
-    s.kept = border, np.asarray(positions)
-    return border
+        return s.keep(Color.BLUE, trk.row_array[:, [0, 1, 3]])
+    if cls is CurveClass.LT_DELTA:
+        return s.keep(Color.RED, _nearest_left_curve(s, trk, Color.RED))
+    raise BadParamsError(f"blue rank {k} is delta-changing; no border seed")
 
 
 def partition_fgh(seq: AllowableSequence, border: Border):
@@ -464,17 +471,20 @@ def case2_certificate(seq: AllowableSequence, border: Border) -> Certificate:
     at ascents, and a deflected G descent (ascent) charges the F (H) curve it
     passed, which shows the reverse change. ``outer`` maps each kind to its
     side. A G change is confined when the curve lies between the border and
-    its mirror, whose positions come from the session's ``positions``. The
+    its mirror, whose positions are the border's rows expanded once. The
     G quotas and each outer curve's charges are counts over the events so
     far. Raises InsufficientBorderError when a border-dependent obligation
     fails; structural violations raise ProofGapError.
     """
     c, half = border.color, seq.half_period
+    s = _session(seq)
+    rows = s.rows(border)  # a border from outside is checked here, first
+    bpos = np.repeat(rows[:, 2], np.diff(rows[:, 0], append=seq.period))
+    bpos, mpos = bpos.tolist(), _mirror_positions(seq, bpos).tolist()  # mpos: the mirror's
     parts = partition_fgh(seq, border)
     f_ids, g_ids, h_ids = parts
     target = sum(len(p) for p in parts)
 
-    s = _session(seq)
     g_tracks = s.tracks(g_ids)  # maximisation's last round asked for the same G
     changes = _changes(c, seq.delta)
     outer = {  # kind -> (side, ids, tracks)
@@ -484,10 +494,6 @@ def case2_certificate(seq: AllowableSequence, border: Border) -> Certificate:
 
     def window_changes(trk, kind):
         return find_weight_changes(trk, *changes[kind], window=(0, half))
-
-    bpos = s.positions(border)
-    mpos = _mirror_positions(seq, bpos).tolist()  # the mirror element's, per time
-    bpos = bpos.tolist()
 
     def swap_parts(t, member_set, member):
         step = s.step(t)
@@ -573,107 +579,101 @@ def _cyclic_runs(flags: np.ndarray) -> list[np.ndarray]:
     return [order[b:e] for b, e in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1))]
 
 
-def _splice(s: _Certifier, border: Border, bpos: np.ndarray, run: np.ndarray, elem, wt, pos):
-    """The border with a curve written over ``run``, if that is a valid border.
+def _merged_grid(rows: np.ndarray, cand: np.ndarray):
+    """A candidate's rows (a track's ``row_array``) against the border's, on their merged times.
 
-    ``run`` is a cyclic run of times in cyclic order; ``elem``, ``wt`` and
-    ``pos`` are the curve's elements, prefix weights and positions along it.
-    The border must be valid and the curve a rank curve of a subset of the
-    border's color (or the run one time long). Then within the run two
-    consecutive elements are equal or adjacent, so weak continuity can fail
-    only at the run's two seams. Across the step from t to u = t + 1 it
-    holds iff the two elements' counts of border-color points on their left
-    at u differ by at most one; the element leaving sits at its position at
-    t, moved by one if step t swaps it. Mirror order comes from the
-    positions. Returns ``(border, positions)``, or None where
+    Per interval, the candidate's element, weight, position and position
+    less the border's. A sort merges: ``np.unique`` would import ``numpy.ma``.
+    """
+    grid = np.sort(np.concatenate((rows[:, 0], cand[:, 0])))
+    grid = grid[np.diff(grid, prepend=-1) != 0]
+    _, elem, wt, pos = _on_grid(cand, grid).T
+    return grid, elem, wt, pos, pos - _on_grid(rows, grid)[:, 2]
+
+
+def _splice(s: _Certifier, c: Color, rows: np.ndarray, run: np.ndarray, grid, elem, wt, pos):
+    """The border's rows with a curve written over ``run``, if that is a valid border.
+
+    ``run`` is a cyclic run of ``_merged_grid``'s intervals, in cyclic
+    order, on which ``elem``, ``wt`` and ``pos`` give the curve. The border
+    must be valid and the curve a rank curve of a subset of color c (or the
+    run one time long). Then within the run consecutive elements are equal
+    or adjacent, so weak continuity can fail only at the run's two seams.
+    Across the step from t to u = t + 1 it holds iff the two elements'
+    counts of c points on their left at u differ by at most one; the element
+    leaving sits at its position at t, moved by one if step t swaps it.
+    Mirror order, pos(t) + pos(t + N) < n - 1, is N-periodic in t, so it is
+    read at the rows' times. Returns the rows, or None where
     ``check_border`` would report a problem.
     """
-    seq = s.seq
-    c, period = border.color, seq.period
-    if not (c.weight * (wt - seq.delta) >= 0).all():
+    seq, period, half = s.seq, s.seq.period, s.seq.half_period
+    if not (c.weight * (wt[run] - seq.delta) >= 0).all():
         return None
-    cpos = bpos.copy()
-    cpos[run] = pos
-    if not (cpos < _mirror_positions(seq, cpos)).all():
+    new = _on_grid(rows, grid)
+    new[:, 0] = grid
+    new[run, 1], new[run, 2] = elem[run], pos[run]
+    new = _change_rows(new)
+    if not (new[:, 2] + _on_grid(new, (new[:, 0] + half) % period)[:, 2] < seq.n - 1).all():
         return None
-    elements = list(border.elements)
-    for t, e in zip(run.tolist(), elem.tolist()):
-        elements[t] = e
-    if len(run) < period:
-        for t in ((int(run[0]) - 1) % period, int(run[-1])):  # the steps across the seams
+    if len(run) < len(grid):  # the steps into the run's first interval and out of its last
+        for t in ((grid[[run[0], (run[-1] + 1) % len(grid)]] - 1) % period).tolist():
             u = (t + 1) % period
+            (_, e, qt), (_, _, qu) = _on_grid(new, [t, u]).tolist()
             lo, hi, _ = s.step(t)
-            q = int(cpos[t]) + (elements[t] == lo) - (elements[t] == hi)
-            if abs(s.count_left(c, u, int(cpos[u])) - s.count_left(c, u, q)) > 1:
+            q = qt + (e == lo) - (e == hi)
+            if abs(s.count_left(c, u, qu) - s.count_left(c, u, q)) > 1:
                 return None
-    return Border(c, tuple(elements)), cpos
+    return new
 
 
-def _right_of_border(trk: WeightTrack, bpos: np.ndarray):
-    """A candidate's per-time (element, weight, position) over [0, 2N), or None.
-
-    None iff no change row's position q exceeds the border's least position
-    over the row's span, i.e. the curve is never strictly right of it. Row
-    start times strictly increase (a swap logs at most one row per rank), so
-    ``np.minimum.reduceat`` over them gives those least positions.
-    """
-    rows = trk.row_array
-    if not (rows[:, 3] > np.minimum.reduceat(bpos, rows[:, 0])).any():
-        return None
-    return _per_time(rows, len(bpos))
-
-
-def _improve_once(s: _Certifier, border: Border, bpos: np.ndarray):
+def _improve_once(s: _Certifier, c: Color, rows: np.ndarray):
     """One strict improvement of the border, or None at a fixed point.
 
-    ``bpos`` holds the border's positions over [0, 2N); an improvement comes
-    back as ``(border, positions)``. Devices, per candidate rank-k curve of
-    Q (the G ranks, then every rank of the border's color): splice the
-    border along each cyclic run where the curve is at or right of it and
-    somewhere strictly right, if ``_splice`` finds that valid (a run over
-    the whole period adopts the curve); or, if 2k <= |Q| and the curve is
-    off the threshold side and strictly right of the border throughout,
-    take its nearest-opposite-color-left curve, a valid border by the lemma
-    of ``_nearest_left_curve``. Either raises the total position.
+    The border, and an improvement, is a color c and rows. Per candidate
+    rank-k curve of Q (the G ranks, then all of color c), on
+    ``_merged_grid``'s intervals, the devices are: splice the border along
+    each cyclic run where the curve is at or right of it and somewhere
+    strictly right, if ``_splice`` finds that valid (a whole-period run adopts
+    the curve); or, if 2k <= |Q| and the curve is off the threshold side and
+    strictly right of the border throughout, take its
+    nearest-opposite-color-left curve (the lemma of ``_nearest_left_curve``).
+    Either raises the total position.
     """
-    c = border.color
-    g_ids = partition_fgh(s.seq, border)[1]
+    seq = s.seq
+    gq, mq = rows[0, 2], seq.n - 1 - _on_grid(rows, [seq.half_period])[0, 2]
+    g_ids = [v for v in seq.pi0[gq + 1 : mq] if seq.colors[v] is c]  # partition_fgh's G
     for tracks in (s.tracks(g_ids), s.family(c)):
         for k, trk in enumerate(tracks, start=1):
-            curve = _right_of_border(trk, bpos)
-            if curve is None:  # no device applies
+            grid, elem, wt, pos, rel = _merged_grid(rows, trk.row_array)
+            if not (rel > 0).any():  # no device applies
                 continue
-            elem, wt, pos = curve
-            rel = pos - bpos
             for run in _cyclic_runs(rel >= 0):
                 if (rel[run] > 0).any():
-                    spliced = _splice(s, border, bpos, run, elem[run], wt[run], pos[run])
+                    spliced = _splice(s, c, rows, run, grid, elem, wt, pos)
                     if spliced is not None:
-                        return spliced
+                        return c, spliced
             if (2 * k <= len(tracks) and (rel > 0).all()
-                    and not (c.weight * (wt - s.seq.delta) >= 0).any()):
-                rho, q = _nearest_left_curve(s, trk, c.opposite)
-                return Border(c.opposite, rho), np.asarray(q)
+                    and not (c.weight * (wt - seq.delta) >= 0).any()):
+                return c.opposite, _nearest_left_curve(s, trk, c.opposite)
     return None
 
 
 def maximize_border(seq: AllowableSequence, start: Border) -> Border:
     """Iterate the improvement devices to a fixed point.
 
-    The start border's positions come from the session (the seed's own, or
-    one ``element_walk`` for a border from outside); each round hands its
-    positions to the next and keeps them for the F/G/H scan. Each
-    round strictly increases the total position of the border, so the loop
-    terminates within n * 2N rounds; the round limit guards that.
+    Rounds hand the border on as change rows, starting from the session's (the
+    seed's own, or one ``element_walk`` for a border from outside). The
+    ``Border`` is built on return, and the session keeps its rows for the
+    F/G/H scan. Each round raises the border's total position, so the loop
+    ends within n * 2N rounds; the round limit guards that.
     """
     s = _session(seq)
-    border, bpos = start, s.positions(start)
+    color, rows = start.color, s.rows(start)
     for _ in range(seq.n * seq.period + 1):
-        improved = _improve_once(s, border, bpos)
+        improved = _improve_once(s, color, rows)
         if improved is None:
-            return border
-        border, bpos = improved
-        s.kept = improved
+            return s.kept[0] if rows is s.kept[1] else s.keep(color, rows)
+        color, rows = improved
     raise ProofGapError("border improvement exceeded its termination bound")
 
 

@@ -310,3 +310,14 @@ def filled(trk):
     for (t, *values), (end, *_) in zip(rows, rows[1:] + [(trk.period + 1,)]):
         per_time += [values] * (end - t)
     return tuple(np.array(per_time, dtype=np.int64).T)
+
+
+def per_time(rows, period):
+    """Change rows as per-time columns over [0, period), each row holding until the next.
+
+    The forward fill of a border's rows ``(time, element, position)``, of a
+    track's ``row_array`` or of any rows whose first column is a start time:
+    the oracle for the tests of the merged-grid code, which never expands.
+    """
+    rows = np.asarray(rows)
+    return np.repeat(rows[:, 1:], np.diff(rows[:, 0], append=period), axis=0).T

@@ -28,6 +28,7 @@ from balanced_lines.certificate import (
     _border_positions,
     _certificate,
     _cyclic_runs,
+    _merged_grid,
     _mirror_positions,
     _nearest_left_curve,
     _replayed_swaps,
@@ -35,7 +36,7 @@ from balanced_lines.certificate import (
     _swap,
 )
 from balanced_lines.curves import CurveClass, CurveSpec, classify, classify_track, track, track_all
-from balanced_lines.errors import InsufficientBorderError, ProofGapError
+from balanced_lines.errors import BadParamsError, InsufficientBorderError, ProofGapError
 from balanced_lines.geometry import Color
 from balanced_lines.harness import random_instance
 from balanced_lines.sequence import (
@@ -45,7 +46,7 @@ from balanced_lines.sequence import (
     transposition_at,
 )
 
-from conftest import all_permutations, filled, oracle_border_problems
+from conftest import all_permutations, filled, oracle_border_problems, per_time
 from golden import make_certificates
 
 
@@ -191,6 +192,20 @@ class TestBorders:
             result = verify_certificate(seq, dataclasses.replace(cert, border=bad))
             assert "BAD_BORDER" in result.diagnostics
 
+    @pytest.mark.parametrize("defect", ["one element short", "one blue element"])
+    @pytest.mark.parametrize("step", [maximize_border, case2_certificate], ids=lambda f: f.__name__)
+    def test_malformed_border_from_outside_is_rejected(self, step, defect):
+        # A border passed in from outside is checked where the session first
+        # derives its rows, before anything reads it.
+        seq = build_from_points(random_instance(36, 12, 10**6, seed=1))
+        border = certify(seq).border
+        assert border.color is Color.RED
+        blue = next(v for v in range(seq.n) if seq.colors[v] is Color.BLUE)
+        bad = {"one element short": Border(border.color, border.elements[:-1]),
+               "one blue element": Border(border.color, (blue,) + border.elements[1:])}[defect]
+        with pytest.raises(BadParamsError, match=f"^a border needs 2N = {seq.period} elements, all red$"):
+            step(seq, bad)
+
     def test_problems_match_replay_oracle(self, t_red_border, t_blue_border):
         seen = set()
         for inst in (t_red_border, t_blue_border):
@@ -243,9 +258,10 @@ class TestCarriedPositions:
     ]
 
     def test_seed_border_comes_with_its_replayed_positions(self, t_blue_border):
-        # initial_border hands its positions to the session, so certify walks
-        # no border: from the blue track's rows or from the nearest-red-left
-        # lookup, they must be the seed's positions. Every golden seed is red.
+        # initial_border hands its rows to the session, so certify walks no
+        # border: from the blue track's rows or from the nearest-red-left
+        # lookup, their forward fill must be the seed's elements and
+        # positions. Every golden seed is red.
         colors = set()
         seqs = [make_certificates.build(entry) for entry in self.GOLDEN_CASE2]
         for seq in seqs + [build_from_points(t_blue_border)]:
@@ -257,15 +273,17 @@ class TestCarriedPositions:
                 certificate_mod._ACTIVE.reset(token)
             assert session.kept[0] is border
             perms = all_permutations(seq)
-            assert list(session.kept[1]) == replayed_positions(perms, border.elements)
+            elements, positions = per_time(session.kept[1], seq.period)
+            assert tuple(elements.tolist()) == border.elements
+            assert list(positions) == replayed_positions(perms, border.elements)
             colors.add(border.color)
         assert colors == set(Color)
 
     def test_improve_once_positions_match_replay(self, monkeypatch, t_red_border, t_blue_border):
         returned = []
 
-        def recording(session, border, bpos):
-            out = improve_once(session, border, bpos)
+        def recording(session, color, rows):
+            out = improve_once(session, color, rows)
             if out is not None:
                 returned.append(out)
             return out
@@ -280,9 +298,16 @@ class TestCarriedPositions:
             start = initial_border(seq, classify_case(seq).preserving_rank)
             final = maximize_border(seq, start)
             perms = all_permutations(seq)
-            for border, positions in returned:
-                assert list(positions) == replayed_positions(perms, border.elements)
-            assert final == (returned[-1][0] if returned else start)
+            for color, rows in returned:
+                assert rows[0, 0] == 0 and (np.diff(rows[:, 0]) > 0).all()
+                assert (np.diff(rows[:, 1:], axis=0) != 0).any(axis=1).all()  # change rows only
+                elements, positions = per_time(rows, seq.period)
+                assert list(positions) == replayed_positions(perms, elements.tolist())
+            if returned:
+                color, rows = returned[-1]
+                assert final == Border(color, tuple(per_time(rows, seq.period)[0].tolist()))
+            else:
+                assert final is start
             rounds += len(returned)
         assert rounds >= len(seqs)
 
@@ -311,7 +336,8 @@ class TestCarriedPositions:
                                 _nearest_left_curve(session, trk, want)
                             outcomes.add("none")
                             continue
-                        elements, positions = _nearest_left_curve(session, trk, want)
+                        rows = _nearest_left_curve(session, trk, want)
+                        elements, positions = per_time(rows, seq.period).tolist()
                         assert list(zip(elements, positions)) == expected
                         outcomes.add("found")
         assert outcomes == {"found", "none"}
@@ -351,6 +377,12 @@ def replay_nearest_left(seq, positions, want):
     return tuple(out), qs
 
 
+def run_times(grid, run, period):
+    """The times of a cyclic run of merged-grid intervals, in cyclic order."""
+    ends = grid[1:].tolist() + [period]
+    return [t for i in run.tolist() for t in range(grid[i], ends[i])]
+
+
 class TestFastPaths:
     """The session's fast paths against the from-scratch checks they stand in for."""
 
@@ -364,9 +396,9 @@ class TestFastPaths:
         calls = []
         splice = certificate_mod._splice
 
-        def recording(session, border, bpos, run, elem, wt, pos):
-            out = splice(session, border, bpos, run, elem, wt, pos)
-            calls.append((border, run.tolist(), elem.tolist(), out))
+        def recording(session, c, rows, run, grid, elem, wt, pos):
+            out = splice(session, c, rows, run, grid, elem, wt, pos)
+            calls.append((c, rows, run, grid, elem, out))
             return out
 
         monkeypatch.setattr(certificate_mod, "_splice", recording)
@@ -376,15 +408,16 @@ class TestFastPaths:
             calls.clear()
             certify(seq)
             perms = all_permutations(seq)
-            for border, run, elem, out in calls:
-                elements = list(border.elements)
-                for t, e in zip(run, elem):
-                    elements[t] = e
-                cand = Border(border.color, tuple(elements))
+            for c, rows, run, grid, elem, out in calls:
+                elements = per_time(rows, seq.period)[0]
+                times = run_times(grid, run, seq.period)
+                elements[times] = per_time(np.stack((grid, elem), 1), seq.period)[0][times]
+                cand = Border(c, tuple(elements.tolist()))
                 assert (out is None) == bool(check_border(seq, cand))
                 if out is not None:
-                    assert out[0] == cand
-                    assert list(out[1]) == replayed_positions(perms, cand.elements)
+                    spliced, positions = per_time(out, seq.period)
+                    assert tuple(spliced.tolist()) == cand.elements
+                    assert list(positions) == replayed_positions(perms, cand.elements)
                 verdicts.add(out is None)
         assert verdicts == {True, False}
 
@@ -399,7 +432,8 @@ class TestFastPaths:
             border = certify(seq).border
             session = _Certifier(seq)
             perms = all_permutations(seq)
-            bpos = np.asarray(replayed_positions(perms, border.elements))
+            grid = np.arange(seq.period)  # a grid of single times refines any rows
+            rows = np.stack((grid, border.elements, replayed_positions(perms, border.elements)), 1)
             same = [v for v in range(seq.n) if seq.colors[v] is border.color]
             if entry["kind"] == "abstract":
                 runs = [(t, length, x) for length in (1, 3) for t in range(seq.period) for x in same]
@@ -410,8 +444,9 @@ class TestFastPaths:
                 run = [(t0 + i) % seq.period for i in range(length)]
                 qs = [perms[t].index(x) for t in run]
                 ws = [sum(seq.weights[v] for v in perms[t][:q]) for t, q in zip(run, qs)]
-                out = _splice(session, border, bpos, np.array(run), np.array([x] * length),
-                              np.array(ws), np.array(qs))
+                elem, wt, pos = np.zeros((3, seq.period), np.int64)  # read on the run only
+                elem[run], wt[run], pos[run] = x, ws, qs
+                out = _splice(session, border.color, rows, np.array(run), grid, elem, wt, pos)
                 elements = list(border.elements)
                 for t in run:
                     elements[t] = x
@@ -426,36 +461,59 @@ class TestFastPaths:
                         "WEAK_CONTINUITY at exit only"}
 
     def test_row_test_agrees_with_forward_fill(self, monkeypatch):
-        # Every candidate of every maximisation round on the Case-2 corpus:
-        # the row-level test keeps a curve iff its forward-filled positions
-        # exceed the border's somewhere, and a kept curve expands to exactly
-        # its forward-filled arrays. A wrong test only changes the cost, so
-        # the golden certificates cannot catch it.
-        calls = []
-        right_of_border = certificate_mod._right_of_border
+        # Every candidate of every maximisation round on the Case-2 corpus
+        # (the round's G ranks, then its color's family) against forward
+        # fills of its rows and the border's: on the merged grid it holds the
+        # candidate's values and its position less the border's at every
+        # time, so it gives the same verdict (strictly right somewhere), the
+        # same cyclic runs, and for each run the same spliced border. A
+        # wrong verdict only changes the cost, so the golden certificates
+        # cannot catch it.
+        rounds = []
+        improve_once = certificate_mod._improve_once
 
-        def recording(trk, bpos):
-            out = right_of_border(trk, bpos)
-            calls.append((trk, bpos, out))
-            return out
+        def recording(session, c, rows):
+            rounds.append((session, c, rows))
+            return improve_once(session, c, rows)
 
-        monkeypatch.setattr(certificate_mod, "_right_of_border", recording)
-        kept = skipped = 0
+        monkeypatch.setattr(certificate_mod, "_improve_once", recording)
+        seen = Counter()
         for entry in TestCarriedPositions.GOLDEN_CASE2:
             seq = make_certificates.build(entry)
-            calls.clear()
+            period = seq.period
+            rounds.clear()
             certify(seq)
             oracle = {}  # a track's forward-filled arrays over [0, 2N), built once
-            for trk, bpos, out in calls:
-                if trk not in oracle:
-                    oracle[trk] = np.stack(filled(trk))[:, : seq.period]
-                if ((oracle[trk][2] - bpos) > 0).any():
-                    assert out is not None and (np.asarray(out) == oracle[trk]).all(), entry
-                    kept += 1
-                else:
-                    assert out is None, entry
-                    skipped += 1
-        assert kept > 0 and skipped > 0
+            for session, c, rows in rounds:
+                b_elem, b_pos = per_time(rows, period)
+                g_ids = partition_fgh(seq, Border(c, tuple(b_elem.tolist())))[1]
+                for trk in session.tracks(g_ids) + session.family(c):
+                    if trk not in oracle:
+                        oracle[trk] = np.stack(filled(trk))[:, :period]
+                    c_elem, c_wt, c_pos = oracle[trk]
+                    grid, elem, wt, pos, rel = _merged_grid(rows, trk.row_array)
+                    assert grid[0] == 0 and (np.diff(grid) > 0).all()
+                    on_grid = per_time(np.stack((grid, elem, wt, pos, rel), 1), period)
+                    assert (on_grid == np.stack((c_elem, c_wt, c_pos, c_pos - b_pos))).all(), entry
+                    assert (rel > 0).any() == (c_pos > b_pos).any()
+                    if not (rel > 0).any():
+                        seen["skipped"] += 1
+                        continue
+                    seen["kept"] += 1
+                    runs = _cyclic_runs(rel >= 0)
+                    expected = loop_cyclic_runs((c_pos >= b_pos).tolist())
+                    assert [run_times(grid, run, period) for run in runs] == expected, entry
+                    for run in runs:
+                        if not (rel[run] > 0).any():
+                            continue
+                        out = _splice(session, c, rows, run, grid, elem, wt, pos)
+                        seen["invalid" if out is None else "spliced"] += 1
+                        if out is not None:
+                            times = run_times(grid, run, period)
+                            spliced = np.stack((b_elem, b_pos))
+                            spliced[:, times] = c_elem[times], c_pos[times]
+                            assert (per_time(out, period) == spliced).all(), entry
+        assert set(seen) == {"skipped", "kept", "invalid", "spliced"}
 
     def test_splice_reads_mirror_order_off_the_positions(self, t_red_border):
         # No splice tried on the corpus breaks mirror order alone, so hand
@@ -466,11 +524,14 @@ class TestFastPaths:
         perms = all_permutations(seq)
         bpos = np.asarray(replayed_positions(perms, border.elements))
         mpos = _mirror_positions(seq, bpos)
+        grid = np.arange(seq.period)  # a grid of single times refines any rows
+        rows = np.stack((grid, border.elements, bpos), 1)
         t = 3
-        run, elem = np.array([t]), np.array([border.elements[t]])
-        wt = np.array([sum(seq.weights[v] for v in perms[t][: bpos[t]])])
-        assert _splice(session, border, bpos, run, elem, wt, bpos[run]) is not None
-        assert _splice(session, border, bpos, run, elem, wt, mpos[run]) is None
+        run, elem = np.array([t]), np.asarray(border.elements)
+        wt = np.zeros(seq.period, np.int64)  # read on the run only
+        wt[t] = sum(seq.weights[v] for v in perms[t][: bpos[t]])
+        assert _splice(session, border.color, rows, run, grid, elem, wt, bpos) is not None
+        assert _splice(session, border.color, rows, run, grid, elem, wt, mpos) is None
 
     def test_nearest_left_rank_lookup_matches_replay(self):
         outcomes = set()
@@ -489,7 +550,9 @@ class TestFastPaths:
                             assert str(got.value) == str(exc)
                             outcomes.add("none")
                             continue
-                        assert _nearest_left_curve(session, trk, want) == expected
+                        rows = _nearest_left_curve(session, trk, want)
+                        elements, positions = per_time(rows, seq.period).tolist()
+                        assert (tuple(elements), positions) == expected
                         outcomes.add("found")
         assert outcomes == {"found", "none"}
 
@@ -531,10 +594,11 @@ class TestNearestLeftLemma:
         """Check the lemma on one off-side rank-k curve of a subset of ``size`` c points."""
         assert 2 * k != size + 1, "a middle rank is off the threshold side everywhere"
         try:
-            rho, _ = _nearest_left_curve(session, trk, c.opposite)
+            rows = _nearest_left_curve(session, trk, c.opposite)
         except ProofGapError:  # never above the middle rank
             assert 2 * k <= size
             return "none on the left"
+        rho = tuple(per_time(rows, seq.period)[0].tolist())
         problems = check_border(seq, Border(c.opposite, rho))
         if 2 * k <= size:
             assert problems == []
@@ -806,7 +870,7 @@ class TestCertify:
     def test_one_replay_per_color_family_and_nothing_left_behind(self, monkeypatch):
         # Within one certify call the steps share one session: each color's
         # family is replayed at most once, and so is run_word. No border is
-        # walked: the seed border comes with its positions, and maximisation
+        # walked: the seed border comes with its change rows, and maximisation
         # hands the final border's to the F/G/H scan. The session
         # is gone when the call returns and nothing is cached on the sequence.
         replays = []
@@ -846,6 +910,33 @@ class TestCertify:
             assert certificate_mod._ACTIVE.get() is None
             assert vars(seq) == before
         assert cases == {Case.CASE1.value, Case.CASE2.value}
+
+    def test_builds_a_per_time_border_at_most_twice(self, monkeypatch):
+        # Maximisation holds the border as change rows: a Case-2 certify
+        # builds the seed's Border and, if any round improved it, the
+        # returned one, however many rounds it takes.
+        built, rounds = [], []
+        border_type, improve_once = certificate_mod.Border, certificate_mod._improve_once
+
+        def counting_border(*args):
+            built.append(args)
+            return border_type(*args)
+
+        def counting_rounds(*args):
+            rounds.append(args)
+            return improve_once(*args)
+
+        monkeypatch.setattr(certificate_mod, "Border", counting_border)
+        monkeypatch.setattr(certificate_mod, "_improve_once", counting_rounds)
+        most = 0
+        for entry in TestCarriedPositions.GOLDEN_CASE2:
+            built.clear()
+            rounds.clear()
+            cert = certify(make_certificates.build(entry))
+            assert len(built) == (1 if len(rounds) == 1 else 2), entry
+            assert cert.border.elements == built[-1][1]
+            most = max(most, len(rounds))
+        assert most > 2
 
     def test_no_replay_of_an_empty_subset(self, monkeypatch):
         # Four Case-2 golden entries end with an empty G: its tracks are an

@@ -21,10 +21,11 @@ steps share: each color's family of rank tracks (replayed at most once per
 call), the ``run_word`` steps over one half-period and the last border's
 change rows. The public functions keep their signatures; called on their
 own, each makes a session of its own. Tracks are change rows (see
-``curves.WeightTrack``), and so is a border in maximisation: ``(time,
-element, position)``, tested and spliced on merged change times; the
-``Border`` is built on return. ``element_walk`` serves only a border from
-outside.
+``curves.WeightTrack``), and so is a border from its seed to the F/G/H
+scan: ``(time, element, position)``, tested and spliced on merged change
+times, with its mirror read off the same rows (``_mirror_on_grid``); the
+per-time ``Border`` is built only on return. ``element_walk`` serves only a
+border from outside.
 """
 from __future__ import annotations
 
@@ -129,7 +130,7 @@ class _Certifier:
             same = {v for v, col in enumerate(seq.colors) if col is c}
             if len(border.elements) != seq.period or not same.issuperset(border.elements):
                 raise BadParamsError(f"a border needs 2N = {seq.period} elements, all {c.name.lower()}")
-            pos = _border_positions(seq, border.elements)
+            pos = _kernels.element_walk(seq.pi0, seq.full_word(), border.elements)
             self.kept = border, _change_rows(np.stack((np.arange(seq.period), border.elements, pos), 1))
         return self.kept[1]
 
@@ -183,16 +184,6 @@ class Border:
         return self.elements[half:] + self.elements[:half]
 
 
-def _border_positions(seq: AllowableSequence, elements) -> np.ndarray:
-    """Position of elements[t] in pi^t over [0, 2N), from one replay of the full word."""
-    return np.asarray(_kernels.element_walk(seq.pi0, seq.full_word(), elements))
-
-
-def _mirror_positions(seq: AllowableSequence, bpos) -> np.ndarray:
-    """Positions of the mirror elements from the border's: pi^{t+N} reverses pi^t."""
-    return seq.n - 1 - np.roll(np.asarray(bpos), -seq.half_period)
-
-
 def _change_rows(rows: np.ndarray) -> np.ndarray:
     """Rows ``(time, element, position)`` less those that repeat the one before."""
     return rows[np.diff(rows[:, 1:], axis=0, prepend=-1).any(axis=1)]
@@ -201,6 +192,11 @@ def _change_rows(rows: np.ndarray) -> np.ndarray:
 def _on_grid(rows: np.ndarray, times) -> np.ndarray:
     """The change rows in force at each of ``times``, as a new array."""
     return rows[np.searchsorted(rows[:, 0], times, side="right") - 1]
+
+
+def _mirror_on_grid(seq: AllowableSequence, rows: np.ndarray, times) -> np.ndarray:
+    """The mirror's positions at ``times``, n - 1 - pos(t + N): pi^{t+N} reverses pi^t."""
+    return seq.n - 1 - _on_grid(rows, (np.asarray(times) + seq.half_period) % seq.period)[:, 2]
 
 
 def check_border(seq: AllowableSequence, border: Border) -> list[str]:
@@ -305,6 +301,15 @@ def initial_border(seq: AllowableSequence, k: int) -> Border:
     raise BadParamsError(f"blue rank {k} is delta-changing; no border seed")
 
 
+def _fgh(seq: AllowableSequence, c: Color, gq: int, mq: int):
+    """``partition_fgh``'s parts for a color-c border at pi^0 position gq, its mirror at mq."""
+    if not gq < mq:
+        raise ProofGapError("border is not left of its mirror at time 0")
+    p0 = seq.pi0
+    return tuple(tuple(v for v in run if seq.colors[v] is c)
+                 for run in (p0[: gq + 1], p0[gq + 1 : mq], p0[mq:]))
+
+
 def partition_fgh(seq: AllowableSequence, border: Border):
     """Split the border-color points by position at time 0.
 
@@ -313,16 +318,8 @@ def partition_fgh(seq: AllowableSequence, border: Border):
     part is ordered by position at time 0, so index j holds the rank-j curve's
     starting element.
     """
-    c = border.color
-    rank0 = {v: q for q, v in enumerate(seq.pi0)}
-    gq, mq = (rank0[border.elements[t]] for t in (0, seq.half_period))
-    if not gq < mq:
-        raise ProofGapError("border is not left of its mirror at time 0")
-    members = sorted((i for i in range(seq.n) if seq.colors[i] is c), key=rank0.get)
-    f = tuple(v for v in members if rank0[v] <= gq)
-    g = tuple(v for v in members if gq < rank0[v] < mq)
-    h = tuple(v for v in members if rank0[v] >= mq)
-    return f, g, h
+    gq, mq = (seq.pi0.index(border.elements[t]) for t in (0, seq.half_period))
+    return _fgh(seq, border.color, gq, mq)
 
 
 # ---------------------------------------------------------------------------
@@ -471,16 +468,14 @@ def case2_certificate(seq: AllowableSequence, border: Border) -> Certificate:
     at ascents, and a deflected G descent (ascent) charges the F (H) curve it
     passed, which shows the reverse change. ``outer`` maps each kind to its
     side. A G change is confined when the curve lies between the border and
-    its mirror, whose positions are the border's rows expanded once. The
-    G quotas and each outer curve's charges are counts over the events so
-    far. Raises InsufficientBorderError when a border-dependent obligation
-    fails; structural violations raise ProofGapError.
+    its mirror, both read off the border's change rows at the change's two
+    times. The G quotas and each outer curve's charges are counts over the
+    events so far. Raises InsufficientBorderError when a border-dependent
+    obligation fails; structural violations raise ProofGapError.
     """
     c, half = border.color, seq.half_period
     s = _session(seq)
     rows = s.rows(border)  # a border from outside is checked here, first
-    bpos = np.repeat(rows[:, 2], np.diff(rows[:, 0], append=seq.period))
-    bpos, mpos = bpos.tolist(), _mirror_positions(seq, bpos).tolist()  # mpos: the mirror's
     parts = partition_fgh(seq, border)
     f_ids, g_ids, h_ids = parts
     target = sum(len(p) for p in parts)
@@ -507,8 +502,9 @@ def case2_certificate(seq: AllowableSequence, border: Border) -> Certificate:
         name = f"G{rank}"
         for kind in changes:
             for t in window_changes(trk, kind):
-                confined = (bpos[t] <= trk.position_at(t) <= mpos[t]
-                            and bpos[t + 1] < trk.position_at(t + 1) < mpos[t + 1])
+                ts = [t, t + 1]
+                (b0, b1), (m0, m1) = _on_grid(rows, ts)[:, 2], _mirror_on_grid(seq, rows, ts)
+                confined = b0 <= trk.position_at(t) <= m0 and b1 < trk.position_at(t + 1) < m1
                 member = trk.element_at(t)
                 swap = swap_parts(t, g_set, member)
                 partner, moved_right, _ = swap
@@ -602,18 +598,18 @@ def _splice(s: _Certifier, c: Color, rows: np.ndarray, run: np.ndarray, grid, el
     Across the step from t to u = t + 1 it holds iff the two elements'
     counts of c points on their left at u differ by at most one; the element
     leaving sits at its position at t, moved by one if step t swaps it.
-    Mirror order, pos(t) + pos(t + N) < n - 1, is N-periodic in t, so it is
-    read at the rows' times. Returns the rows, or None where
-    ``check_border`` would report a problem.
+    Mirror order, pos(t) < n - 1 - pos(t + N) (``_mirror_on_grid``), is
+    N-periodic in t, so it is read at the rows' times. Returns the rows, or
+    None where ``check_border`` would report a problem.
     """
-    seq, period, half = s.seq, s.seq.period, s.seq.half_period
+    seq, period = s.seq, s.seq.period
     if not (c.weight * (wt[run] - seq.delta) >= 0).all():
         return None
     new = _on_grid(rows, grid)
     new[:, 0] = grid
     new[run, 1], new[run, 2] = elem[run], pos[run]
     new = _change_rows(new)
-    if not (new[:, 2] + _on_grid(new, (new[:, 0] + half) % period)[:, 2] < seq.n - 1).all():
+    if not (new[:, 2] < _mirror_on_grid(seq, new, new[:, 0])).all():
         return None
     if len(run) < len(grid):  # the steps into the run's first interval and out of its last
         for t in ((grid[[run[0], (run[-1] + 1) % len(grid)]] - 1) % period).tolist():
@@ -640,8 +636,7 @@ def _improve_once(s: _Certifier, c: Color, rows: np.ndarray):
     Either raises the total position.
     """
     seq = s.seq
-    gq, mq = rows[0, 2], seq.n - 1 - _on_grid(rows, [seq.half_period])[0, 2]
-    g_ids = [v for v in seq.pi0[gq + 1 : mq] if seq.colors[v] is c]  # partition_fgh's G
+    g_ids = _fgh(seq, c, rows[0, 2], _mirror_on_grid(seq, rows, [0])[0])[1]
     for tracks in (s.tracks(g_ids), s.family(c)):
         for k, trk in enumerate(tracks, start=1):
             grid, elem, wt, pos, rel = _merged_grid(rows, trk.row_array)

@@ -37,11 +37,18 @@ def _load_instance(path: str):
 
 
 def _load_sequence(args):
+    """The sequence of ``--seq`` or the instance file; None, its defects on stderr, if invalid."""
     if getattr(args, "seq", None):
-        return sequence_from_text(Path(args.seq).read_text())
-    if not args.file:
+        seq = sequence_from_text(Path(args.seq).read_text())
+    elif not args.file:
         raise BalancedLinesError("provide an instance file or --seq")
-    return build_from_points(_load_instance(args.file))
+    else:
+        seq = build_from_points(_load_instance(args.file))
+    report = validate(seq)
+    if not report.clean:
+        print(f"invalid sequence: {', '.join(report.codes)}", file=sys.stderr)
+        return None
+    return seq
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -89,10 +96,7 @@ def _cmd_lines(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    seq = _load_sequence(args)
-    report = validate(seq)
-    if not report.clean:
-        print(f"invalid sequence: {', '.join(report.codes)}", file=sys.stderr)
+    if (seq := _load_sequence(args)) is None:
         return 2
     witnesses = scan_balanced_transpositions(seq)
     _emit(witnesses_to_json(witnesses, seq.delta), args.json)
@@ -100,10 +104,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    seq = _load_sequence(args)
-    report = validate(seq)
-    if not report.clean:
-        print(f"invalid sequence: {', '.join(report.codes)}", file=sys.stderr)
+    if (seq := _load_sequence(args)) is None:
         return 2
     cert = certify(seq)
     result = verify_certificate(seq, cert)

@@ -25,11 +25,11 @@ from balanced_lines.certificate import (
     partition_fgh,
     verify_certificate,
     _Certifier,
-    _border_positions,
     _certificate,
+    _change_rows,
     _cyclic_runs,
     _merged_grid,
-    _mirror_positions,
+    _mirror_on_grid,
     _nearest_left_curve,
     _replayed_swaps,
     _splice,
@@ -343,17 +343,31 @@ class TestCarriedPositions:
         assert outcomes == {"found", "none"}
 
     def test_mirror_positions_are_reversed_border_positions(self, t_red_border, t_blue_border):
+        # The mirror rule on rows of every time, and on the compressed change
+        # rows that maximisation and the F/G/H scan hold, read at sparse times:
+        # 0, N - 1, N, 2N - 1, each change time and the time before it, and
+        # a random sample.
         rng = random.Random(5)
+        walk = certificate_mod._kernels.element_walk
         for inst in (t_red_border, t_blue_border):
             seq = build_from_points(inst)
+            period, half = seq.period, seq.half_period
             border = maximize_border(seq, initial_border(seq, 1))
-            elements = [rng.randrange(seq.n) for _ in range(seq.period)]
+            elements = [rng.randrange(seq.n) for _ in range(period)]
             perms = all_permutations(seq)
+            times = np.arange(period)
             for cand in (border, Border(border.color, tuple(elements))):
-                bpos = _border_positions(seq, cand.elements)
-                assert list(bpos) == replayed_positions(perms, cand.elements)
+                bpos = walk(seq.pi0, seq.full_word(), cand.elements)
+                assert bpos == replayed_positions(perms, cand.elements)
                 mpos = replayed_positions(perms, cand.mirror_elements())
-                assert list(_mirror_positions(seq, bpos)) == mpos
+                grid = np.stack((times, cand.elements, bpos), 1)
+                assert list(_mirror_on_grid(seq, grid, times)) == mpos
+                rows = _change_rows(grid)
+                assert len(rows) < period
+                sparse = {0, half - 1, half, period - 1, *rng.sample(range(period), 20)}
+                sparse |= {int(t) for t0 in rows[:, 0] for t in (t0, (t0 - 1) % period)}
+                sparse = sorted(sparse)
+                assert list(_mirror_on_grid(seq, rows, sparse)) == [mpos[t] for t in sparse]
 
 
 def replay_nearest_left(seq, positions, want):
@@ -523,9 +537,9 @@ class TestFastPaths:
         session = _Certifier(seq)
         perms = all_permutations(seq)
         bpos = np.asarray(replayed_positions(perms, border.elements))
-        mpos = _mirror_positions(seq, bpos)
         grid = np.arange(seq.period)  # a grid of single times refines any rows
         rows = np.stack((grid, border.elements, bpos), 1)
+        mpos = _mirror_on_grid(seq, rows, grid)
         t = 3
         run, elem = np.array([t]), np.asarray(border.elements)
         wt = np.zeros(seq.period, np.int64)  # read on the run only
@@ -938,6 +952,32 @@ class TestCertify:
             most = max(most, len(rounds))
         assert most > 2
 
+    def test_scans_the_kept_border_on_its_rows(self, monkeypatch):
+        # The F/G/H scan reads the final border's positions and its mirror's
+        # off the change rows the session kept: it expands nothing per time
+        # and walks no border.
+        calls = []
+        repeat, walk = np.repeat, certificate_mod._kernels.element_walk
+        golden = {json.dumps(row["entry"], sort_keys=True): row["certificate"]
+                  for row in map(json.loads, make_certificates.OUT.read_text().splitlines())}
+        for entry in TestCarriedPositions.GOLDEN_CASE2:
+            seq = make_certificates.build(entry)
+            session = _Certifier(seq)
+            token = certificate_mod._ACTIVE.set(session)
+            try:
+                border = maximize_border(seq, initial_border(seq, classify_case(seq).preserving_rank))
+                calls.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(np, "repeat", lambda *a, **k: calls.append("repeat") or repeat(*a, **k))
+                    m.setattr(certificate_mod._kernels, "element_walk",
+                              lambda *a: calls.append("element_walk") or walk(*a))
+                    cert = case2_certificate(seq, border)
+            finally:
+                certificate_mod._ACTIVE.reset(token)
+            assert session.kept[0] is border
+            assert calls == [], entry
+            assert json.loads(certificate_to_json(cert)) == golden[json.dumps(entry, sort_keys=True)]
+
     def test_no_replay_of_an_empty_subset(self, monkeypatch):
         # Four Case-2 golden entries end with an empty G: its tracks are an
         # empty list, made without a replay of the word.
@@ -964,7 +1004,7 @@ class TestCertify:
             seq = build_from_points(inst)
             cert = certify(seq)
             border = cert.border
-            bpos = _border_positions(seq, border.elements)
+            bpos = np.array(replayed_positions(all_permutations(seq), border.elements))
             c = border.color
             f, g, h = partition_fgh(seq, border)
             families = [tuple(sorted(set(f) | set(g) | set(h)))]

@@ -8,7 +8,8 @@ and returns lists. ``track_rank`` follows every rank of a subset in one
 replay and logs only change points, so curve tracking costs one replay per
 subset, not one per rank, and a track is O(changes), not O(2N). ``certify``
 replays each color's family once per call and walks no border (its borders
-come with their change rows); ``element_walk`` serves a border from outside.
+come with their change rows); ``element_walk`` gives a border from outside
+rows in the same format, positions and prefix weights.
 Every kernel has a caller in the package. The from-scratch references they
 are tested against are ``permutation_at`` and ``transposition_at`` in
 ``sequence``.
@@ -86,16 +87,20 @@ def track_rank(pi0, word, weights, member):
     return logs
 
 
-def element_walk(pi0, word, elems):
-    """Position of a prescribed element per time step.
+def element_walk(pi0, word, weights, elems):
+    """Position and prefix weight of a prescribed element per time step.
 
     ``elems`` gives one element id per time, ``len(word) + 1`` entries.
+    Returns the lists ``pos`` and ``lw``, the columns a track's rows carry.
     """
     perm = list(pi0)
     pos_of = [0] * len(perm)
+    pre = [0]
     for q, v in enumerate(perm):
         pos_of[v] = q
+        pre.append(pre[q] + weights[v])
     pos = [pos_of[elems[0]]]
+    lw = [pre[pos[0]]]
     for p, e in zip(word, elems[1:]):
         a = perm[p]
         b = perm[p + 1]
@@ -103,8 +108,10 @@ def element_walk(pi0, word, elems):
         perm[p + 1] = a
         pos_of[b] = p
         pos_of[a] = p + 1
+        pre[p + 1] = pre[p] + weights[b]
         pos.append(pos_of[e])
-    return pos
+        lw.append(pre[pos_of[e]])
+    return pos, lw
 
 
 def events_to_word(pi0, ev_i, ev_j):

@@ -21,16 +21,16 @@ steps share: each color's family of rank tracks (replayed at most once per
 call), the ``run_word`` steps over one half-period and the last border's
 change rows. The public functions keep their signatures; called on their
 own, each makes a session of its own. Tracks are change rows (see
-``curves.WeightTrack``), and so is a border from its seed to the F/G/H
-scan: ``(time, element, position)``, tested and spliced on merged change
-times, with its mirror read off the same rows (``_mirror_on_grid``); the
-per-time ``Border`` is built only on return. ``element_walk`` serves only a
-border from outside.
+``curves.WeightTrack``), and a border from its seed to the F/G/H scan has
+the same rows, ``(time, element, prefix weight, position)``: tested and
+spliced on merged change times, with its mirror read off the same rows
+(``_mirror_on_grid``) and its counts of points on the left read off their
+weights; the per-time ``Border`` is built only on return. ``element_walk``
+serves only a border from outside.
 """
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from collections import Counter
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -77,11 +77,11 @@ class _Certifier:
     - ``step(t)``: the swap from pi^t to pi^{t+1}, from ``run_word`` over
       one half-period; any t >= N is read through pi^{t} = reverse(pi^{t-N}),
       so step t swaps step t - N's pair back.
-    - ``count_left(color, t, q)``: the points of a color left of a position,
-      by bisecting that color's family.
     - ``rows(border)``: a border's change rows, walked unless it is
       ``kept``: the last border asked for, or made by ``keep``, which builds
-      a ``Border`` from rows. A border from outside enters here.
+      a ``Border`` from rows. A border from outside enters here, and must
+      hold the threshold side, lie left of its mirror and be weakly
+      continuous, or the call raises ``BadParamsError``.
     """
 
     def __init__(self, seq: AllowableSequence):
@@ -117,21 +117,22 @@ class _Certifier:
         a, b = lo[s], hi[s]  # pi^t reverses pi^s: the pair swaps back, mirrored
         return b, a, self._total - lw[s] - self.seq.weights[a] - self.seq.weights[b]
 
-    def count_left(self, color: Color, t: int, q: int) -> int:
-        """Points of ``color`` strictly left of position q at time t.
-
-        The color's rank curves are in position order at every time.
-        """
-        return bisect_left(self.family(color), q, key=lambda trk: trk.position_at(t))
-
     def rows(self, border: Border) -> np.ndarray:
         if self.kept[0] is not border:
             seq, c = self.seq, border.color
             same = {v for v, col in enumerate(seq.colors) if col is c}
             if len(border.elements) != seq.period or not same.issuperset(border.elements):
                 raise BadParamsError(f"a border needs 2N = {seq.period} elements, all {c.name.lower()}")
-            pos = _kernels.element_walk(seq.pi0, seq.full_word(), border.elements)
-            self.kept = border, _change_rows(np.stack((np.arange(seq.period), border.elements, pos), 1))
+            pos, wt = _kernels.element_walk(seq.pi0, seq.full_word(), seq.weights, border.elements)
+            rows = _change_rows(np.stack((np.arange(seq.period), border.elements, wt, pos), 1))
+            if not (c.weight * (rows[:, 2] - seq.delta) >= 0).all():
+                raise BadParamsError("border leaves the threshold side")
+            if not _left_of_mirror(seq, rows):
+                raise BadParamsError("border is not left of its mirror")
+            changes = rows[rows[:, 1] != np.roll(rows[:, 1], 1), 0]  # cyclically
+            if not all(_seam(self, c, rows, t) for t in ((changes - 1) % seq.period).tolist()):
+                raise BadParamsError("border is not weakly continuous")
+            self.kept = border, rows
         return self.kept[1]
 
     def keep(self, color: Color, rows: np.ndarray) -> Border:
@@ -158,8 +159,6 @@ def _mid_rank_range(seq: AllowableSequence) -> range:
 
 def classify_case(seq: AllowableSequence) -> CaseInfo:
     """Case 1 iff every blue mid-rank curve is delta-changing (vacuously if none)."""
-    if seq.r == 0:
-        return CaseInfo(Case.CASE1, None)
     tracks = _session(seq).family(Color.BLUE)
     for k in _mid_rank_range(seq):
         if classify_track(tracks[k - 1]) is not CurveClass.CHANGING:
@@ -185,18 +184,38 @@ class Border:
 
 
 def _change_rows(rows: np.ndarray) -> np.ndarray:
-    """Rows ``(time, element, position)`` less those that repeat the one before."""
+    """Rows ``(time, element, prefix weight, position)`` less those that repeat the one before."""
     return rows[np.diff(rows[:, 1:], axis=0, prepend=-1).any(axis=1)]
 
 
-def _on_grid(rows: np.ndarray, times) -> np.ndarray:
-    """The change rows in force at each of ``times``, as a new array."""
-    return rows[np.searchsorted(rows[:, 0], times, side="right") - 1]
+def _on_grid(rows: np.ndarray, times, col=slice(None)) -> np.ndarray:
+    """The change rows in force at each of ``times``, or their column ``col``, as a new array."""
+    return rows[np.searchsorted(rows[:, 0], times, side="right") - 1, col]
 
 
 def _mirror_on_grid(seq: AllowableSequence, rows: np.ndarray, times) -> np.ndarray:
     """The mirror's positions at ``times``, n - 1 - pos(t + N): pi^{t+N} reverses pi^t."""
-    return seq.n - 1 - _on_grid(rows, (np.asarray(times) + seq.half_period) % seq.period)[:, 2]
+    return seq.n - 1 - _on_grid(rows, (np.asarray(times) + seq.half_period) % seq.period, 3)
+
+
+def _left_of_mirror(seq: AllowableSequence, rows: np.ndarray) -> bool:
+    """Mirror order, pos(t) < n - 1 - pos(t + N), read at the rows' times: it is N-periodic."""
+    return bool((rows[:, 3] < _mirror_on_grid(seq, rows, rows[:, 0])).all())
+
+
+def _seam(s: _Certifier, c: Color, rows: np.ndarray, t: int) -> bool:
+    """Weak continuity of a color-c border's rows across the step from t to u = t + 1.
+
+    It holds iff the two elements' counts of c points on their left at u
+    differ by at most one. A row at position q with prefix weight w has
+    (q + c.weight * w)/2; the leaving element's moves if step t swaps it
+    with a c point.
+    """
+    seq = s.seq
+    (_, e, wt, qt), (_, _, wu, qu) = _on_grid(rows, [t, (t + 1) % seq.period]).tolist()
+    lo, hi, _ = s.step(t)
+    moved = (e == lo and seq.colors[hi] is c) - (e == hi and seq.colors[lo] is c)
+    return abs((qu + c.weight * wu) // 2 - (qt + c.weight * wt) // 2 - moved) <= 1
 
 
 def check_border(seq: AllowableSequence, border: Border) -> list[str]:
@@ -276,8 +295,8 @@ def _nearest_left_curve(s: _Certifier, trk: WeightTrack, want: Color):
         k = (q + want.weight * w) // 2
         if k == 0:
             raise ProofGapError(f"no {want.value} element left of position {q} at t={t}")
-        for (_, e, _, qe), m in row_spans(family[k - 1].rows, t, end):
-            out.append((t, e, qe))
+        for (_, *row), m in row_spans(family[k - 1].rows, t, end):
+            out.append((t, *row))
             t += m
     return _change_rows(np.array(out, np.int64))
 
@@ -295,14 +314,15 @@ def initial_border(seq: AllowableSequence, k: int) -> Border:
     trk = s.family(Color.BLUE)[k - 1]
     cls = classify_track(trk)
     if cls is CurveClass.GE_DELTA:
-        return s.keep(Color.BLUE, trk.row_array[:, [0, 1, 3]])
+        return s.keep(Color.BLUE, trk.row_array)
     if cls is CurveClass.LT_DELTA:
         return s.keep(Color.RED, _nearest_left_curve(s, trk, Color.RED))
     raise BadParamsError(f"blue rank {k} is delta-changing; no border seed")
 
 
-def _fgh(seq: AllowableSequence, c: Color, gq: int, mq: int):
-    """``partition_fgh``'s parts for a color-c border at pi^0 position gq, its mirror at mq."""
+def _fgh(seq: AllowableSequence, c: Color, rows: np.ndarray):
+    """``partition_fgh``'s parts for a color-c border's rows."""
+    gq, mq = rows[0, 3], _mirror_on_grid(seq, rows, [0])[0]
     if not gq < mq:
         raise ProofGapError("border is not left of its mirror at time 0")
     p0 = seq.pi0
@@ -316,10 +336,10 @@ def partition_fgh(seq: AllowableSequence, border: Border):
     F: at or left of the border element (inclusive); G: strictly between the
     border element and its mirror; H: at or right of the mirror element. Each
     part is ordered by position at time 0, so index j holds the rank-j curve's
-    starting element.
+    starting element. A border from outside is checked first
+    (``_Certifier.rows``).
     """
-    gq, mq = (seq.pi0.index(border.elements[t]) for t in (0, seq.half_period))
-    return _fgh(seq, border.color, gq, mq)
+    return _fgh(seq, border.color, _session(seq).rows(border))
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +496,7 @@ def case2_certificate(seq: AllowableSequence, border: Border) -> Certificate:
     c, half = border.color, seq.half_period
     s = _session(seq)
     rows = s.rows(border)  # a border from outside is checked here, first
-    parts = partition_fgh(seq, border)
+    parts = _fgh(seq, c, rows)
     f_ids, g_ids, h_ids = parts
     target = sum(len(p) for p in parts)
 
@@ -503,7 +523,7 @@ def case2_certificate(seq: AllowableSequence, border: Border) -> Certificate:
         for kind in changes:
             for t in window_changes(trk, kind):
                 ts = [t, t + 1]
-                (b0, b1), (m0, m1) = _on_grid(rows, ts)[:, 2], _mirror_on_grid(seq, rows, ts)
+                (b0, b1), (m0, m1) = _on_grid(rows, ts, 3), _mirror_on_grid(seq, rows, ts)
                 confined = b0 <= trk.position_at(t) <= m0 and b1 < trk.position_at(t + 1) < m1
                 member = trk.element_at(t)
                 swap = swap_parts(t, g_set, member)
@@ -576,49 +596,41 @@ def _cyclic_runs(flags: np.ndarray) -> list[np.ndarray]:
 
 
 def _merged_grid(rows: np.ndarray, cand: np.ndarray):
-    """A candidate's rows (a track's ``row_array``) against the border's, on their merged times.
+    """A candidate's rows (a track's ``row_array``) on its and the border's merged times.
 
-    Per interval, the candidate's element, weight, position and position
-    less the border's. A sort merges: ``np.unique`` would import ``numpy.ma``.
+    Returns the candidate's rows, one per merged interval, and ``rel``, its
+    position less the border's there. A sort merges: ``np.unique`` would
+    import ``numpy.ma``.
     """
     grid = np.sort(np.concatenate((rows[:, 0], cand[:, 0])))
     grid = grid[np.diff(grid, prepend=-1) != 0]
-    _, elem, wt, pos = _on_grid(cand, grid).T
-    return grid, elem, wt, pos, pos - _on_grid(rows, grid)[:, 2]
+    merged = _on_grid(cand, grid)
+    merged[:, 0] = grid
+    return merged, merged[:, 3] - _on_grid(rows, grid, 3)
 
 
-def _splice(s: _Certifier, c: Color, rows: np.ndarray, run: np.ndarray, grid, elem, wt, pos):
-    """The border's rows with a curve written over ``run``, if that is a valid border.
+def _splice(s: _Certifier, c: Color, rows: np.ndarray, run: np.ndarray, cand: np.ndarray):
+    """The border's rows with a candidate's written over ``run``, if that is a valid border.
 
-    ``run`` is a cyclic run of ``_merged_grid``'s intervals, in cyclic
-    order, on which ``elem``, ``wt`` and ``pos`` give the curve. The border
-    must be valid and the curve a rank curve of a subset of color c (or the
-    run one time long). Then within the run consecutive elements are equal
-    or adjacent, so weak continuity can fail only at the run's two seams.
-    Across the step from t to u = t + 1 it holds iff the two elements'
-    counts of c points on their left at u differ by at most one; the element
-    leaving sits at its position at t, moved by one if step t swaps it.
-    Mirror order, pos(t) < n - 1 - pos(t + N) (``_mirror_on_grid``), is
-    N-periodic in t, so it is read at the rows' times. Returns the rows, or
+    ``cand`` is ``_merged_grid``'s rows of the candidate and ``run`` a
+    cyclic run of them, in cyclic order. The border must be valid and the
+    candidate a rank curve of a subset of color c (or the run one row long).
+    Then within the run consecutive elements are equal or adjacent, so weak
+    continuity can fail only at the run's two seams. Returns the rows, or
     None where ``check_border`` would report a problem.
     """
-    seq, period = s.seq, s.seq.period
-    if not (c.weight * (wt[run] - seq.delta) >= 0).all():
+    seq = s.seq
+    if not (c.weight * (cand[run, 2] - seq.delta) >= 0).all():
         return None
-    new = _on_grid(rows, grid)
-    new[:, 0] = grid
-    new[run, 1], new[run, 2] = elem[run], pos[run]
+    new = _on_grid(rows, cand[:, 0])
+    new[:, 0] = cand[:, 0]
+    new[run] = cand[run]
     new = _change_rows(new)
-    if not (new[:, 2] < _mirror_on_grid(seq, new, new[:, 0])).all():
+    if not _left_of_mirror(seq, new):
         return None
-    if len(run) < len(grid):  # the steps into the run's first interval and out of its last
-        for t in ((grid[[run[0], (run[-1] + 1) % len(grid)]] - 1) % period).tolist():
-            u = (t + 1) % period
-            (_, e, qt), (_, _, qu) = _on_grid(new, [t, u]).tolist()
-            lo, hi, _ = s.step(t)
-            q = qt + (e == lo) - (e == hi)
-            if abs(s.count_left(c, u, qu) - s.count_left(c, u, q)) > 1:
-                return None
+    seams = (cand[[run[0], (run[-1] + 1) % len(cand)], 0] - 1) % seq.period  # into and out of the run
+    if len(run) < len(cand) and not all(_seam(s, c, new, t) for t in seams.tolist()):
+        return None
     return new
 
 
@@ -636,19 +648,19 @@ def _improve_once(s: _Certifier, c: Color, rows: np.ndarray):
     Either raises the total position.
     """
     seq = s.seq
-    g_ids = _fgh(seq, c, rows[0, 2], _mirror_on_grid(seq, rows, [0])[0])[1]
+    g_ids = _fgh(seq, c, rows)[1]
     for tracks in (s.tracks(g_ids), s.family(c)):
         for k, trk in enumerate(tracks, start=1):
-            grid, elem, wt, pos, rel = _merged_grid(rows, trk.row_array)
+            cand, rel = _merged_grid(rows, trk.row_array)
             if not (rel > 0).any():  # no device applies
                 continue
             for run in _cyclic_runs(rel >= 0):
                 if (rel[run] > 0).any():
-                    spliced = _splice(s, c, rows, run, grid, elem, wt, pos)
+                    spliced = _splice(s, c, rows, run, cand)
                     if spliced is not None:
                         return c, spliced
             if (2 * k <= len(tracks) and (rel > 0).all()
-                    and not (c.weight * (wt - seq.delta) >= 0).any()):
+                    and not (c.weight * (cand[:, 2] - seq.delta) >= 0).any()):
                 return c.opposite, _nearest_left_curve(s, trk, c.opposite)
     return None
 

@@ -315,8 +315,9 @@ def filled(trk):
 def per_time(rows, period):
     """Change rows as per-time columns over [0, period), each row holding until the next.
 
-    The forward fill of a border's rows ``(time, element, position)``, of a
-    track's ``row_array`` or of any rows whose first column is a start time:
+    The forward fill of a border's rows or a track's ``row_array`` (both
+    ``(time, element, prefix weight, position)``), or of any rows whose
+    first column is a start time:
     the oracle for the tests of the merged-grid code, which never expands.
     """
     rows = np.asarray(rows)

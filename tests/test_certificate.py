@@ -206,6 +206,40 @@ class TestBorders:
         with pytest.raises(BadParamsError, match=f"^a border needs 2N = {seq.period} elements, all red$"):
             step(seq, bad)
 
+    @pytest.mark.parametrize("defect, message", [
+        ("last red, then first", "border leaves the threshold side"),
+        ("first red, then last", "border leaves the threshold side"),
+        ("weak continuity only", "border is not weakly continuous"),
+        ("rightmost blue", "border is not left of its mirror"),
+    ])
+    @pytest.mark.parametrize("step", [maximize_border, case2_certificate, partition_fgh],
+                             ids=lambda f: f.__name__)
+    def test_invalid_border_from_outside_is_rejected(self, step, defect, message):
+        # A border from outside must hold the threshold side, lie left of its
+        # mirror and be weakly continuous. The first two hold pi^0's last
+        # (first) red point for t < N and its first (last) one after; the
+        # third overwrites one time of the certified border with a red point;
+        # the last is a rank curve on the threshold side, above its mirror.
+        seq = build_from_points(random_instance(36, 12, 10**6, seed=1))
+        half = seq.half_period
+        reds = [v for v in seq.pi0 if seq.colors[v] is Color.RED]
+        border = certify(seq).border
+        borders = {
+            "last red, then first": Border(Color.RED, (reds[-1],) * half + (reds[0],) * half),
+            "first red, then last": Border(Color.RED, (reds[0],) * half + (reds[-1],) * half),
+            "rightmost blue": Border(Color.BLUE, tuple(filled(track(seq, CurveSpec(
+                blue_ids(seq), seq.b)))[0][: seq.period].tolist())),
+        }
+        one_point = (Border(Color.RED, border.elements[:t] + (x,) + border.elements[t + 1:])
+                     for t in range(seq.period) for x in reds)
+        borders["weak continuity only"] = next(
+            bad for bad in one_point
+            if (problems := check_border(seq, bad))
+            and all(p.startswith("WEAK_CONTINUITY") for p in problems))
+        assert check_border(seq, borders[defect]) != []
+        with pytest.raises(BadParamsError, match=f"^{message}$"):
+            step(seq, borders[defect])
+
     def test_problems_match_replay_oracle(self, t_red_border, t_blue_border):
         seen = set()
         for inst in (t_red_border, t_blue_border):
@@ -249,6 +283,12 @@ def replayed_positions(perms, elements):
     return [perms[t].index(e) for t, e in enumerate(elements)]
 
 
+def replayed_weights_positions(seq, perms, elements):
+    """Prefix weight and position of elements[t] in pi^t, for t over [0, 2N), from scratch."""
+    qs = replayed_positions(perms, elements)
+    return [sum(seq.weights[v] for v in perms[t][:q]) for t, q in enumerate(qs)], qs
+
+
 class TestCarriedPositions:
     """Positions handed from round to round agree with from-scratch replays."""
 
@@ -273,11 +313,31 @@ class TestCarriedPositions:
                 certificate_mod._ACTIVE.reset(token)
             assert session.kept[0] is border
             perms = all_permutations(seq)
-            elements, positions = per_time(session.kept[1], seq.period)
+            elements, _, positions = per_time(session.kept[1], seq.period)
             assert tuple(elements.tolist()) == border.elements
             assert list(positions) == replayed_positions(perms, border.elements)
             colors.add(border.color)
         assert colors == set(Color)
+
+    def test_kept_border_rows_carry_prefix_weights(self):
+        # Border rows have the track's format: each kept row's weight is its
+        # element's prefix weight, for the seed and for the final border.
+        for entry in self.GOLDEN_CASE2:
+            seq = make_certificates.build(entry)
+            session = _Certifier(seq)
+            token = certificate_mod._ACTIVE.set(session)
+            try:
+                seed = initial_border(seq, classify_case(seq).preserving_rank)
+                kept = [session.kept[1]]
+                maximize_border(seq, seed)
+                kept.append(session.kept[1])
+            finally:
+                certificate_mod._ACTIVE.reset(token)
+            for rows in kept:
+                for t, e, w, q in rows.tolist():
+                    perm = permutation_at(seq, t)
+                    assert perm[q] == e
+                    assert w == sum(seq.weights[v] for v in perm[:q]), (entry, t)
 
     def test_improve_once_positions_match_replay(self, monkeypatch, t_red_border, t_blue_border):
         returned = []
@@ -301,7 +361,7 @@ class TestCarriedPositions:
             for color, rows in returned:
                 assert rows[0, 0] == 0 and (np.diff(rows[:, 0]) > 0).all()
                 assert (np.diff(rows[:, 1:], axis=0) != 0).any(axis=1).all()  # change rows only
-                elements, positions = per_time(rows, seq.period)
+                elements, _, positions = per_time(rows, seq.period)
                 assert list(positions) == replayed_positions(perms, elements.tolist())
             if returned:
                 color, rows = returned[-1]
@@ -337,7 +397,7 @@ class TestCarriedPositions:
                             outcomes.add("none")
                             continue
                         rows = _nearest_left_curve(session, trk, want)
-                        elements, positions = per_time(rows, seq.period).tolist()
+                        elements, _, positions = per_time(rows, seq.period).tolist()
                         assert list(zip(elements, positions)) == expected
                         outcomes.add("found")
         assert outcomes == {"found", "none"}
@@ -357,10 +417,10 @@ class TestCarriedPositions:
             perms = all_permutations(seq)
             times = np.arange(period)
             for cand in (border, Border(border.color, tuple(elements))):
-                bpos = walk(seq.pi0, seq.full_word(), cand.elements)
+                bpos, bwt = walk(seq.pi0, seq.full_word(), seq.weights, cand.elements)
                 assert bpos == replayed_positions(perms, cand.elements)
                 mpos = replayed_positions(perms, cand.mirror_elements())
-                grid = np.stack((times, cand.elements, bpos), 1)
+                grid = np.stack((times, cand.elements, bwt, bpos), 1)
                 assert list(_mirror_on_grid(seq, grid, times)) == mpos
                 rows = _change_rows(grid)
                 assert len(rows) < period
@@ -410,9 +470,9 @@ class TestFastPaths:
         calls = []
         splice = certificate_mod._splice
 
-        def recording(session, c, rows, run, grid, elem, wt, pos):
-            out = splice(session, c, rows, run, grid, elem, wt, pos)
-            calls.append((c, rows, run, grid, elem, out))
+        def recording(session, c, rows, run, cand):
+            out = splice(session, c, rows, run, cand)
+            calls.append((c, rows, run, cand, out))
             return out
 
         monkeypatch.setattr(certificate_mod, "_splice", recording)
@@ -422,14 +482,14 @@ class TestFastPaths:
             calls.clear()
             certify(seq)
             perms = all_permutations(seq)
-            for c, rows, run, grid, elem, out in calls:
+            for c, rows, run, cand_rows, out in calls:
                 elements = per_time(rows, seq.period)[0]
-                times = run_times(grid, run, seq.period)
-                elements[times] = per_time(np.stack((grid, elem), 1), seq.period)[0][times]
+                times = run_times(cand_rows[:, 0], run, seq.period)
+                elements[times] = per_time(cand_rows, seq.period)[0][times]
                 cand = Border(c, tuple(elements.tolist()))
                 assert (out is None) == bool(check_border(seq, cand))
                 if out is not None:
-                    spliced, positions = per_time(out, seq.period)
+                    spliced, _, positions = per_time(out, seq.period)
                     assert tuple(spliced.tolist()) == cand.elements
                     assert list(positions) == replayed_positions(perms, cand.elements)
                 verdicts.add(out is None)
@@ -447,7 +507,7 @@ class TestFastPaths:
             session = _Certifier(seq)
             perms = all_permutations(seq)
             grid = np.arange(seq.period)  # a grid of single times refines any rows
-            rows = np.stack((grid, border.elements, replayed_positions(perms, border.elements)), 1)
+            rows = np.stack((grid, border.elements, *replayed_weights_positions(seq, perms, border.elements)), 1)
             same = [v for v in range(seq.n) if seq.colors[v] is border.color]
             if entry["kind"] == "abstract":
                 runs = [(t, length, x) for length in (1, 3) for t in range(seq.period) for x in same]
@@ -458,9 +518,10 @@ class TestFastPaths:
                 run = [(t0 + i) % seq.period for i in range(length)]
                 qs = [perms[t].index(x) for t in run]
                 ws = [sum(seq.weights[v] for v in perms[t][:q]) for t, q in zip(run, qs)]
-                elem, wt, pos = np.zeros((3, seq.period), np.int64)  # read on the run only
-                elem[run], wt[run], pos[run] = x, ws, qs
-                out = _splice(session, border.color, rows, np.array(run), grid, elem, wt, pos)
+                cand = np.zeros((seq.period, 4), np.int64)  # read on the run only
+                cand[:, 0] = grid
+                cand[run, 1:] = np.stack(([x] * length, ws, qs), 1)
+                out = _splice(session, border.color, rows, np.array(run), cand)
                 elements = list(border.elements)
                 for t in run:
                     elements[t] = x
@@ -499,15 +560,16 @@ class TestFastPaths:
             certify(seq)
             oracle = {}  # a track's forward-filled arrays over [0, 2N), built once
             for session, c, rows in rounds:
-                b_elem, b_pos = per_time(rows, period)
+                b_elem, b_wt, b_pos = per_time(rows, period)
                 g_ids = partition_fgh(seq, Border(c, tuple(b_elem.tolist())))[1]
                 for trk in session.tracks(g_ids) + session.family(c):
                     if trk not in oracle:
                         oracle[trk] = np.stack(filled(trk))[:, :period]
                     c_elem, c_wt, c_pos = oracle[trk]
-                    grid, elem, wt, pos, rel = _merged_grid(rows, trk.row_array)
+                    cand, rel = _merged_grid(rows, trk.row_array)
+                    grid = cand[:, 0]
                     assert grid[0] == 0 and (np.diff(grid) > 0).all()
-                    on_grid = per_time(np.stack((grid, elem, wt, pos, rel), 1), period)
+                    on_grid = per_time(np.column_stack((cand, rel)), period)
                     assert (on_grid == np.stack((c_elem, c_wt, c_pos, c_pos - b_pos))).all(), entry
                     assert (rel > 0).any() == (c_pos > b_pos).any()
                     if not (rel > 0).any():
@@ -520,12 +582,12 @@ class TestFastPaths:
                     for run in runs:
                         if not (rel[run] > 0).any():
                             continue
-                        out = _splice(session, c, rows, run, grid, elem, wt, pos)
+                        out = _splice(session, c, rows, run, cand)
                         seen["invalid" if out is None else "spliced"] += 1
                         if out is not None:
                             times = run_times(grid, run, period)
-                            spliced = np.stack((b_elem, b_pos))
-                            spliced[:, times] = c_elem[times], c_pos[times]
+                            spliced = np.stack((b_elem, b_wt, b_pos))
+                            spliced[:, times] = c_elem[times], c_wt[times], c_pos[times]
                             assert (per_time(out, period) == spliced).all(), entry
         assert set(seen) == {"skipped", "kept", "invalid", "spliced"}
 
@@ -536,16 +598,15 @@ class TestFastPaths:
         border = certify(seq).border
         session = _Certifier(seq)
         perms = all_permutations(seq)
-        bpos = np.asarray(replayed_positions(perms, border.elements))
+        bwt, bpos = replayed_weights_positions(seq, perms, border.elements)
         grid = np.arange(seq.period)  # a grid of single times refines any rows
-        rows = np.stack((grid, border.elements, bpos), 1)
+        rows = np.stack((grid, border.elements, bwt, bpos), 1)
         mpos = _mirror_on_grid(seq, rows, grid)
-        t = 3
-        run, elem = np.array([t]), np.asarray(border.elements)
-        wt = np.zeros(seq.period, np.int64)  # read on the run only
-        wt[t] = sum(seq.weights[v] for v in perms[t][: bpos[t]])
-        assert _splice(session, border.color, rows, run, grid, elem, wt, bpos) is not None
-        assert _splice(session, border.color, rows, run, grid, elem, wt, mpos) is None
+        run = np.array([3])
+        assert _splice(session, border.color, rows, run, rows) is not None
+        at_mirror = rows.copy()
+        at_mirror[:, 3] = mpos
+        assert _splice(session, border.color, rows, run, at_mirror) is None
 
     def test_nearest_left_rank_lookup_matches_replay(self):
         outcomes = set()
@@ -565,7 +626,7 @@ class TestFastPaths:
                             outcomes.add("none")
                             continue
                         rows = _nearest_left_curve(session, trk, want)
-                        elements, positions = per_time(rows, seq.period).tolist()
+                        elements, _, positions = per_time(rows, seq.period).tolist()
                         assert (tuple(elements), positions) == expected
                         outcomes.add("found")
         assert outcomes == {"found", "none"}
@@ -742,6 +803,27 @@ class TestCase2:
         assert exc.value.hint == (side, 1)
 
 
+    def test_starved_g_rank_pair_names_its_obligation(self, monkeypatch):
+        # Hide every in-window change of G's rank pair (2, 3); that pair then
+        # fails its confined-change quota with a fixed message.
+        seq = build_from_points(random_instance(36, 12, 10**6, seed=0))
+        cert = certify(seq)
+        assert len(cert.g_set) == 4
+        real = certificate_mod.find_weight_changes
+
+        def starved(trk, from_w, to_w, window=None):
+            if (window is not None and trk.spec.members == frozenset(cert.g_set)
+                    and trk.spec.k in (2, 3)):
+                return []
+            return real(trk, from_w, to_w, window)
+
+        monkeypatch.setattr(certificate_mod, "find_weight_changes", starved)
+        with pytest.raises(InsufficientBorderError) as exc:
+            case2_certificate(seq, cert.border)
+        assert str(exc.value) == "G rank pair (2, 3) has 0 confined changes"
+        assert exc.value.hint == ("G", 2)
+
+
 class TestEventLog:
     """The scans only log events; ``_certificate`` reads the certificate off them."""
 
@@ -820,17 +902,22 @@ class TestHalfPeriodSession:
                 assert _swap(session.step(t), t, tr.lo_id) == (tr.hi_id, True, tr.left_weight)
                 assert _swap(session.step(t), t, tr.hi_id) == (tr.lo_id, False, tr.left_weight)
 
-    def test_count_left_matches_permutation_at(self):
+    def test_row_counts_match_permutation_at(self):
+        # An element at position q with prefix weight w has (q + c.weight * w)/2
+        # points of color c on its left: the count _splice's seam test and
+        # _nearest_left_curve read off rows. Every row of every family track.
         for entry in TestFastPaths.GOLDEN_SMALL:
             seq = make_certificates.build(entry)
             session = _Certifier(seq)
-            for t in range(seq.period):
-                perm = permutation_at(seq, t)
-                for color in Color:
-                    left = 0
-                    for q, e in enumerate(perm):
-                        assert session.count_left(color, t, q) == left, (entry, t, q, color)
-                        left += seq.colors[e] is color
+            perms = {}
+            for family in Color:
+                for trk in session.family(family):
+                    for t, e, w, q in trk.row_array.tolist():
+                        perm = perms.setdefault(t, permutation_at(seq, t))
+                        assert perm[q] == e
+                        for color in Color:
+                            left = sum(seq.colors[v] is color for v in perm[:q])
+                            assert (q + color.weight * w) // 2 == left, (entry, t, q, color)
 
     def test_replays_the_half_word_once(self, monkeypatch):
         words = []
@@ -899,9 +986,9 @@ class TestCertify:
             replays.append("run_word")
             return run_word(pi0, word, weights)
 
-        def counting_element_walk(pi0, word, elems):
+        def counting_element_walk(pi0, word, weights, elems):
             replays.append("element_walk")
-            return element_walk(pi0, word, elems)
+            return element_walk(pi0, word, weights, elems)
 
         monkeypatch.setattr(kernels, "track_rank", counting_track_rank)
         monkeypatch.setattr(kernels, "run_word", counting_run_word)
@@ -1095,6 +1182,50 @@ class TestVerifier:
             tampered = dataclasses.replace(cert, f_set=f2, g_set=g2, h_set=h2)
             result = verify_certificate(seq, tampered)
             assert "BAD_PARTITION" in result.diagnostics, label
+
+    def test_witness_without_time_detected(self, t_red_border):
+        seq = build_from_points(t_red_border)
+        cert = certify(seq)
+        w, *rest = cert.witnesses
+        tampered = dataclasses.replace(cert, witnesses=(dataclasses.replace(w, t=None), *rest))
+        result = verify_certificate(seq, tampered)
+        assert result.diagnostics == (f"NOT_BALANCED {w.pair}: witness carries no time",)
+
+    @pytest.mark.parametrize("field", ["border", "ledger"])
+    def test_missing_case2_data_detected(self, t_red_border, field):
+        seq = build_from_points(t_red_border)
+        cert = certify(seq)
+        assert cert.case == Case.CASE2.value
+        result = verify_certificate(seq, dataclasses.replace(cert, **{field: None}))
+        assert result.diagnostics == ("MISSING_CASE2_DATA",)
+
+    def test_negative_charge_detected(self):
+        seq = build_from_points(random_instance(36, 12, 10**6, seed=1))
+        cert = certify(seq)
+        assert cert.ledger.ch_f == (1, 0, 0, 0)
+        negative = dataclasses.replace(cert.ledger, ch_f=(1, -1, 0, 0))
+        result = verify_certificate(seq, dataclasses.replace(cert, ledger=negative))
+        assert result.diagnostics == ("BAD_LEDGER negative charge",
+                                      "BAD_LEDGER charge/transaction mismatch")
+
+    @pytest.mark.parametrize("seed, parts, diagnostic", [
+        (5, "FH", "LEDGER_FH_COUNT"),  # no F/H witness to spare
+        (9, "G", "LEDGER_G_COUNT"),  # no G witness to spare
+    ])
+    def test_part_count_short_by_one_detected(self, seed, parts, diagnostic):
+        # Drop one witness of the parts (and its origin) from a certificate
+        # with none to spare there but some in all.
+        seq = build_from_points(random_instance(36, 12, 10**6, seed=seed))
+        cert = certify(seq)
+        assert verify_certificate(seq, cert).ok and len(cert.witnesses) > cert.target
+        origin = dict(cert.witness_origins)
+        drop = next(w.pair for w in cert.witnesses if origin[w.pair][0] in parts)
+        tampered = dataclasses.replace(
+            cert,
+            witnesses=tuple(w for w in cert.witnesses if w.pair != drop),
+            witness_origins=tuple((p, o) for p, o in cert.witness_origins if p != drop),
+        )
+        assert verify_certificate(seq, tampered).diagnostics == (diagnostic,)
 
     def test_charge_moved_between_f_curves_detected(self):
         seq = build_from_points(random_instance(27, 9, 10**6, seed=5))

@@ -57,11 +57,13 @@ def test_track_rank_backends_agree(seed):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_element_walk_backends_agree(seed):
-    pi0, word, _, seq = sequence_arrays(seed)
+    pi0, word, weights, seq = sequence_arrays(seed)
     rng = random.Random(seed)
     elems = [rng.randrange(seq.n) for _ in range(len(word) + 1)]
-    pos = _kernels.element_walk(pi0, word, elems)
-    assert pos == [perm.index(e) for perm, e in zip(all_permutations(seq), elems)]
+    pos, lw = _kernels.element_walk(pi0, word, weights, elems)
+    perms = all_permutations(seq)
+    assert pos == [perm.index(e) for perm, e in zip(perms, elems)]
+    assert lw == [sum(weights[v] for v in perm[:q]) for perm, q in zip(perms, pos)]
 
 
 def test_events_to_word_backends_agree():

@@ -47,7 +47,12 @@ class BalancedWitness:
 
 
 def enumerate_balanced_lines(inst: Instance) -> set[BalancedWitness]:
-    """All bichromatic pairs whose open halfplanes both have weight delta."""
+    """All bichromatic pairs whose open halfplanes both have weight delta.
+
+    One ``halfplane_weights`` call per pair, each O(1) after one O(n log n)
+    angular sweep around its red point: O(r n log n + b r), at most
+    O(n^2 log n), in all.
+    """
     delta = inst.delta
     out = set()
     blues = [i for i in range(inst.n) if inst.color_of(i) is Color.BLUE]

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -84,11 +84,14 @@ class Instance:
         self._scaled = _scale_to_integers(pts)
         sign = -1 if self.swapped else 1
         self._weights = [sign if p.color is Color.BLUE else -sign for p in pts]
+        self._weight_sum = sum(self._weights)
+        # Centre j -> left weight of line j->k for every k (``_left_weights``).
+        self._lefts: dict[int, list[int | None]] = {}
 
     @property
     def b(self) -> int:
         """Canonical blue count (majority color)."""
-        return self._weights.count(1)
+        return (self.n + self._weight_sum) // 2
 
     @property
     def r(self) -> int:
@@ -322,27 +325,88 @@ def perturb(inst: Instance, seed: int) -> Instance:
     raise FailsToSeparateError("could not clear degeneracies in 64 rounds")
 
 
+def _left_weights(coords, ws, i: int) -> list[int | None]:
+    """Weight strictly left of the directed line i->j, for every j, by one angular sweep.
+
+    Entry j is None when a third point lies on line(i, j); entry i is unused.
+    Each direction p_k - p_i is folded into the upper half-plane (angles in
+    [0, pi)) with a sign s; k is left of i->j exactly when it has j's sign and
+    a larger folded angle, or the other sign and a smaller one. Float angles
+    only presort; exact cross products confirm the order or replace it.
+    O(n log n).
+    """
+    n = len(coords)
+    if n > 2 and coords.count(coords[i]) > 1:
+        return [None] * n  # a point on p_i lies on every line through it
+    xi, yi = coords[i]
+    folded = []
+    up = 0  # weight of the kept directions (s = +1, stored as 0); the flipped ones weigh down
+    for k, (x, y) in enumerate(coords):
+        if k != i:
+            dx, dy = x - xi, y - yi
+            if dy > 0 or (dy == 0 and dx > 0):
+                folded.append((dx, dy, 0, k))
+                up += ws[k]
+            else:
+                folded.append((-dx, -dy, 1, k))
+    down = sum(ws) - ws[i] - up
+    try:
+        folded.sort(key=lambda f: math.atan2(f[1], f[0]))
+    except OverflowError:  # past float range the exact check below decides alone
+        pass
+    while True:
+        # d is the kept weight minus the flipped weight so far, k included, so
+        # left(i->k) is up - d for a kept k and down + d for a flipped one.
+        left: list[int | None] = [None] * n
+        d = 0
+        pk = None
+        for fx, fy, s, k in folded:
+            if s:
+                d -= ws[k]
+                left[k] = down + d
+            else:
+                d += ws[k]
+                left[k] = up - d
+            if pk is not None:
+                cross = px * fy - py * fx
+                if cross < 0:
+                    break
+                if cross == 0:  # one folded angle: i, pk and k are collinear
+                    left[pk] = left[k] = None
+            px, py, pk = fx, fy, k
+        else:
+            return left
+        # Float angles collided, misordered or overflowed: sort exactly.
+        folded.sort(key=cmp_to_key(lambda a, b: a[1] * b[0] - a[0] * b[1]))
+
+
 def halfplane_weights(inst: Instance, i: int, j: int) -> tuple[int, int]:
     """Weight sums on the two open halfplanes of line(i, j).
 
     Left is the side with positive orientation. Raises CollinearWitnessError
-    if a third point sits on the line.
+    if a third point sits on the line. The right side of line(i, j) is the
+    left side of line(j, i), read off one angular sweep around j: the first
+    call for a given j costs O(n log n) and is memoised on the instance, later
+    ones are O(1). So a loop over (majority, minority) pairs sweeps around
+    each minority point once.
     """
     if i == j:
         raise ValueError("spanning pair must be two distinct points")
-    coords = inst.scaled_coords()
-    ws = inst._weights
-    (xi, yi), (xj, yj) = coords[i], coords[j]
-    dx, dy = xj - xi, yj - yi
-    # The orientation of (i, j, k) is the sign of dets[k] - c, with dets[i] ==
-    # dets[j] == c; exact Python ints, so no rounding decides a side.
-    c = dx * yi - dy * xi
-    dets = [dx * y - dy * x for x, y in coords]
-    if dets.count(c) != 2:
-        k = next(k for k, v in enumerate(dets) if v == c and k != i and k != j)
+    lefts = inst._lefts.get(j)
+    if lefts is None:
+        lefts = inst._lefts[j] = _left_weights(inst.scaled_coords(), inst._weights, j)
+    right = lefts[i]
+    if right is None:
+        coords = inst.scaled_coords()
+        (xi, yi), (xj, yj) = coords[i], coords[j]
+        dx, dy = xj - xi, yj - yi
+        # (i, j, k) is collinear when dx*y_k - dy*x_k equals i's (and j's) value.
+        c = dx * yi - dy * xi
+        k = next(k for k, (x, y) in enumerate(coords)
+                 if k != i and k != j and dx * y - dy * x == c)
         raise CollinearWitnessError(f"point {k} is collinear with ({i}, {j})")
-    left = sum([w for v, w in zip(dets, ws) if v > c])
-    return left, sum(ws) - ws[i] - ws[j] - left
+    ws = inst._weights
+    return inst._weight_sum - ws[i] - ws[j] - right, right
 
 
 def instance_to_json(inst: Instance) -> str:

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,7 +10,8 @@ from balanced_lines.balance import (
     scan_balanced_transpositions,
     witnesses_to_json,
 )
-from balanced_lines.geometry import Color
+from balanced_lines.errors import CollinearWitnessError
+from balanced_lines.geometry import Color, validate_general_position
 from balanced_lines.harness import random_instance
 from balanced_lines.sequence import build_from_points, random_sequence
 
@@ -33,6 +35,33 @@ class TestEnumerate:
         witnesses = enumerate_balanced_lines(t2)
         assert {w.pair for w in witnesses} == oracle_balanced_pairs(t2)
         assert len(witnesses) == 3
+
+    @pytest.mark.parametrize("rows, message", [
+        # Blue 0 and blue 2 coincide: the first pair already fails.
+        ([(0, 0, "B"), (5, 1, "R"), (0, 0, "B"), (2, 7, "R")], "point 2 is collinear with (0, 1)"),
+        # Blue 2 sits on red 5, which blue 0 reaches before blue 2 is a centre.
+        ([(0, 0, "B"), (5, 1, "R"), (3, 8, "B"), (2, 7, "R"), (-4, 6, "B"), (3, 8, "R")],
+         "point 2 is collinear with (0, 5)"),
+        # Points 1..4 lie on y = x; blue 0 is clear of them.
+        ([(0, 5, "B"), (1, 1, "R"), (2, 2, "B"), (3, 3, "R"), (4, 4, "B"), (9, 0, "R")],
+         "point 3 is collinear with (2, 1)"),
+        # Points 1, 3 and 4 lie on y = 0.
+        ([(7, 1, "B"), (0, 0, "R"), (2, 9, "B"), (5, 0, "B"), (-3, 0, "R"), (4, -6, "R")],
+         "point 4 is collinear with (3, 1)"),
+    ])
+    def test_degenerate_input_names_first_collinear_point(self, rows, message):
+        # The first failing pair in blue-major order, and its smallest third point.
+        with pytest.raises(CollinearWitnessError) as exc:
+            enumerate_balanced_lines(make_instance(rows))
+        assert str(exc.value) == message
+
+    def test_parallel_spanned_lines_still_enumerate(self):
+        inst = make_instance([(0, 0, "B"), (4, 0, "R"), (1, 3, "B"), (5, 3, "R"), (2, 7, "R"),
+                              (-3, 5, "B")])
+        report = validate_general_position(inst)
+        assert report.parallel_pair_pairs and not report.collinear_triples
+        pairs = {w.pair for w in enumerate_balanced_lines(inst)}
+        assert pairs == oracle_balanced_pairs(inst) == {(0, 1), (2, 3), (4, 5)}
 
 
 class TestScan:
@@ -99,6 +128,16 @@ class TestCorrespondence:
         report = check_correspondence(inst)
         assert report.equal
         assert {w.pair for w in report.geometric} == oracle_balanced_pairs(inst)
+
+    @pytest.mark.parametrize("b, r", [(100, 100), (120, 80)])
+    def test_lines_benchmark_shapes(self, b, r):
+        # The n=200 shapes of the `lines-n200` benchmark workload.
+        report = check_correspondence(random_instance(b, r, 10**6, seed=1))
+        assert report.equal and len(report.geometric) >= r
+
+    def test_oracle_at_n40(self):
+        inst = random_instance(24, 16, 10**6, seed=3)
+        assert {w.pair for w in enumerate_balanced_lines(inst)} == oracle_balanced_pairs(inst)
 
 
 class TestWitnessJson:

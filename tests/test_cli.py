@@ -68,6 +68,18 @@ class TestPipelines:
         assert code == 1
         assert json.loads(out)["collinear_triples"] == [[0, 1, 2]]
 
+    def test_lines_collinear_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"points": [
+            {"id": 0, "x": "0", "y": "0", "color": "B"},
+            {"id": 1, "x": "1", "y": "1", "color": "R"},
+            {"id": 2, "x": "2", "y": "2", "color": "B"},
+            {"id": 3, "x": "5", "y": "0", "color": "R"},
+        ]}))
+        code, out, err = run(capsys, "lines", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: point 2 is collinear with (0, 1)\n"
+
     def test_lines_and_scan_agree(self, capsys, instance_file):
         code1, out1, _ = run(capsys, "lines", instance_file)
         code2, out2, _ = run(capsys, "scan", instance_file)

@@ -199,6 +199,28 @@ class TestPerturb:
             assert abs(new.y - old.y) < Fraction(1, 2)
 
 
+def _oracle_or_witness(inst, i, j):
+    """oracle_halfplane's pair, or the message naming the smallest point on line(i, j)."""
+    try:
+        return oracle_halfplane(inst, i, j)
+    except ValueError:
+        pi, pj = inst.points[i], inst.points[j]
+        k = next(k for k, pk in enumerate(inst.points) if k not in (i, j)
+                 and (pj.x - pi.x) * (pk.y - pi.y) == (pj.y - pi.y) * (pk.x - pi.x))
+        return f"point {k} is collinear with ({i}, {j})"
+
+
+def _assert_every_pair_matches_oracle(inst):
+    for i in range(inst.n):
+        for j in range(inst.n):
+            if i != j:
+                try:
+                    got = halfplane_weights(inst, i, j)
+                except CollinearWitnessError as exc:
+                    got = str(exc)
+                assert got == _oracle_or_witness(inst, i, j), (i, j)
+
+
 class TestHalfplaneWeights:
     def test_two_points(self, t1):
         assert halfplane_weights(t1, 0, 1) == (0, 0)
@@ -218,6 +240,15 @@ class TestHalfplaneWeights:
             for j in range(inst.n):
                 if i != j:
                     assert halfplane_weights(inst, i, j) == oracle_halfplane(inst, i, j)
+        for seed in range(3):
+            rng = random.Random(f"rational:{seed}")
+            inst = make_instance([
+                (Fraction(rng.randint(-60, 60), rng.randint(1, 9)),
+                 Fraction(rng.randint(-60, 60), rng.randint(1, 9)), c)
+                for c in "RRRRRRRBBB"
+            ])
+            assert inst.swapped
+            _assert_every_pair_matches_oracle(inst)
 
     def test_coincident_points_raise(self):
         inst = make_instance([(0, 0, "B"), (5, 1, "R"), (0, 0, "B"), (2, 7, "R")])
@@ -225,6 +256,11 @@ class TestHalfplaneWeights:
             halfplane_weights(inst, 0, 1)
         with pytest.raises(CollinearWitnessError, match=r"^point 1 is collinear with \(0, 2\)$"):
             halfplane_weights(inst, 0, 2)
+        # A point on the centre lies on every line through it, sorted next to
+        # the centre's other directions or not.
+        _assert_every_pair_matches_oracle(inst)
+        _assert_every_pair_matches_oracle(make_instance(
+            [(0, 0, "B"), (5, 1, "R"), (3, 8, "B"), (2, 7, "R"), (-4, 6, "B"), (3, 8, "R")]))
 
     def test_error_names_first_collinear_point(self):
         # Points 1, 2, 3 and 4 all lie on y = x; point 0 does not.
@@ -259,6 +295,43 @@ class TestHalfplaneWeights:
         inst = make_instance([(0, 0, "B"), (1, 1, "R"), (2, 2, "B"), (5, 0, "R")])
         with pytest.raises(CollinearWitnessError):
             halfplane_weights(inst, 0, 2)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_past_float_range_matches_oracle(self, seed):
+        # (x, y) -> (B*x + y, B*y - x) keeps every orientation sign, and the
+        # directions from each centre no longer convert to floats.
+        big = 10**400
+        inst = random_instance(5, 3, 50, seed=seed)
+        huge = make_instance([(big * p.x + p.y, big * p.y - p.x, p.color.value)
+                              for p in inst.points])
+        xs = [x for x, _ in huge.scaled_coords()]
+        with pytest.raises(OverflowError):
+            float(max(xs) - min(xs))
+        _assert_every_pair_matches_oracle(huge)
+
+    def test_float_angle_ties_fall_back_to_exact_order(self):
+        # From point 0, points 1 and 2 (and 3, folded) tie as float angles, in
+        # id order against the exact order.
+        e = 10**17
+        assert math.atan2(1, e) == math.atan2(1, e + 1) == math.atan2(1, e + 2)
+        inst = make_instance([(0, 0, "B"), (e, 1, "R"), (e + 1, 1, "B"), (-e - 2, -1, "R"),
+                              (5, -7, "R"), (-2, 9, "B")])
+        assert validate_general_position(inst).collinear_triples == ()
+        _assert_every_pair_matches_oracle(inst)
+
+    def test_points_level_with_or_plumb_to_a_centre(self):
+        # Pairs (0, 1) and (2, 3) are horizontal, (1, 4) and (0, 5) vertical:
+        # every centre on them sees another point exactly left, right, above
+        # or below it, on the fold boundary dy = 0 or on dx = 0.
+        inst = make_instance([(0, 0, "B"), (5, 0, "R"), (1, 3, "R"), (-2, 3, "B"),
+                              (5, -4, "B"), (0, 7, "R")])
+        assert validate_general_position(inst).collinear_triples == ()
+        _assert_every_pair_matches_oracle(inst)
+        # Three points on one horizontal and three on one vertical line.
+        inst = make_instance([(0, 0, "B"), (5, 0, "R"), (-3, 0, "R"), (0, 4, "B"),
+                              (0, -6, "R"), (2, 9, "B")])
+        assert (0, 1, 2) in validate_general_position(inst).collinear_triples
+        _assert_every_pair_matches_oracle(inst)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000))

@@ -11,8 +11,8 @@ holds the sha256 of each entry's sequence text and scan JSON, written by
 ``coord_bound``, whose sweeps start at slope k0 = 1 or 2, were added by the
 same script at commit e57cf5c. Every refactor of the sweep or the
 certificate pipeline must reproduce each of them exactly. The geometric
-enumerator finds the same pairs as the scan, so for every sweep entry with
-n <= 120 the ``lines`` JSON must hash to the stored scan digest too.
+enumerator finds the same pairs as the scan, so for every sweep entry the
+``lines`` JSON must hash to the stored scan digest too.
 """
 import hashlib
 import json
@@ -69,11 +69,7 @@ def test_sweep_and_scan_are_byte_identical(row):
     }
 
 
-@pytest.mark.parametrize(
-    "row",
-    [row for row in SWEEP_ROWS if row["entry"]["blue"] + row["entry"]["red"] <= 120],
-    ids=lambda row: "-".join(str(v) for v in row["entry"].values()),
-)
+@pytest.mark.parametrize("row", SWEEP_ROWS, ids=lambda row: "-".join(str(v) for v in row["entry"].values()))
 def test_lines_json_matches_scan_digest(row):
     inst = make_sweeps.instance(row["entry"])
     lines = witnesses_to_json(enumerate_balanced_lines(inst), inst.delta)

@@ -3,13 +3,14 @@
 Every kernel walks an adjacent-transposition word while maintaining the
 permutation (and, where the kernel reports weights, a prefix-weight table) in
 O(1) per step. There is one backend, plain Python: every kernel takes plain
-sequences (lists or tuples; indexing numpy scalars costs several times more)
-and returns lists. ``track_rank`` follows every rank of a subset in one
-replay and logs only change points, so curve tracking costs one replay per
-subset, not one per rank, and a track is O(changes), not O(2N). ``certify``
-replays each color's family once per call and walks no border (its borders
-come with their change rows); ``element_walk`` gives a border from outside
-rows in the same format, positions and prefix weights.
+sequences (lists or tuples; indexing numpy scalars costs several times more;
+``events_to_word`` takes any iterables) and returns lists. ``track_rank``
+follows every rank of a subset in one replay and logs only change points, so
+curve tracking costs one replay per subset, not one per rank, and a track is
+O(changes), not O(2N). ``certify`` replays each color's family once per call
+and walks no border (its borders come with their change rows);
+``element_walk`` gives a border from outside rows in the same format,
+positions and prefix weights.
 Every kernel has a caller in the package. The from-scratch references they
 are tested against are ``permutation_at`` and ``transposition_at`` in
 ``sequence``.
@@ -117,6 +118,7 @@ def element_walk(pi0, word, weights, elems):
 def events_to_word(pi0, ev_i, ev_j):
     """Convert a sequence of swap pairs into a list of word positions.
 
+    ``ev_i`` and ``ev_j`` may be any iterables of ints, read once, in step.
     Each event names its pair left element first: ``ev_i[s]`` must sit just
     left of ``ev_j[s]`` when its turn comes. The sweep's events meet this,
     since each pair is listed in pi0 order and swaps once. At the first

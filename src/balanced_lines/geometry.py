@@ -239,17 +239,28 @@ def _sweep_slope(coords) -> int:
     return k
 
 
-def _strictly_ordered(fa, fb) -> bool | None:
+_SWEEP_BLOCK = 1 << 13  # events whose exact operands the neighbour test holds at once
+
+
+def _strictly_ordered(uo, vo, pp, qq) -> bool | None:
     """Every event direction strictly precedes the next: True; two neighbours
-    share one (a zero cross product, so the input is degenerate): None; else False."""
-    ahead, behind = fa[:-1] * fb[1:], fb[:-1] * fa[1:]
-    if (ahead > behind).all():
-        return True
-    return None if (ahead == behind).any() else False
+    share one (a zero cross product, so the input is degenerate): None; else False.
+    The directions (vo[qq] - vo[pp], uo[qq] - uo[pp]) are formed a block at a time;
+    consecutive blocks share one event, so every neighbour pair is compared."""
+    ordered = True
+    for s in range(0, len(pp) - 1, _SWEEP_BLOCK):
+        p, q = pp[s:s + _SWEEP_BLOCK + 1], qq[s:s + _SWEEP_BLOCK + 1]
+        fa, fb = vo[q] - vo[p], uo[q] - uo[p]
+        ahead, behind = fa[:-1] * fb[1:], fb[:-1] * fa[1:]
+        if not (ahead > behind).all():
+            if (ahead == behind).any():
+                return None
+            ordered = False
+    return ordered
 
 
 def _exact_sweep(n: int, coords):
-    """One exact pass over the pairs, as numpy arrays of Python ints.
+    """One exact pass over the pairs; Python-int operands live one block at a time.
 
     pi0 orders the points by projection u = x + k0*y onto u0 = (1, k0); a
     pair's event is the angle where its spanned line is perpendicular to the
@@ -275,16 +286,15 @@ def _exact_sweep(n: int, coords):
     except OverflowError:  # past float range the exact sort below decides alone
         order = np.arange(len(pp))
     pp, qq = pp[order], qq[order]
-    fb = uo[qq] - uo[pp]
-    fa = vo[qq] - vo[pp]
-    if not (ordered := _strictly_ordered(fa, fb)):
+    if not (ordered := _strictly_ordered(uo, vo, pp, qq)):
         if ordered is None:  # neighbours share a direction
             return None
         # Float keys collided, mis-ordered or overflowed: sort exactly.
+        fa, fb = vo[qq] - vo[pp], uo[qq] - uo[pp]
         exact = sorted(range(len(pp)), key=lambda e: Fraction(-fa[e], fb[e]))
-        if not _strictly_ordered(fa[exact], fb[exact]):
-            return None
         pp, qq = pp[exact], qq[exact]
+        if not _strictly_ordered(uo, vo, pp, qq):
+            return None
     events = np.array(pi0, dtype=np.int32)[np.stack((pp, qq))]
     events.flags.writeable = False  # shared by every reader of the memo
     return tuple(pi0), events

@@ -5,6 +5,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 
 from .balance import check_correspondence, enumerate_balanced_lines, scan_balanced_transpositions
 from .certificate import certify, verify_certificate
@@ -41,7 +42,8 @@ def random_instance(b: int, r: int, coord_bound: int, seed) -> Instance:
     )
 
 
-def _sidon_prefix(m: int) -> list[int]:
+@cache
+def _sidon_prefix(m: int) -> tuple[int, ...]:
     """First m terms of the greedy sequence with all pairwise sums distinct."""
     terms: list[int] = []
     sums = set()
@@ -52,7 +54,7 @@ def _sidon_prefix(m: int) -> list[int]:
             terms.append(v)
             sums |= new_sums
         v += 1
-    return terms
+    return tuple(terms)
 
 
 def separated_instance(k: int, seed=0) -> Instance:

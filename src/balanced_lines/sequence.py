@@ -184,7 +184,9 @@ def build_from_points(inst: Instance) -> AllowableSequence:
             f"instance has {len(r.collinear_triples)} collinear triple(s), {len(r.parallel_pair_pairs)}"
             f" parallel spanned pair(s), and {len(r.coincident_pairs)} coincident pair(s)")
     pi0, events = order
-    word = _kernels.events_to_word(pi0, *events.tolist())
+    # memoryviews yield the int32 ids as Python ints one at a time, so no
+    # C(n, 2)-long list is held but the word.
+    word = _kernels.events_to_word(pi0, *map(memoryview, events))
     if word and word[-1] < 0:
         # A strict event order swaps adjacent elements only, so this is a bug.
         raise ProofGapError("sweep produced a non-adjacent swap from a strict event order")

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -275,6 +276,102 @@ class TestSweepSlope:
         pts = inst.points
         expected = sorted(range(inst.n), key=lambda i: pts[i].x + k * pts[i].y)
         assert list(build_from_points(inst).pi0) == expected
+
+
+class TestSweepBlocks:
+    """The sweep forms its exact operands a block of events at a time; tiny
+    blocks put a block edge between every few neighbour pairs."""
+
+    # A coincident pair, a collinear triple, and parallel pairs pointing apart.
+    DEGENERATE = [
+        [(0, 0, "B"), (0, 0, "R"), (1, 2, "B"), (3, 1, "R")],
+        [(0, 0, "B"), (1, 1, "R"), (2, 2, "B"), (5, 0, "R")],
+        [(0, 0, "B"), (1, 2, "R"), (5, 0, "B"), (4, -2, "R"), (9, 7, "B"), (-3, 8, "R")],
+    ]
+
+    @staticmethod
+    def order(inst):
+        """The sweep memo as plain lists, None if degenerate."""
+        order = inst.sweep_order
+        return order and (order[0], order[1].tolist())
+
+    def test_golden_sweep_corpus(self, monkeypatch):
+        # n = 500 spans 16 default blocks in test_golden; here n <= 120 keeps it quick.
+        from golden import make_sweeps
+
+        for entry in make_sweeps.corpus():
+            n = entry["blue"] + entry["red"]
+            if n > 120:
+                continue
+            default = make_sweeps.instance(entry)
+            seq = build_from_points(default)
+            if n <= 40:
+                assert (seq.pi0, seq.word) == oracle_sweep(default)
+            for block in (1, 2, 3):
+                with monkeypatch.context() as m:
+                    m.setattr(geometry_mod, "_SWEEP_BLOCK", block)
+                    inst = make_sweeps.instance(entry)
+                    assert self.order(inst) == self.order(default)
+                    blocked = build_from_points(inst)
+                assert (blocked.pi0, blocked.word) == (seq.pi0, seq.word)
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    @pytest.mark.parametrize("rows", DEGENERATE, ids=["coincident", "collinear", "parallel-opposite"])
+    def test_degenerate_kinds(self, monkeypatch, block, rows):
+        monkeypatch.setattr(geometry_mod, "_SWEEP_BLOCK", block)
+        inst = make_instance(rows)
+        assert inst.sweep_order is None
+        assert validate_general_position(inst) == oracle_general_position(inst)
+        with pytest.raises(DegenerateInputError) as exc:
+            build_from_points(inst)
+        assert str(exc.value) == degenerate_message(inst)
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_small_bound_draws(self, monkeypatch, block):
+        # Small bounds make degenerate draws; a shift keeps every verdict and
+        # word but rounds the float keys together (10**17) or past range (10**400).
+        rng = random.Random(5)
+        draws = []
+        for k in range(300):
+            bound, n = rng.randint(1, 3), 2 * rng.randint(1, 4)
+            shift = (0, 10**17, 10**400)[k % 3]
+            draws.append([(shift + Fraction(rng.randint(-bound, bound), d),
+                           shift + Fraction(rng.randint(-bound, bound), d), "BR"[i % 2])
+                          for i, d in enumerate(rng.choices((1, 2, 3), k=n))])
+        defaults = [self.order(make_instance(rows)) for rows in draws]
+        insts = [make_instance(rows) for rows in draws]
+        monkeypatch.setattr(geometry_mod, "_SWEEP_BLOCK", block)
+        made = counting_fractions(monkeypatch)
+        exact = degenerate = 0
+        for inst, default in zip(insts, defaults):
+            before = len(made)
+            assert self.order(inst) == default
+            exact += len(made) > before
+            if default is None:
+                degenerate += 1
+                assert not oracle_general_position(inst).clean
+            else:
+                seq = build_from_points(inst)
+                assert (seq.pi0, seq.word) == oracle_sweep(inst)
+        assert exact and 0 < degenerate < len(draws)  # both verdicts, and the exact sort, were reached
+
+
+def test_sweep_and_build_memory_per_event():
+    # Traced peak per event at n = 500; the whole-column sweep took about
+    # 206 B and its build, listing both id rows at once, about 68 B.
+    events = 500 * 499 // 2
+
+    def peak(f, *args):
+        tracemalloc.start()
+        try:
+            f(*args)
+            return tracemalloc.get_traced_memory()[1] / events
+        finally:
+            tracemalloc.stop()
+
+    inst = random_instance(250, 250, 10**6, seed=1)  # swept while drawn, not yet built
+    assert peak(geometry_mod._exact_sweep, inst.n, inst.scaled_coords()) < 100
+    assert peak(build_from_points, inst) < 50
 
 
 class TestFullWord:

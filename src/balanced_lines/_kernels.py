@@ -1,21 +1,24 @@
 """Hot inner loops over permutation words.
 
-Every kernel walks an adjacent-transposition word while maintaining the
-permutation (and, where the kernel reports weights, a prefix-weight table) in
-O(1) per step. There is one backend, plain Python: every kernel takes plain
-sequences (lists or tuples; indexing numpy scalars costs several times more;
-``events_to_word`` takes any iterables) and returns lists. ``track_rank``
-follows every rank of a subset in one replay and logs only change points, so
-curve tracking costs one replay per subset, not one per rank, and a track is
-O(changes), not O(2N). ``certify`` replays each color's family once per call
-and walks no border (its borders come with their change rows);
-``element_walk`` gives a border from outside rows in the same format,
-positions and prefix weights.
-Every kernel has a caller in the package. The from-scratch references they
-are tested against are ``permutation_at`` and ``transposition_at`` in
+``run_word`` is the one replay primitive: it walks the permutation and its
+prefix weights over a word in O(1) per step and reports each step's pair and
+left prefix weight. ``sequence.step_table`` mirrors one run over the half
+word into every step of a period, and the other readers of steps take that
+table: a step at position p with left element a, right element b and prefix
+weight lw moves a to p + 1 with prefix weight lw + w(b), and b to p with
+prefix weight lw. ``track_rank`` logs only each rank's change points, so a
+subset's tracks cost one pass and a track is O(changes), not O(2N);
+``element_walk`` gives a border from outside rows in the same format.
+``events_to_word`` turns the sweep's swap events into the word. There is one
+backend, plain Python: kernels take plain sequences (indexing numpy scalars
+costs several times more; ``events_to_word`` takes any iterables) and return
+lists. Every kernel has a caller in the package; the from-scratch references
+they are tested against are ``permutation_at`` and ``transposition_at`` in
 ``sequence``.
 """
 from __future__ import annotations
+
+from itertools import accumulate, count
 
 
 def run_word(pi0, word, weights):
@@ -23,16 +26,11 @@ def run_word(pi0, word, weights):
 
     The prefix weight is the weight sum strictly left of the swapped pair,
     which a single adjacent swap never changes. Returns the lists ``lo``,
-    ``hi``, ``lw`` and the final permutation.
+    ``hi`` and ``lw``.
     """
     perm = list(pi0)
-    n = len(perm)
-    pre = [0] * (n + 1)
-    for q in range(n):
-        pre[q + 1] = pre[q] + weights[perm[q]]
-    lo = []
-    hi = []
-    lw = []
+    pre = list(accumulate((weights[v] for v in perm), initial=0))
+    lo, hi, lw = [], [], []
     for p in word:
         a = perm[p]
         b = perm[p + 1]
@@ -42,76 +40,65 @@ def run_word(pi0, word, weights):
         perm[p] = b
         perm[p + 1] = a
         pre[p + 1] = pre[p] + weights[b]
-    return lo, hi, lw, perm
+    return lo, hi, lw
 
 
-def track_rank(pi0, word, weights, member):
-    """Follow every rank of a subset through a word in one replay.
+def track_rank(pi0, word, weights, member, steps):
+    """Follow every rank of a subset through a word in one pass over its step table.
 
-    ``member`` flags the subset's elements. An adjacent swap moves at most two
-    rank curves: both ranks when both swapped elements are members, otherwise
-    the one member that moved. So the replay logs only each rank's change
-    points. Returns one list per rank, left to right at time 0, of
-    ``(time, element, prefix weight, position)`` rows; the first row is at
-    time 0 and each row holds until the next. Runs over plain Python
-    sequences; pass lists, not numpy arrays.
+    ``steps`` is the word's ``(lo, hi, lw)``, as ``run_word`` reports them,
+    and ``member`` flags the subset's elements. An adjacent swap moves at
+    most two rank curves: both ranks when both swapped elements are members,
+    otherwise the one member that moved. Returns one list per rank, left to
+    right at time 0, of its change points as ``(time, element, prefix weight,
+    position)`` rows; the first row is at time 0 and each holds until the next.
     """
-    perm = list(pi0)
-    n = len(perm)
-    pre = [0] * (n + 1)
-    for q in range(n):
-        pre[q + 1] = pre[q] + weights[perm[q]]
-    rank = [-1] * n  # member element -> its 0-based rank, left to right
+    rank = [-1] * len(pi0)  # member element -> its 0-based rank, left to right
     logs = []
-    for q, v in enumerate(perm):
+    w = 0
+    for q, v in enumerate(pi0):
         if member[v]:
             rank[v] = len(logs)
-            logs.append([(0, v, pre[q], q)])
-    for t, p in enumerate(word, 1):
-        a = perm[p]
-        b = perm[p + 1]
-        perm[p] = b
-        perm[p + 1] = a
-        pre[p + 1] = pre[p] + weights[b]
+            logs.append([(0, v, w, q)])
+        w += weights[v]
+    for t, p, a, b, w in zip(count(1), word, *steps):
         ka = rank[a]
         kb = rank[b]
         if ka >= 0:
             if kb >= 0:  # both members: the two ranks trade elements
                 rank[a] = kb
                 rank[b] = ka
-                logs[ka].append((t, b, pre[p], p))
-                logs[kb].append((t, a, pre[p + 1], p + 1))
+                logs[ka].append((t, b, w, p))
+                logs[kb].append((t, a, w + weights[b], p + 1))
             else:
-                logs[ka].append((t, a, pre[p + 1], p + 1))
+                logs[ka].append((t, a, w + weights[b], p + 1))
         elif kb >= 0:
-            logs[kb].append((t, b, pre[p], p))
+            logs[kb].append((t, b, w, p))
     return logs
 
 
-def element_walk(pi0, word, weights, elems):
+def element_walk(pi0, word, weights, elems, steps):
     """Position and prefix weight of a prescribed element per time step.
 
-    ``elems`` gives one element id per time, ``len(word) + 1`` entries.
-    Returns the lists ``pos`` and ``lw``, the columns a track's rows carry.
+    ``elems`` gives one element per time in [0, len(word)) (a border's 2N),
+    and ``steps`` is the word's step table, as for ``track_rank``. Returns
+    the lists ``pos`` and ``lw``, the columns a track's rows carry.
     """
-    perm = list(pi0)
-    pos_of = [0] * len(perm)
-    pre = [0]
-    for q, v in enumerate(perm):
+    pos_of = [0] * len(pi0)  # each element's position and prefix weight, set by its steps
+    lw_of = [0] * len(pi0)
+    w = 0
+    for q, v in enumerate(pi0):
         pos_of[v] = q
-        pre.append(pre[q] + weights[v])
-    pos = [pos_of[elems[0]]]
-    lw = [pre[pos[0]]]
-    for p, e in zip(word, elems[1:]):
-        a = perm[p]
-        b = perm[p + 1]
-        perm[p] = b
-        perm[p + 1] = a
-        pos_of[b] = p
-        pos_of[a] = p + 1
-        pre[p + 1] = pre[p] + weights[b]
+        lw_of[v] = w
+        w += weights[v]
+    pos, lw = [], []
+    for e, p, a, b, w in zip(elems, word, *steps):
         pos.append(pos_of[e])
-        lw.append(pre[pos_of[e]])
+        lw.append(lw_of[e])
+        pos_of[a] = p + 1
+        lw_of[a] = w + weights[b]
+        pos_of[b] = p
+        lw_of[b] = w
     return pos, lw
 
 

@@ -68,7 +68,7 @@ def scan_balanced_transpositions(seq: AllowableSequence) -> set[BalancedWitness]
     """One half-period scan emitting every bichromatic swap with left weight delta."""
     delta = seq.delta
     colors = seq.colors
-    lo, hi, lw, _ = _kernels.run_word(seq.pi0, seq.word, seq.weights)
+    lo, hi, lw = _kernels.run_word(seq.pi0, seq.word, seq.weights)
     out = set()
     for t, (a, b, w) in enumerate(zip(lo, hi, lw), start=1):
         if w == delta and colors[a] is not colors[b]:

@@ -17,16 +17,16 @@ Both scans only append ``CurveEvent``s: the event log is their one record.
 it, and the Case-2 quotas are counts over it.
 
 One ``certify`` call runs in one ``_Certifier`` session, which holds what its
-steps share: each color's family of rank tracks (replayed at most once per
-call), the ``run_word`` steps over one half-period and the last border's
-change rows. The public functions keep their signatures; called on their
-own, each makes a session of its own. Tracks are change rows (see
-``curves.WeightTrack``), and a border from its seed to the F/G/H scan has
-the same rows, ``(time, element, prefix weight, position)``: tested and
-spliced on merged change times, with its mirror read off the same rows
-(``_mirror_on_grid``) and its counts of points on the left read off their
-weights; the per-time ``Border`` is built only on return. ``element_walk``
-serves only a border from outside.
+phases share: the step table (``sequence.step_table``, the call's one
+replay of a permutation), each color's family of rank tracks (read off the
+table at most once per call) and the last border's change rows. The public
+functions keep their signatures; called on their own, each makes a session
+of its own. Tracks are change rows (see ``curves.WeightTrack``), and a
+border from its seed to the F/G/H scan has the same rows, ``(time, element,
+prefix weight, position)``: tested and spliced on merged change times, with
+its mirror read off the same rows (``_mirror_on_grid``) and its counts of
+points on the left read off their weights; the per-time ``Border`` is built
+only on return. ``element_walk`` serves only a border from outside.
 """
 from __future__ import annotations
 
@@ -51,7 +51,7 @@ from .curves import (
 )
 from .errors import BadParamsError, InsufficientBorderError, ProofGapError
 from .geometry import Color
-from .sequence import AllowableSequence
+from .sequence import AllowableSequence, step_table
 
 
 class Case(Enum):
@@ -66,17 +66,19 @@ class CaseInfo:
 
 
 class _Certifier:
-    """What the steps of one ``certify`` call share; it dies with the call.
+    """What the phases of one ``certify`` call share; it dies with the call.
 
-    - ``family(color)``: the rank tracks of every point of a color, replayed
-      once. The blue family serves the case split, Case 1 and the border
-      seed; the border color's family is the ALL subset of maximisation; the
-      other color's answers the nearest-left device by rank lookup.
+    - ``steps``: the step table, built on first use; every track and
+      ``step(t)`` reads it. It lives here, not on the sequence, so a caller
+      that keeps many sequences alive keeps no tables.
+    - ``family(color)``: the rank tracks of every point of a color, read off
+      the table once. The blue family serves the case split, Case 1 and the
+      border seed; the border color's family is the ALL subset of
+      maximisation; the other color's answers the nearest-left device by
+      rank lookup.
     - ``tracks(ids)``: any other subset's tracks, kept until the next subset
       is asked for (consecutive rounds often share their G).
-    - ``step(t)``: the swap from pi^t to pi^{t+1}, from ``run_word`` over
-      one half-period; any t >= N is read through pi^{t} = reverse(pi^{t-N}),
-      so step t swaps step t - N's pair back.
+    - ``step(t)``: the swap from pi^t to pi^{t+1}, a row of the table.
     - ``rows(border)``: a border's change rows, walked unless it is
       ``kept``: the last border asked for, or made by ``keep``, which builds
       a ``Border`` from rows. A border from outside enters here, and must
@@ -86,7 +88,6 @@ class _Certifier:
 
     def __init__(self, seq: AllowableSequence):
         self.seq = seq
-        self._total = sum(seq.weights)  # the weight of any whole permutation
         self._families: dict[Color, list[WeightTrack]] = {}
         self._subset: tuple[frozenset[int] | None, list[WeightTrack]] = (None, [])
         self.kept: tuple[Border | None, np.ndarray | None] = (None, None)  # border, rows
@@ -94,28 +95,23 @@ class _Certifier:
     def family(self, color: Color) -> list[WeightTrack]:
         if color not in self._families:
             members = [v for v, c in enumerate(self.seq.colors) if c is color]
-            self._families[color] = track_all(self.seq, members)
+            self._families[color] = track_all(self.seq, members, self.steps)
         return self._families[color]
 
     def tracks(self, ids) -> list[WeightTrack]:
         key = frozenset(ids)
         if self._subset[0] != key:
-            self._subset = (key, track_all(self.seq, key))
+            self._subset = (key, track_all(self.seq, key, self.steps))
         return self._subset[1]
 
     @cached_property
-    def _steps(self):
-        seq = self.seq
-        return _kernels.run_word(seq.pi0, seq.word, seq.weights)[:3]
+    def steps(self) -> tuple[list[int], list[int], list[int]]:
+        return step_table(self.seq)
 
     def step(self, t: int) -> tuple[int, int, int]:
         """(left element, right element, prefix weight) of the swap from pi^t, 0 <= t < 2N."""
-        lo, hi, lw = self._steps
-        s = t - self.seq.half_period
-        if s < 0:
-            return lo[t], hi[t], lw[t]
-        a, b = lo[s], hi[s]  # pi^t reverses pi^s: the pair swaps back, mirrored
-        return b, a, self._total - lw[s] - self.seq.weights[a] - self.seq.weights[b]
+        lo, hi, lw = self.steps
+        return lo[t], hi[t], lw[t]
 
     def rows(self, border: Border) -> np.ndarray:
         if self.kept[0] is not border:
@@ -123,7 +119,8 @@ class _Certifier:
             same = {v for v, col in enumerate(seq.colors) if col is c}
             if len(border.elements) != seq.period or not same.issuperset(border.elements):
                 raise BadParamsError(f"a border needs 2N = {seq.period} elements, all {c.name.lower()}")
-            pos, wt = _kernels.element_walk(seq.pi0, seq.full_word(), seq.weights, border.elements)
+            pos, wt = _kernels.element_walk(seq.pi0, seq.full_word(), seq.weights, border.elements,
+                                            self.steps)
             rows = _change_rows(np.stack((np.arange(seq.period), border.elements, wt, pos), 1))
             if not (c.weight * (rows[:, 2] - seq.delta) >= 0).all():
                 raise BadParamsError("border leaves the threshold side")
@@ -503,8 +500,8 @@ def case2_certificate(seq: AllowableSequence, border: Border) -> Certificate:
     g_tracks = s.tracks(g_ids)  # maximisation's last round asked for the same G
     changes = _changes(c, seq.delta)
     outer = {  # kind -> (side, ids, tracks)
-        "descent": ("F", frozenset(f_ids), track_all(seq, f_ids)),
-        "ascent": ("H", frozenset(h_ids), track_all(seq, h_ids)),
+        "descent": ("F", frozenset(f_ids), track_all(seq, f_ids, s.steps)),
+        "ascent": ("H", frozenset(h_ids), track_all(seq, h_ids, s.steps)),
     }
 
     def window_changes(trk, kind):

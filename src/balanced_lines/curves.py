@@ -19,7 +19,7 @@ import numpy as np
 from . import _kernels
 from .errors import BadParamsError, MixedColorsError, ProofGapError
 from .geometry import Color
-from .sequence import AllowableSequence, permutation_at, transposition_at
+from .sequence import AllowableSequence, permutation_at, step_table, transposition_at
 
 
 @dataclass(frozen=True)
@@ -120,17 +120,16 @@ class CurveClass(Enum):
     CHANGING = "changing"
 
 
-def track_all(seq: AllowableSequence, members) -> list[WeightTrack]:
+def track_all(seq: AllowableSequence, members, steps) -> list[WeightTrack]:
     """Tracks of every rank of a subset over a full period, in rank order.
 
-    One replay of the full word logs every rank's change points; each track
-    checks them on first access. An empty subset has no ranks and no replay.
+    One pass over ``steps``, the sequence's ``step_table``, logs every rank's
+    change points; each track checks them on first access. An empty subset
+    has no ranks and no pass.
     """
     members = frozenset(members)
-    member = [False] * seq.n
-    for v in members:
-        member[v] = True
-    logs = _kernels.track_rank(seq.pi0, seq.full_word(), seq.weights, member) if members else []
+    member = [v in members for v in range(seq.n)]
+    logs = _kernels.track_rank(seq.pi0, seq.full_word(), seq.weights, member, steps) if members else []
     return [
         WeightTrack(seq, CurveSpec(members, k), changes)
         for k, changes in enumerate(logs, start=1)
@@ -139,7 +138,7 @@ def track_all(seq: AllowableSequence, members) -> list[WeightTrack]:
 
 def track(seq: AllowableSequence, spec: CurveSpec) -> WeightTrack:
     """Track of one rank curve, checked for strong continuity and periodicity."""
-    trk = track_all(seq, spec.members)[spec.k - 1]
+    trk = track_all(seq, spec.members, step_table(seq))[spec.k - 1]
     trk.rows  # check now, not on first use
     return trk
 

@@ -3,7 +3,8 @@
 An allowable sequence is stored as one half-period: the starting permutation
 plus the word of adjacent-swap positions tau_1..tau_N, N = C(n, 2). All other
 times follow from the half-period reversal and 2N periodicity; the mirrored
-full-period word is built only when first asked for. ``build_from_points``
+full-period word is built only when first asked for, and ``step_table``
+mirrors one replay of the half word into a period. ``build_from_points``
 turns the exact sweep order that ``geometry`` memoises on the instance into
 the word; it makes no pass over the pairs of its own.
 """
@@ -99,6 +100,19 @@ def transposition_at(seq: AllowableSequence, t: int) -> Transposition:
     prev = permutation_at(seq, tm - 1)
     left_weight = sum(seq.weights[v] for v in prev[:pos])
     return Transposition(t=t, pos=pos, lo_id=prev[pos], hi_id=prev[pos + 1], left_weight=left_weight)
+
+
+def step_table(seq: AllowableSequence) -> tuple[list[int], list[int], list[int]]:
+    """Lists ``lo``, ``hi``, ``lw`` over a full period; index t is the swap from pi^t.
+
+    One ``run_word`` over the half word gives t < N. pi^{t+N} reverses pi^t,
+    so step t + N swaps step t's pair back, with prefix weight
+    sum(w) - lw - w(lo) - w(hi). Not kept on the sequence.
+    """
+    lo, hi, lw = _kernels.run_word(seq.pi0, seq.word, seq.weights)
+    w, total = seq.weights, sum(seq.weights)
+    lw += [total - x - w[a] - w[b] for a, b, x in zip(lo, hi, lw)]
+    return lo + hi, hi + lo, lw
 
 
 @dataclass(frozen=True)

@@ -299,6 +299,20 @@ def oracle_track(seq, members, k):
     return out
 
 
+def oracle_tracks(seq, members, perms):
+    """Every rank's (element, weight, position) per time in [0, 2N], from scratch.
+
+    ``oracle_track`` for all ranks of ``members`` at once, with positions:
+    the rank-k member at time t is the k-th member from the left in
+    ``perms[t]`` (``all_permutations(seq)``, as one array). Returns an
+    array of shape (3, 2N + 1, |members|).
+    """
+    perms = np.asarray(perms)
+    w = np.asarray(seq.weights)[perms]
+    t, q = (a.reshape(len(perms), -1) for a in np.nonzero(np.isin(perms, list(members))))
+    return np.stack((perms[t, q], (np.cumsum(w, axis=1) - w)[t, q], q))
+
+
 def filled(trk):
     """Per-time (element, weight, position) arrays over [0, 2N], forward-filled from ``trk.rows``.
 

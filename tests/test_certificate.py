@@ -43,10 +43,11 @@ from balanced_lines.sequence import (
     build_from_points,
     permutation_at,
     random_sequence,
+    step_table,
     transposition_at,
 )
 
-from conftest import all_permutations, filled, oracle_border_problems, per_time
+from conftest import all_permutations, filled, oracle_border_problems, oracle_tracks, per_time
 from golden import make_certificates
 
 
@@ -379,7 +380,7 @@ class TestCarriedPositions:
             perms = all_permutations(seq)
             for color in (Color.BLUE, Color.RED):
                 ids = [i for i in range(seq.n) if seq.colors[i] is color]
-                for trk in track_all(seq, ids):
+                for trk in track_all(seq, ids, session.steps):
                     elem = filled(trk)[0]
                     for want in (Color.BLUE, Color.RED):
                         expected = []
@@ -413,11 +414,12 @@ class TestCarriedPositions:
             seq = build_from_points(inst)
             period, half = seq.period, seq.half_period
             border = maximize_border(seq, initial_border(seq, 1))
+            steps = step_table(seq)
             elements = [rng.randrange(seq.n) for _ in range(period)]
             perms = all_permutations(seq)
             times = np.arange(period)
             for cand in (border, Border(border.color, tuple(elements))):
-                bpos, bwt = walk(seq.pi0, seq.full_word(), seq.weights, cand.elements)
+                bpos, bwt = walk(seq.pi0, seq.full_word(), seq.weights, cand.elements, steps)
                 assert bpos == replayed_positions(perms, cand.elements)
                 mpos = replayed_positions(perms, cand.mirror_elements())
                 grid = np.stack((times, cand.elements, bwt, bpos), 1)
@@ -658,7 +660,7 @@ class TestNearestLeftLemma:
                     subsets = [family] + [rng.sample(family, rng.randint(1, len(family)))
                                           for _ in range(3) if family]
                     for ids in subsets:
-                        for k, trk in enumerate(track_all(seq, ids), start=1):
+                        for k, trk in enumerate(track_all(seq, ids, session.steps), start=1):
                             if classify_track(trk) in (CurveClass.LT_DELTA, CurveClass.GT_DELTA):
                                 outcomes[corpus, self.outcome(seq, session, trk, c, k, len(ids))] += 1
         assert set(outcomes) == {(corpus, kind) for corpus in corpora
@@ -890,7 +892,7 @@ def test_swap_reads_one_step_from_the_member():
 
 
 class TestHalfPeriodSession:
-    """The session replays one half-period and reads the other through pi^{t+N} = reverse(pi^t)."""
+    """The session's step table replays one half-period and mirrors it: pi^{t+N} = reverse(pi^t)."""
 
     def test_steps_match_transposition_at(self):
         for entry in TestFastPaths.GOLDEN_SMALL:
@@ -934,6 +936,32 @@ class TestHalfPeriodSession:
         session.step(0)
         assert words == [seq.word]
 
+    def test_every_replayed_subset_matches_oracle_tracks(self, monkeypatch):
+        # Every subset a Case-2 certify reads off the step table (both
+        # families, each round's G, and F and H), every rank at every time of
+        # the period, mirrored half included, against ranks taken from
+        # scratch in each permutation.
+        replayed = []
+        track_rank = certificate_mod._kernels.track_rank
+
+        def recording(pi0, word, weights, member, steps):
+            logs = track_rank(pi0, word, weights, member, steps)
+            replayed.append((frozenset(v for v, m in enumerate(member) if m), logs))
+            return logs
+
+        monkeypatch.setattr(certificate_mod._kernels, "track_rank", recording)
+        subsets = 0
+        for entry in TestCarriedPositions.GOLDEN_CASE2:
+            replayed.clear()
+            seq = make_certificates.build(entry)
+            assert certify(seq).case == Case.CASE2.value
+            perms = np.array(all_permutations(seq))
+            for members, logs in replayed:
+                got = np.stack([per_time(rows, seq.period + 1) for rows in logs], axis=2)
+                assert np.array_equal(got, oracle_tracks(seq, members, perms)), (entry, sorted(members))
+            subsets += len(replayed)
+        assert subsets > 3 * len(TestCarriedPositions.GOLDEN_CASE2)
+
 
 class TestCertify:
     def test_t1_one_witness(self, t1):
@@ -969,26 +997,27 @@ class TestCertify:
             certify(seq)
 
     def test_one_replay_per_color_family_and_nothing_left_behind(self, monkeypatch):
-        # Within one certify call the steps share one session: each color's
-        # family is replayed at most once, and so is run_word. No border is
-        # walked: the seed border comes with its change rows, and maximisation
-        # hands the final border's to the F/G/H scan. The session
-        # is gone when the call returns and nothing is cached on the sequence.
+        # Within one certify call the steps share one session: run_word runs
+        # once, for the step table, and each color's family is read off the
+        # table at most once. No border is walked: the seed border comes with
+        # its change rows, and maximisation hands the final border's to the
+        # F/G/H scan. The session, table included, is gone when the call
+        # returns and nothing is cached on the sequence.
         replays = []
         kernels = certificate_mod._kernels
         track_rank, run_word, element_walk = kernels.track_rank, kernels.run_word, kernels.element_walk
 
-        def counting_track_rank(pi0, word, weights, member):
+        def counting_track_rank(pi0, word, weights, member, steps):
             replays.append(frozenset(v for v, m in enumerate(member) if m))
-            return track_rank(pi0, word, weights, member)
+            return track_rank(pi0, word, weights, member, steps)
 
         def counting_run_word(pi0, word, weights):
             replays.append("run_word")
             return run_word(pi0, word, weights)
 
-        def counting_element_walk(pi0, word, weights, elems):
+        def counting_element_walk(pi0, word, weights, elems, steps):
             replays.append("element_walk")
-            return element_walk(pi0, word, weights, elems)
+            return element_walk(pi0, word, weights, elems, steps)
 
         monkeypatch.setattr(kernels, "track_rank", counting_track_rank)
         monkeypatch.setattr(kernels, "run_word", counting_run_word)
@@ -1005,7 +1034,7 @@ class TestCertify:
             assert replays.count("run_word") == 1
             assert all(replays.count(f) <= 1 for f in families)
             if cert.case == Case.CASE1.value:
-                assert replays == [families[0], "run_word"]  # the blue family, then the steps
+                assert replays == ["run_word", families[0]]  # the step table, then the blue family
             else:
                 assert replays.count("element_walk") == 0
             assert certificate_mod._ACTIVE.get() is None
@@ -1071,9 +1100,9 @@ class TestCertify:
         members = []
         track_rank = certificate_mod._kernels.track_rank
 
-        def recording(pi0, word, weights, member):
+        def recording(pi0, word, weights, member, steps):
             members.append(sum(member))
-            return track_rank(pi0, word, weights, member)
+            return track_rank(pi0, word, weights, member, steps)
 
         monkeypatch.setattr(certificate_mod._kernels, "track_rank", recording)
         empty_g = 0

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import balanced_lines.curves as curves_mod
 from balanced_lines.curves import (
     CurveClass,
     CurveSpec,
@@ -18,7 +19,13 @@ from balanced_lines.curves import (
 from balanced_lines.certificate import Case, classify_case
 from balanced_lines.errors import BadParamsError, MixedColorsError, ProofGapError
 from balanced_lines.geometry import Color
-from balanced_lines.sequence import build_from_points, random_sequence, reverse_sequence
+from balanced_lines.sequence import (
+    build_from_points,
+    permutation_at,
+    random_sequence,
+    reverse_sequence,
+    step_table,
+)
 
 from conftest import filled, oracle_track
 from golden import make_certificates
@@ -82,7 +89,7 @@ class TestTrack:
 class TestTrackAll:
     def assert_every_rank_matches_oracle(self, seq):
         for members in (blue_ids(seq), red_ids(seq)):
-            tracks = track_all(seq, members)
+            tracks = track_all(seq, members, step_table(seq))
             assert [trk.spec.k for trk in tracks] == list(range(1, len(members) + 1))
             for trk in tracks:
                 expected = oracle_track(seq, members, trk.spec.k)
@@ -109,17 +116,22 @@ class TestTrackAll:
             self.assert_every_rank_matches_oracle(seq)
 
     def test_empty_subset_has_no_tracks(self):
-        assert track_all(random_sequence(4, 2, seed=0), ()) == []
+        seq = random_sequence(4, 2, seed=0)
+        assert track_all(seq, (), step_table(seq)) == []
 
     def test_corrupted_step_breaks_continuity(self, monkeypatch):
-        # Position -1 swaps the last and the first element, which no adjacent
-        # transposition does, so some blue rank jumps across the permutation.
+        # Table step N + 3 swaps at position 0. Making it swap the first
+        # element with the rightmost blue, a pair no adjacent transposition
+        # swaps, moves that blue's rank across the permutation in one step.
         seq = random_sequence(8, 5, seed=0)
-        word = list(seq.full_word())
-        word[seq.half_period + 3] = -1
-        monkeypatch.setattr(seq, "full_word", lambda: word)
+        lo, hi, lw = step_table(seq)
+        t = seq.half_period + 3
+        perm = permutation_at(seq, t)
+        hi[t] = next(v for v in reversed(perm) if seq.colors[v] is Color.BLUE)
+        assert seq.full_word()[t] == 0 and perm.index(hi[t]) > 1
+        monkeypatch.setattr(curves_mod, "step_table", lambda seq: (lo, hi, lw))
         with pytest.raises(ProofGapError, match="strong continuity"):
-            for trk in track_all(seq, blue_ids(seq)):
+            for trk in track_all(seq, blue_ids(seq), (lo, hi, lw)):
                 trk.rows
         with pytest.raises(ProofGapError, match="strong continuity"):
             for k in range(1, seq.b + 1):
@@ -207,7 +219,7 @@ class TestFindWeightChanges:
         seq = random_sequence(8, 5, seed=2)
         delta = seq.delta
         windows = ((0, seq.period), (0, seq.half_period), (7, 19), (seq.period - 3, seq.period))
-        for trk in track_all(seq, blue_ids(seq)):
+        for trk in track_all(seq, blue_ids(seq), step_table(seq)):
             for from_w, to_w in ((delta, delta - 1), (delta - 1, delta)):
                 for lo, hi in windows:
                     expected = [t for t in range(lo, hi)
@@ -259,7 +271,7 @@ class TestChangeRows:
             windows = ((0, period), (0, seq.half_period), (period // 3, period // 2),
                        (period - 1, period))
             for color, members in ((Color.BLUE, blue_ids(seq)), (Color.RED, red_ids(seq))):
-                for trk in track_all(seq, members):
+                for trk in track_all(seq, members, step_table(seq)):
                     elem, wt, pos = filled(trk)
                     assert classify_track(trk) is filled_classify(wt, color, delta)
                     edges = {t + d for t, *_ in trk.rows for d in (-1, 0, 1)} | {period + 1}
@@ -345,7 +357,8 @@ class TestCsvDump:
 def test_csv_lists_every_time_of_the_forward_fill():
     for seed in range(5):
         seq = random_sequence(8, 5, seed=seed)
-        for trk in track_all(seq, blue_ids(seq)) + track_all(seq, red_ids(seq)):
+        steps = step_table(seq)
+        for trk in track_all(seq, blue_ids(seq), steps) + track_all(seq, red_ids(seq), steps):
             elem, wt, _ = filled(trk)
             lines = ["time,element,weight"] + [f"{t},{e},{w}" for t, (e, w) in enumerate(zip(elem, wt))]
             assert trk.to_csv() == "\n".join(lines) + "\n"

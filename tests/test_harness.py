@@ -97,7 +97,7 @@ class TestFuzz:
             from balanced_lines.balance import BalancedWitness, WitnessSource
             from balanced_lines import _kernels
 
-            lo, hi, lw, _ = _kernels.run_word(seq.pi0, seq.word, seq.weights)
+            lo, hi, lw = _kernels.run_word(seq.pi0, seq.word, seq.weights)
             out = set()
             for t in range(len(lo)):
                 if lw[t] == seq.delta:

@@ -1,6 +1,6 @@
 """The kernels against from-scratch replays.
 
-``permutation_at`` and ``transposition_at`` rebuild each permutation from
+``transposition_at`` and ``all_permutations`` rebuild each permutation from
 ``pi0`` and the word, and ``oracle_track`` ranks the members of every
 permutation directly, so these tests share no code with the kernels.
 """
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from balanced_lines import _kernels
-from balanced_lines.sequence import permutation_at, random_sequence, transposition_at
+from balanced_lines.sequence import random_sequence, step_table, transposition_at
 
 from conftest import all_permutations, oracle_track
 
@@ -31,11 +31,10 @@ def forward_fill(changes, length):
 @pytest.mark.parametrize("seed", range(5))
 def test_run_word_backends_agree(seed):
     pi0, word, weights, seq = sequence_arrays(seed)
-    lo, hi, lw, perm = _kernels.run_word(pi0, word, weights)
+    lo, hi, lw = _kernels.run_word(pi0, word, weights)
     for t in range(len(word)):
         tr = transposition_at(seq, t + 1)
         assert (lo[t], hi[t], lw[t]) == (tr.lo_id, tr.hi_id, tr.left_weight)
-    assert tuple(perm) == permutation_at(seq, len(word))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -45,7 +44,7 @@ def test_track_rank_backends_agree(seed):
     for color_weight in (1, -1):
         members = frozenset(i for i in range(seq.n) if seq.weights[i] == color_weight)
         member = [i in members for i in range(seq.n)]
-        logs = _kernels.track_rank(seq.pi0, word, seq.weights, member)
+        logs = _kernels.track_rank(seq.pi0, word, seq.weights, member, step_table(seq))
         assert len(logs) == len(members)
         for k, changes in enumerate(logs, start=1):
             got = forward_fill(changes, len(word) + 1)
@@ -59,8 +58,8 @@ def test_track_rank_backends_agree(seed):
 def test_element_walk_backends_agree(seed):
     pi0, word, weights, seq = sequence_arrays(seed)
     rng = random.Random(seed)
-    elems = [rng.randrange(seq.n) for _ in range(len(word) + 1)]
-    pos, lw = _kernels.element_walk(pi0, word, weights, elems)
+    elems = [rng.randrange(seq.n) for _ in range(len(word))]
+    pos, lw = _kernels.element_walk(pi0, word, weights, elems, step_table(seq))
     perms = all_permutations(seq)
     assert pos == [perm.index(e) for perm, e in zip(perms, elems)]
     assert lw == [sum(weights[v] for v in perm[:q]) for perm, q in zip(perms, pos)]

@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -18,6 +19,7 @@ from balanced_lines.sequence import (
     reverse_sequence,
     sequence_from_text,
     sequence_to_text,
+    step_table,
     transposition_at,
     validate,
 )
@@ -32,6 +34,7 @@ from conftest import (
     oracle_sweep_slope,
     oracle_validate_word,
 )
+from golden import make_certificates
 
 
 def counting_fractions(monkeypatch):
@@ -386,6 +389,30 @@ class TestFullWord:
         expected = seq.word + tuple(seq.n - 2 - p for p in seq.word)
         assert seq.full_word() == expected
         assert seq.full_word() is seq.full_word()
+
+
+class TestStepTable:
+    """``step_table`` against ``transposition_at`` at every time of the period, mirrored half included."""
+
+    @staticmethod
+    def assert_matches_transposition_at(seq):
+        lo, hi, lw = step_table(seq)
+        assert len(lo) == len(hi) == len(lw) == seq.period
+        for t in range(seq.period):
+            tr = transposition_at(seq, t + 1)
+            assert (lo[t], hi[t], lw[t]) == (tr.lo_id, tr.hi_id, tr.left_weight), t
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_sequences(self, seed):
+        n = 2 + 2 * (seed % 8)
+        self.assert_matches_transposition_at(random_sequence(n, n - seed % (n // 2 + 1), seed=seed))
+
+    def test_golden_point_sets(self):
+        entries = [row["entry"] for row in map(json.loads, make_certificates.OUT.read_text().splitlines())
+                   if row["entry"]["kind"] == "points"]
+        assert len(entries) == 24
+        for entry in entries:
+            self.assert_matches_transposition_at(make_certificates.build(entry))
 
 
 class TestPermutationAt:

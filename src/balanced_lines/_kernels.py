@@ -2,19 +2,19 @@
 
 ``run_word`` is the one replay primitive: it walks the permutation and its
 prefix weights over a word in O(1) per step and reports each step's pair and
-left prefix weight. ``sequence.step_table`` mirrors one run over the half
-word into every step of a period, and the other readers of steps take that
-table: a step at position p with left element a, right element b and prefix
-weight lw moves a to p + 1 with prefix weight lw + w(b), and b to p with
-prefix weight lw. ``track_rank`` logs only each rank's change points, so a
-subset's tracks cost one pass and a track is O(changes), not O(2N);
-``element_walk`` gives a border from outside rows in the same format.
-``events_to_word`` turns the sweep's swap events into the word. There is one
-backend, plain Python: kernels take plain sequences (indexing numpy scalars
-costs several times more; ``events_to_word`` takes any iterables) and return
-lists. Every kernel has a caller in the package; the from-scratch references
-they are tested against are ``permutation_at`` and ``transposition_at`` in
-``sequence``.
+left prefix weight. ``sequence.step_table`` mirrors the half word and one
+run over it into a period's ``word``, ``lo``, ``hi`` and ``lw``, which the
+other readers of steps take: a step at position p with left element a,
+right element b and prefix weight lw moves a to p + 1, at prefix weight
+lw + w(b), and b to p, at lw. ``track_rank`` logs only each rank's
+change points, so a subset's tracks cost one pass and a track is O(changes),
+not O(2N); ``element_walk`` gives a border from outside rows in the same
+format. ``events_to_word`` turns the sweep's swap events into the word.
+There is one backend, plain Python: kernels take plain sequences (indexing
+numpy scalars costs several times more; ``events_to_word`` takes any
+iterables) and return lists. Every kernel has a caller in the package; the
+from-scratch references they are tested against are ``permutation_at`` and
+``transposition_at`` in ``sequence``.
 """
 from __future__ import annotations
 
@@ -46,8 +46,8 @@ def run_word(pi0, word, weights):
 def track_rank(pi0, word, weights, member, steps):
     """Follow every rank of a subset through a word in one pass over its step table.
 
-    ``steps`` is the word's ``(lo, hi, lw)``, as ``run_word`` reports them,
-    and ``member`` flags the subset's elements. An adjacent swap moves at
+    ``steps`` is the step table's ``(lo, hi, lw)`` for the word, and
+    ``member`` flags the subset's elements. An adjacent swap moves at
     most two rank curves: both ranks when both swapped elements are members,
     otherwise the one member that moved. Returns one list per rank, left to
     right at time 0, of its change points as ``(time, element, prefix weight,

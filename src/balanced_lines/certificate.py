@@ -18,15 +18,17 @@ it, and the Case-2 quotas are counts over it.
 
 One ``certify`` call runs in one ``_Certifier`` session, which holds what its
 phases share: the step table (``sequence.step_table``, the call's one
-replay of a permutation), each color's family of rank tracks (read off the
-table at most once per call) and the last border's change rows. The public
+replay of a permutation and its only record of the period), each color's
+family of rank tracks (read off the table at most once per call) and the
+last border's change rows. The public
 functions keep their signatures; called on their own, each makes a session
 of its own. Tracks are change rows (see ``curves.WeightTrack``), and a
 border from its seed to the F/G/H scan has the same rows, ``(time, element,
 prefix weight, position)``: tested and spliced on merged change times, with
 its mirror read off the same rows (``_mirror_on_grid``) and its counts of
 points on the left read off their weights; the per-time ``Border`` is built
-only on return. ``element_walk`` serves only a border from outside.
+only on return. ``element_walk`` serves only a border from outside. The
+checkers share none of this: they read their own ``_ReferenceWalk``.
 """
 from __future__ import annotations
 
@@ -36,6 +38,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import accumulate, chain, count, islice
 
 import numpy as np
 
@@ -69,8 +72,9 @@ class _Certifier:
     """What the phases of one ``certify`` call share; it dies with the call.
 
     - ``steps``: the step table, built on first use; every track and
-      ``step(t)`` reads it. It lives here, not on the sequence, so a caller
-      that keeps many sequences alive keeps no tables.
+      ``step(t)`` reads it, and it is the fast path's only record of the
+      period. It lives here, not on the sequence, so a caller that keeps
+      many sequences alive keeps no tables.
     - ``family(color)``: the rank tracks of every point of a color, read off
       the table once. The blue family serves the case split, Case 1 and the
       border seed; the border color's family is the ALL subset of
@@ -105,12 +109,12 @@ class _Certifier:
         return self._subset[1]
 
     @cached_property
-    def steps(self) -> tuple[list[int], list[int], list[int]]:
+    def steps(self) -> tuple[list[int], list[int], list[int], list[int]]:
         return step_table(self.seq)
 
     def step(self, t: int) -> tuple[int, int, int]:
         """(left element, right element, prefix weight) of the swap from pi^t, 0 <= t < 2N."""
-        lo, hi, lw = self.steps
+        _, lo, hi, lw = self.steps
         return lo[t], hi[t], lw[t]
 
     def rows(self, border: Border) -> np.ndarray:
@@ -119,8 +123,8 @@ class _Certifier:
             same = {v for v, col in enumerate(seq.colors) if col is c}
             if len(border.elements) != seq.period or not same.issuperset(border.elements):
                 raise BadParamsError(f"a border needs 2N = {seq.period} elements, all {c.name.lower()}")
-            pos, wt = _kernels.element_walk(seq.pi0, seq.full_word(), seq.weights, border.elements,
-                                            self.steps)
+            word, *swaps = self.steps
+            pos, wt = _kernels.element_walk(seq.pi0, word, seq.weights, border.elements, swaps)
             rows = _change_rows(np.stack((np.arange(seq.period), border.elements, wt, pos), 1))
             if not (c.weight * (rows[:, 2] - seq.delta) >= 0).all():
                 raise BadParamsError("border leaves the threshold side")
@@ -213,54 +217,6 @@ def _seam(s: _Certifier, c: Color, rows: np.ndarray, t: int) -> bool:
     lo, hi, _ = s.step(t)
     moved = (e == lo and seq.colors[hi] is c) - (e == hi and seq.colors[lo] is c)
     return abs((qu + c.weight * wu) // 2 - (qt + c.weight * wt) // 2 - moved) <= 1
-
-
-def check_border(seq: AllowableSequence, border: Border) -> list[str]:
-    """Independent border validity check; empty list means valid.
-
-    Walks the permutations directly in Python rather than reusing the track
-    kernels, so border acceptance never depends on the fast path. Only
-    ``verify_certificate`` calls it; generated borders are valid by construction.
-    """
-    period, n = seq.period, seq.n
-    problems: list[str] = []
-    if len(border.elements) != period:
-        return [f"BAD_LENGTH expected {period} got {len(border.elements)}"]
-    if any(seq.colors[e] is not border.color for e in set(border.elements)):
-        return ["WRONG_COLOR"]
-    delta = seq.delta
-    weights, colors, color = seq.weights, seq.colors, border.color
-    blue = color is Color.BLUE
-    perm = list(seq.pi0)
-    pos = [0] * n
-    for q, v in enumerate(perm):
-        pos[v] = q
-    pre = [0] * (n + 1)
-    for q in range(n):
-        pre[q + 1] = pre[q] + weights[perm[q]]
-    elements = border.elements
-    steps = zip(elements, border.mirror_elements(), elements[1:] + elements[:1],
-                seq.full_word())
-    for t, (e, mirror, e_next, sp) in enumerate(steps):
-        p = pos[e]
-        w = pre[p]
-        if w < delta if blue else w > delta:
-            problems.append(f"WEIGHT t={t}")
-        if not p < pos[mirror]:
-            problems.append(f"MIRROR_ORDER t={t}")
-        # advance to pi^{t+1}
-        a, bb = perm[sp], perm[sp + 1]
-        perm[sp], perm[sp + 1] = bb, a
-        pos[bb], pos[a] = sp, sp + 1
-        pre[sp + 1] = pre[sp] + weights[bb]
-        if e_next != e:
-            q1, q2 = pos[e], pos[e_next]
-            lo_q, hi_q = min(q1, q2), max(q1, q2)
-            for q in range(lo_q + 1, hi_q):
-                if colors[perm[q]] is color:
-                    problems.append(f"WEAK_CONTINUITY t={t}")
-                    break
-    return problems
 
 
 def _nearest_left_curve(s: _Certifier, trk: WeightTrack, want: Color):
@@ -713,22 +669,80 @@ class VerificationResult:
         return self.ok
 
 
+class _ReferenceWalk:
+    """The checkers' own replay of one period, from scratch, in one pass.
+
+    ``perm``, ``pos`` and ``pre`` hold pi^t, each element's position in it
+    and its prefix weights (``pre[q]``: left of position q), from t = 0.
+    Iterating yields, for t in [0, 2N), the position of the swap from pi^t,
+    and makes it when asked for the next. The swaps run over ``seq.word``,
+    then over its mirror n - 2 - p (pi^{t+N} reverses pi^t).
+    """
+
+    def __init__(self, seq: AllowableSequence):
+        self.seq = seq
+        self.perm = list(seq.pi0)
+        self.pos = sorted(range(seq.n), key=self.perm.__getitem__)  # pi^0 inverted
+        self.pre = list(accumulate((seq.weights[v] for v in self.perm), initial=0))
+
+    def __iter__(self):
+        seq, perm, pos, pre, weights = self.seq, self.perm, self.pos, self.pre, self.seq.weights
+        for p in chain(seq.word, map((seq.n - 2).__sub__, seq.word)):
+            yield p
+            a, b = perm[p], perm[p + 1]
+            perm[p], perm[p + 1] = b, a
+            pos[a], pos[b] = p + 1, p
+            pre[p + 1] = pre[p] + weights[b]
+
+
+def check_border(seq: AllowableSequence, border: Border) -> list[str]:
+    """Independent border validity check; empty list means valid.
+
+    Reads a ``_ReferenceWalk``, not the track kernels, so border acceptance
+    never depends on the fast path. Only ``verify_certificate`` calls it;
+    generated borders are valid by construction. Weak continuity across the
+    step from t is tested at pi^{t+1}: in the next round, or at time 0 for
+    the last step.
+    """
+    period, delta = seq.period, seq.delta
+    elements, colors, color = border.elements, seq.colors, border.color
+    if len(elements) != period:
+        return [f"BAD_LENGTH expected {period} got {len(elements)}"]
+    if not set(range(seq.n)).issuperset(elements):
+        return ["UNKNOWN_POINT"]
+    if any(colors[e] is not color for e in set(elements)):
+        return ["WRONG_COLOR"]
+    sign = color.weight
+    problems, last = [], []  # last: the step from 2N - 1, found at time 0
+    walk = _ReferenceWalk(seq)
+    perm, pos, pre = walk.perm, walk.pos, walk.pre
+    for t, e_before, e, mirror, _ in zip(count(), elements[-1:] + elements, elements,
+                                         border.mirror_elements(), walk):
+        p = pos[e]
+        if e_before != e:
+            q = pos[e_before]
+            if any(colors[v] is color for v in perm[min(p, q) + 1 : max(p, q)]):
+                (problems if t else last).append(f"WEAK_CONTINUITY t={(t - 1) % period}")
+        if sign * (pre[p] - delta) < 0:
+            problems.append(f"WEIGHT t={t}")
+        if not p < pos[mirror]:
+            problems.append(f"MIRROR_ORDER t={t}")
+    return problems + last
+
+
 def _replayed_swaps(seq: AllowableSequence, times) -> dict[int, tuple[int, tuple[int, ...]]]:
     """For each time t: the position of tau_t and pi^{t-1}, t taken mod 2N.
 
-    One replay of the full word, in order of time, answers every t; it walks
-    the permutation directly, sharing no code with the kernels.
+    One ``_ReferenceWalk`` answers every t, in order of time, and stops at
+    the latest.
     """
-    period, word = seq.period, seq.full_word()
-    perm = list(seq.pi0)
-    out = {}
-    done = 0
+    period, walk = seq.period, _ReferenceWalk(seq)
+    steps, done, out = iter(walk), 0, {}
     for t in sorted(set(times), key=lambda t: (t - 1) % period):
-        step = (t - 1) % period
-        for p in word[done:step]:
-            perm[p], perm[p + 1] = perm[p + 1], perm[p]
-        done = step
-        out[t] = (word[step], tuple(perm))
+        if (step := (t - 1) % period) >= done:  # else t shares the last step, a period apart
+            swap = next(islice(steps, step - done, None)), tuple(walk.perm)  # skips in C
+            done = step + 1
+        out[t] = swap
     return out
 
 
@@ -768,17 +782,16 @@ def verify_certificate(seq: AllowableSequence, cert: Certificate) -> Verificatio
         diagnostics.append(f"INSUFFICIENT_COUNT {len(cert.witnesses)} < {cert.target}")
 
     origin = dict(cert.witness_origins)
+    parts = (cert.f_set, cert.g_set, cert.h_set)
     part_of = None  # the origin letter of each border-color point
     if cert.case == Case.CASE1.value:
         color = Color.BLUE
         part_of = {v: "B" for v in range(seq.n) if seq.colors[v] is color}
-    elif cert.border is None or cert.ledger is None:
+    elif cert.border is None or cert.ledger is None or None in parts:
         diagnostics.append("MISSING_CASE2_DATA")
     else:
         color = cert.border.color
-        parts = (cert.f_set, cert.g_set, cert.h_set)
-        if None not in parts:
-            part_of = {v: name for name, ids in zip("FGH", parts) for v in ids}
+        part_of = {v: name for name, ids in zip("FGH", parts) for v in ids}
         if check_border(seq, cert.border):
             diagnostics.append("BAD_BORDER")
         else:  # F/G/H must be the valid border's time-0 split, in time-0 order

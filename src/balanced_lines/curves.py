@@ -129,7 +129,8 @@ def track_all(seq: AllowableSequence, members, steps) -> list[WeightTrack]:
     """
     members = frozenset(members)
     member = [v in members for v in range(seq.n)]
-    logs = _kernels.track_rank(seq.pi0, seq.full_word(), seq.weights, member, steps) if members else []
+    word, *swaps = steps
+    logs = _kernels.track_rank(seq.pi0, word, seq.weights, member, swaps) if members else []
     return [
         WeightTrack(seq, CurveSpec(members, k), changes)
         for k, changes in enumerate(logs, start=1)
@@ -221,15 +222,12 @@ def classify_change(seq: AllowableSequence, spec: CurveSpec, t: int, kind: str) 
 
     ``kind`` is "descent" for the change that can certify a rightward
     member/partner swap (blue: delta to delta-1; red: delta to delta+1) and
-    "ascent" for its reverse. Exactly one branch of the dichotomy must hold;
-    anything else raises ProofGapError.
+    "ascent" for its reverse; any other raises BadParamsError. Exactly one
+    branch of the dichotomy must hold; anything else raises ProofGapError.
     """
+    if kind not in ("descent", "ascent"):
+        raise BadParamsError(f'kind must be "descent" or "ascent", got {kind!r}')
     color = _subset_color(seq, spec.members)
-    delta = seq.delta
-    lo_w, hi_w = (delta, delta - 1) if color is Color.BLUE else (delta, delta + 1)
-    if kind == "ascent":
-        lo_w, hi_w = hi_w, lo_w
-
     tr = transposition_at(seq, t + 1)
     in_members = [v for v in (tr.lo_id, tr.hi_id) if v in spec.members]
     if len(in_members) != 1:
@@ -241,14 +239,11 @@ def classify_change(seq: AllowableSequence, spec: CurveSpec, t: int, kind: str) 
     prev = permutation_at(seq, t)
     members_left = sum(1 for v in prev[: tr.pos] if v in spec.members)
 
-    if kind == "descent":
-        balanced = member_moves_right
-    else:
-        balanced = not member_moves_right
+    balanced = member_moves_right is (kind == "descent")
     if balanced:
         if seq.colors[partner] is color:
             raise ProofGapError(f"branch (i) partner at t={t} has the member's color")
-        if tr.left_weight != delta:
+        if tr.left_weight != seq.delta:
             raise ProofGapError(f"branch (i) swap at t={t} is not balanced")
         if members_left != spec.k - 1:
             raise ProofGapError(

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CollinearWitnessError, FailsToSeparateError, ParityError
+from .errors import BadParamsError, CollinearWitnessError, FailsToSeparateError, ParityError
 
 
 class Color(Enum):
@@ -429,14 +429,10 @@ def instance_to_json(inst: Instance) -> str:
 
 
 def instance_from_json(text: str) -> Instance:
+    """The instance of a JSON text; a coordinate is a ``p/q`` string or an integer, never a float."""
     data = json.loads(text)
-    pts = [
-        ChromaticPoint(
-            id=int(p["id"]),
-            x=Fraction(p["x"]),
-            y=Fraction(p["y"]),
-            color=Color(p["color"]),
-        )
-        for p in data["points"]
-    ]
+    try:
+        pts = [ChromaticPoint(int(p["id"]), p["x"], p["y"], Color(p["color"])) for p in data["points"]]
+    except TypeError as exc:
+        raise BadParamsError(f"bad point in instance JSON: {exc}") from exc
     return Instance(pts)

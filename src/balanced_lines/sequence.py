@@ -2,9 +2,9 @@
 
 An allowable sequence is stored as one half-period: the starting permutation
 plus the word of adjacent-swap positions tau_1..tau_N, N = C(n, 2). All other
-times follow from the half-period reversal and 2N periodicity; the mirrored
-full-period word is built only when first asked for, and ``step_table``
-mirrors one replay of the half word into a period. ``build_from_points``
+times follow from the half-period reversal and 2N periodicity: nothing
+about the full period is kept on the sequence, and ``step_table`` mirrors
+the word and one replay of it into a period. ``build_from_points``
 turns the exact sweep order that ``geometry`` memoises on the instance into
 the word; it makes no pass over the pairs of its own.
 """
@@ -33,7 +33,6 @@ class AllowableSequence:
         self.n = len(self.colors)
         self.weights: tuple[int, ...] = tuple(c.weight for c in self.colors)
         self.b: int = self.weights.count(1)
-        self._full_word: tuple[int, ...] | None = None
 
     @property
     def half_period(self) -> int:
@@ -50,12 +49,6 @@ class AllowableSequence:
     @property
     def delta(self) -> int:
         return (self.b - self.r) // 2
-
-    def full_word(self) -> tuple[int, ...]:
-        """Word over a full period: tau_{t+N} mirrors tau_t's position; built on first use."""
-        if self._full_word is None:
-            self._full_word = self.word + tuple(self.n - 2 - p for p in self.word)
-        return self._full_word
 
     def __repr__(self):
         return f"AllowableSequence(n={self.n}, b={self.b}, r={self.r})"
@@ -102,17 +95,19 @@ def transposition_at(seq: AllowableSequence, t: int) -> Transposition:
     return Transposition(t=t, pos=pos, lo_id=prev[pos], hi_id=prev[pos + 1], left_weight=left_weight)
 
 
-def step_table(seq: AllowableSequence) -> tuple[list[int], list[int], list[int]]:
-    """Lists ``lo``, ``hi``, ``lw`` over a full period; index t is the swap from pi^t.
+def step_table(seq: AllowableSequence) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Lists ``word``, ``lo``, ``hi``, ``lw`` over a full period; index t is the swap from pi^t.
 
     One ``run_word`` over the half word gives t < N. pi^{t+N} reverses pi^t,
-    so step t + N swaps step t's pair back, with prefix weight
-    sum(w) - lw - w(lo) - w(hi). Not kept on the sequence.
+    so step t + N swaps step t's pair back, at position n - 2 - p, with
+    prefix weight sum(w) - lw - w(lo) - w(hi). Not kept on the sequence.
     """
     lo, hi, lw = _kernels.run_word(seq.pi0, seq.word, seq.weights)
     w, total = seq.weights, sum(seq.weights)
     lw += [total - x - w[a] - w[b] for a, b, x in zip(lo, hi, lw)]
-    return lo + hi, hi + lo, lw
+    word = list(seq.word)
+    word += [seq.n - 2 - p for p in word]
+    return word, lo + hi, hi + lo, lw
 
 
 @dataclass(frozen=True)

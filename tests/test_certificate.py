@@ -187,9 +187,13 @@ class TestBorders:
         blue = next(v for v in range(seq.n) if seq.colors[v] is Color.BLUE)
         short = Border(border.color, border.elements[:-1])
         wrong = Border(border.color, (blue,) + border.elements[1:])
+        # Neither a point past n nor a negative index, which Python would
+        # read from the end, reaches the replay.
+        unknown = [Border(border.color, (v,) + border.elements[1:]) for v in (999, -1)]
         assert check_border(seq, short) == [f"BAD_LENGTH expected {seq.period} got {seq.period - 1}"]
         assert check_border(seq, wrong) == ["WRONG_COLOR"]
-        for bad in (short, wrong):
+        assert [check_border(seq, bad) for bad in unknown] == [["UNKNOWN_POINT"]] * 2
+        for bad in (short, wrong, *unknown):
             result = verify_certificate(seq, dataclasses.replace(cert, border=bad))
             assert "BAD_BORDER" in result.diagnostics
 
@@ -414,12 +418,12 @@ class TestCarriedPositions:
             seq = build_from_points(inst)
             period, half = seq.period, seq.half_period
             border = maximize_border(seq, initial_border(seq, 1))
-            steps = step_table(seq)
+            word, *steps = step_table(seq)
             elements = [rng.randrange(seq.n) for _ in range(period)]
             perms = all_permutations(seq)
             times = np.arange(period)
             for cand in (border, Border(border.color, tuple(elements))):
-                bpos, bwt = walk(seq.pi0, seq.full_word(), seq.weights, cand.elements, steps)
+                bpos, bwt = walk(seq.pi0, word, seq.weights, cand.elements, steps)
                 assert bpos == replayed_positions(perms, cand.elements)
                 mpos = replayed_positions(perms, cand.mirror_elements())
                 grid = np.stack((times, cand.elements, bwt, bpos), 1)
@@ -441,7 +445,7 @@ def replay_nearest_left(seq, positions, want):
     colors = seq.colors
     perm = list(seq.pi0)
     out, qs = [], []
-    for t, sp in enumerate(seq.full_word()):
+    for t, sp in enumerate(seq.word + tuple(seq.n - 2 - p for p in seq.word)):
         q = int(positions[t]) - 1
         while q >= 0 and colors[perm[q]] is not want:
             q -= 1
@@ -1025,7 +1029,6 @@ class TestCertify:
         cases = set()
         for b, r, seed in ((24, 24, 1), (36, 12, 0), (27, 9, 5)):
             seq = build_from_points(random_instance(b, r, 10**6, seed=seed))
-            seq.full_word()  # built on first use: the sequence's own, not certify's
             before = dict(vars(seq))
             replays.clear()
             cert = certify(seq)
@@ -1038,6 +1041,7 @@ class TestCertify:
             else:
                 assert replays.count("element_walk") == 0
             assert certificate_mod._ACTIVE.get() is None
+            assert verify_certificate(seq, cert).ok
             assert vars(seq) == before
         assert cases == {Case.CASE1.value, Case.CASE2.value}
 
@@ -1220,7 +1224,7 @@ class TestVerifier:
         result = verify_certificate(seq, tampered)
         assert result.diagnostics == (f"NOT_BALANCED {w.pair}: witness carries no time",)
 
-    @pytest.mark.parametrize("field", ["border", "ledger"])
+    @pytest.mark.parametrize("field", ["border", "ledger", "f_set", "g_set", "h_set"])
     def test_missing_case2_data_detected(self, t_red_border, field):
         seq = build_from_points(t_red_border)
         cert = certify(seq)
@@ -1291,6 +1295,22 @@ class TestVerifier:
         t = next(w.t for w in cert.witnesses if w.pair == pair)
         result = verify_certificate(seq, tampered)
         assert result.diagnostics == (f"BAD_ORIGIN {pair} at t={t}: {wrong} is not {label}",)
+
+    def test_replay_stops_at_the_latest_time(self, monkeypatch):
+        made = []
+
+        class CountingWalk(certificate_mod._ReferenceWalk):
+            def __iter__(self):
+                for p in super().__iter__():
+                    made.append(p)
+                    yield p
+
+        monkeypatch.setattr(certificate_mod, "_ReferenceWalk", CountingWalk)
+        seq = random_sequence(8, 5, seed=0)
+        swaps = _replayed_swaps(seq, [3, 7 + seq.period, 3 - seq.period])
+        assert len(made) == 7  # steps 0 .. 6; time t is the step from pi^{t-1}
+        assert swaps[3] == swaps[3 - seq.period] == (made[2], permutation_at(seq, 2))
+        assert swaps[7 + seq.period] == (made[6], permutation_at(seq, 6))
 
     def test_single_replay_matches_transposition_at(self):
         # Every golden witness time, and the same times moved by -1, +1, a

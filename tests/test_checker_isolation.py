@@ -1,9 +1,11 @@
-"""The border checker shares no code with the generator it checks.
+"""The checkers share no code with the fast path they check, either way.
 
 ``check_border`` is the independent check of a border. The generator makes
 valid borders by construction, so in the package only ``verify_certificate``
 may name it; a generator step that called it would lean on the checker
-instead of the proof.
+instead of the proof. The checkers replay the period with a walk of their
+own, ``_ReferenceWalk``: they name no kernel and no step table, and nothing
+but them names the walk.
 """
 import ast
 from pathlib import Path
@@ -49,3 +51,27 @@ def test_finds_every_function_naming_the_checker():
 def test_only_the_verifier_calls_check_border(path):
     expected = ["verify_certificate"] if path.name == "certificate.py" else []
     assert functions_naming(path.read_text(), "check_border") == expected
+
+
+CERTIFICATE = next(p for p in MODULES if p.name == "certificate.py")
+KERNELS = sorted(node.name for node in ast.parse(
+    next(p for p in MODULES if p.name == "_kernels.py").read_text()).body
+    if isinstance(node, ast.FunctionDef))
+FAST_PATH = sorted({"_kernels", "step_table", "full_word", *KERNELS})
+CHECKERS = ("check_border", "verify_certificate", "_replayed_swaps", "_ReferenceWalk")
+
+
+def is_checker(scope: str) -> bool:
+    return any(scope == c or scope.startswith(f"{c}.") for c in CHECKERS)
+
+
+@pytest.mark.parametrize("name", FAST_PATH)
+def test_no_checker_names_the_fast_path(name):
+    # The checkers replay the period themselves: no kernel, no step table.
+    assert not [s for s in functions_naming(CERTIFICATE.read_text(), name) if is_checker(s)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_checkers_name_their_walk(path):
+    expected = ["_replayed_swaps", "check_border"] if path == CERTIFICATE else []
+    assert functions_naming(path.read_text(), "_ReferenceWalk") == expected

@@ -188,6 +188,17 @@ class TestPipelines:
         code, _, err = run(capsys, "scan")
         assert code == 2
 
+    def test_float_coordinate_exit_2(self, capsys, tmp_path):
+        # 0.1 has no exact binary value; it is refused, not read as 3602879701896397/2^55.
+        path = tmp_path / "float.json"
+        path.write_text(json.dumps({"points": [
+            {"id": 0, "x": 0.1, "y": "0", "color": "B"},
+            {"id": 1, "x": "1", "y": "1", "color": "R"},
+        ]}))
+        code, out, err = run(capsys, "scan", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "not floats" in err
+
 
 class TestFuzzCommand:
     def test_clean_run(self, capsys):

@@ -124,14 +124,14 @@ class TestTrackAll:
         # element with the rightmost blue, a pair no adjacent transposition
         # swaps, moves that blue's rank across the permutation in one step.
         seq = random_sequence(8, 5, seed=0)
-        lo, hi, lw = step_table(seq)
+        word, lo, hi, lw = step_table(seq)
         t = seq.half_period + 3
         perm = permutation_at(seq, t)
         hi[t] = next(v for v in reversed(perm) if seq.colors[v] is Color.BLUE)
-        assert seq.full_word()[t] == 0 and perm.index(hi[t]) > 1
-        monkeypatch.setattr(curves_mod, "step_table", lambda seq: (lo, hi, lw))
+        assert word[t] == 0 and perm.index(hi[t]) > 1
+        monkeypatch.setattr(curves_mod, "step_table", lambda seq: (word, lo, hi, lw))
         with pytest.raises(ProofGapError, match="strong continuity"):
-            for trk in track_all(seq, blue_ids(seq), (lo, hi, lw)):
+            for trk in track_all(seq, blue_ids(seq), (word, lo, hi, lw)):
                 trk.rows
         with pytest.raises(ProofGapError, match="strong continuity"):
             for k in range(1, seq.b + 1):
@@ -326,6 +326,18 @@ class TestChangeDichotomy:
                 for t in find_weight_changes(trk, seq.delta, seq.delta - 1):
                     assert classify_change(seq, spec, t, "descent").balanced
                     assert classify_change(seq, spec, t, "descent").members_left == k - 1
+
+    def test_unknown_kind_is_rejected(self):
+        seq = random_sequence(8, 5, seed=0)
+        for k in range(1, seq.b + 1):  # a rank with a descent
+            spec = CurveSpec(blue_ids(seq), k)
+            if ts := find_weight_changes(track(seq, spec), seq.delta, seq.delta - 1):
+                break
+        t = ts[0]
+        assert classify_change(seq, spec, t, "descent").kind == "descent"
+        for kind in ("Descent", "asc", ""):
+            with pytest.raises(BadParamsError, match="descent"):
+                classify_change(seq, spec, t, kind)
 
     def test_reverse_sequence_sees_mirrored_events(self):
         # A descent of a curve at time t is an ascent of the reversed

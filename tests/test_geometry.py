@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balanced_lines.errors import CollinearWitnessError, ParityError
+from balanced_lines.errors import BadParamsError, CollinearWitnessError, ParityError
 from balanced_lines.geometry import (
     ChromaticPoint,
     Color,
@@ -361,6 +361,15 @@ class TestJsonRoundTrip:
             {"id": 0, "x": "0", "y": "0", "color": "B"},
             {"id": 1, "x": "1", "y": "1", "color": "R"},
         ]}
+
+    def test_strings_and_integers_parse_exactly_and_floats_are_refused(self):
+        points = [{"id": 0, "x": "3/2", "y": -7, "color": "B"}, {"id": 1, "x": 4, "y": "0.25", "color": "R"}]
+        inst = instance_from_json(json.dumps({"points": points}))
+        assert [(p.x, p.y) for p in inst.points] == [(Fraction(3, 2), -7), (4, Fraction(1, 4))]
+        assert all(type(c) is Fraction for p in inst.points for c in (p.x, p.y))
+        points[1]["y"] = 0.25
+        with pytest.raises(BadParamsError, match="not floats"):
+            instance_from_json(json.dumps({"points": points}))
 
     def test_swapped_instance_keeps_raw_colors(self):
         inst = make_instance([(0, 0, "R"), (1, 1, "R"), (2, 5, "R"), (5, 2, "B")])

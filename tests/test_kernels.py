@@ -17,7 +17,8 @@ from conftest import all_permutations, oracle_track
 
 def sequence_arrays(seed, n=10, blue=6):
     seq = random_sequence(n, blue, seed=seed)
-    return seq.pi0, seq.full_word(), seq.weights, seq
+    word = seq.word + tuple(n - 2 - p for p in seq.word)  # the full period's, built here
+    return seq.pi0, word, seq.weights, seq
 
 
 def forward_fill(changes, length):
@@ -44,7 +45,7 @@ def test_track_rank_backends_agree(seed):
     for color_weight in (1, -1):
         members = frozenset(i for i in range(seq.n) if seq.weights[i] == color_weight)
         member = [i in members for i in range(seq.n)]
-        logs = _kernels.track_rank(seq.pi0, word, seq.weights, member, step_table(seq))
+        logs = _kernels.track_rank(seq.pi0, word, seq.weights, member, step_table(seq)[1:])
         assert len(logs) == len(members)
         for k, changes in enumerate(logs, start=1):
             got = forward_fill(changes, len(word) + 1)
@@ -59,7 +60,7 @@ def test_element_walk_backends_agree(seed):
     pi0, word, weights, seq = sequence_arrays(seed)
     rng = random.Random(seed)
     elems = [rng.randrange(seq.n) for _ in range(len(word))]
-    pos, lw = _kernels.element_walk(pi0, word, weights, elems, step_table(seq))
+    pos, lw = _kernels.element_walk(pi0, word, weights, elems, step_table(seq)[1:])
     perms = all_permutations(seq)
     assert pos == [perm.index(e) for perm, e in zip(perms, elems)]
     assert lw == [sum(weights[v] for v in perm[:q]) for perm, q in zip(perms, pos)]

@@ -385,10 +385,12 @@ class TestFullWord:
         lambda: sequence_from_text(sequence_to_text(random_sequence(6, 4, seed=1))),
     ], ids=["built", "random", "reversed", "text"])
     def test_matches_the_eager_definition(self, make):
+        # The step table's word column; nothing about it is kept on the sequence.
         seq = make()
+        before = dict(vars(seq))
         expected = seq.word + tuple(seq.n - 2 - p for p in seq.word)
-        assert seq.full_word() == expected
-        assert seq.full_word() is seq.full_word()
+        assert tuple(step_table(seq)[0]) == expected
+        assert vars(seq) == before
 
 
 class TestStepTable:
@@ -396,11 +398,11 @@ class TestStepTable:
 
     @staticmethod
     def assert_matches_transposition_at(seq):
-        lo, hi, lw = step_table(seq)
-        assert len(lo) == len(hi) == len(lw) == seq.period
+        word, lo, hi, lw = step_table(seq)
+        assert len(word) == len(lo) == len(hi) == len(lw) == seq.period
         for t in range(seq.period):
             tr = transposition_at(seq, t + 1)
-            assert (lo[t], hi[t], lw[t]) == (tr.lo_id, tr.hi_id, tr.left_weight), t
+            assert (word[t], lo[t], hi[t], lw[t]) == (tr.pos, tr.lo_id, tr.hi_id, tr.left_weight), t
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_sequences(self, seed):

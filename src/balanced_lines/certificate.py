@@ -2,33 +2,35 @@
 
 The generator mechanizes the lower-bound proof. Case 1 (every mid-rank blue
 curve crosses the delta threshold) reads two witnesses per rank straight off
-the weight tracks. Case 2 builds a border curve, partitions the border-color
-points into F/G/H, and scans one half-period with a charge ledger that
-converts non-witness events into guaranteed witness events of other curves.
-The scan is symmetric: descents pair with F, ascents with H, so each of its
-rules is stated once, over a table indexed by the kind of change.
-Every obligation the counting relies on is checked at runtime; failures
-surface as InsufficientBorderError from the scan, which ``certify`` reports as
-a ProofGapError (never expected on valid input), since the border it scans is
+the step table, where each blue rank curve crosses (``_Certifier.crossings``).
+Case 2 builds a border curve, partitions the border-color points into F/G/H,
+and scans one half-period with a charge ledger that converts non-witness
+events into guaranteed witness events of other curves. The scan is
+symmetric: descents pair with F, ascents with H, so each of its rules is
+stated once, over a table indexed by the kind of change. Every obligation
+the counting relies on is checked at runtime; failures surface as
+InsufficientBorderError from the scan, which ``certify`` reports as a
+ProofGapError (never expected on valid input), since the border it scans is
 already a fixed point of the improvement devices.
 
 Both scans only append ``CurveEvent``s: the event log is their one record.
 ``_certificate`` reads the witnesses, their origins and the charge ledger off
 it, and the Case-2 quotas are counts over it.
 
-One ``certify`` call runs in one ``_Certifier`` session, which holds what its
-phases share: the step table (``sequence.step_table``, the call's one
-replay of a permutation and its only record of the period), each color's
-family of rank tracks (read off the table at most once per call) and the
-last border's change rows. The public
+One ``certify`` call runs in one ``_Certifier`` session, which validates the
+sequence and holds what its phases share: the step table
+(``sequence.step_table``, the call's one replay of a permutation and its
+only record of the period), the blue crossings, each color's family of rank
+tracks (Case 2 only) and the last border's change rows. The public
 functions keep their signatures; called on their own, each makes a session
-of its own. Tracks are change rows (see ``curves.WeightTrack``), and a
-border from its seed to the F/G/H scan has the same rows, ``(time, element,
-prefix weight, position)``: tested and spliced on merged change times, with
-its mirror read off the same rows (``_mirror_on_grid``) and its counts of
-points on the left read off their weights; the per-time ``Border`` is built
-only on return. ``element_walk`` serves only a border from outside. The
-checkers share none of this: they read their own ``_ReferenceWalk``.
+of its own. A track is one int64 array of change rows (``curves.WeightTrack``),
+and a border from its seed to the F/G/H scan has the same rows, ``(time,
+element, prefix weight, position)``, read by the same ``curves.on_grid``:
+tested and spliced on merged change times, with its mirror read off the same
+rows (``_mirror_on_grid``) and its counts of points on the left read off
+their weights; the per-time ``Border`` is built only on return.
+``element_walk`` serves only a border from outside. The checkers share none
+of this: they read their own ``_ReferenceWalk``.
 """
 from __future__ import annotations
 
@@ -38,23 +40,16 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate, chain, count, islice
+from itertools import accumulate, chain, compress, count, islice
 
 import numpy as np
 
 from . import _kernels
 from .balance import BalancedWitness, WitnessSource
-from .curves import (
-    CurveClass,
-    WeightTrack,
-    classify_track,
-    find_weight_changes,
-    row_spans,
-    track_all,
-)
+from .curves import WeightTrack, find_weight_changes, on_grid, track_all
 from .errors import BadParamsError, InsufficientBorderError, ProofGapError
 from .geometry import Color
-from .sequence import AllowableSequence, step_table
+from .sequence import AllowableSequence, step_table, validate
 
 
 class Case(Enum):
@@ -71,15 +66,19 @@ class CaseInfo:
 class _Certifier:
     """What the phases of one ``certify`` call share; it dies with the call.
 
-    - ``steps``: the step table, built on first use; every track and
-      ``step(t)`` reads it, and it is the fast path's only record of the
-      period. It lives here, not on the sequence, so a caller that keeps
-      many sequences alive keeps no tables.
+    It validates the sequence first: a malformed one raises
+    ``BadParamsError("invalid sequence: <codes>")``.
+
+    - ``steps``: the step table, built on first use; every track,
+      ``crossings`` and ``step(t)`` read it, and it is the fast path's only
+      record of the period. It lives here, not on the sequence, so a caller
+      that keeps many sequences alive keeps no tables.
+    - ``crossings``: the blue ranks' threshold crossings, for the case
+      split, Case 1 and the seed rank's test (``changing(k)``).
     - ``family(color)``: the rank tracks of every point of a color, read off
-      the table once. The blue family serves the case split, Case 1 and the
-      border seed; the border color's family is the ALL subset of
-      maximisation; the other color's answers the nearest-left device by
-      rank lookup.
+      the table once, in Case 2: the blue family gives the border seed, the
+      border color's is the ALL subset of maximisation, and the other
+      color's answers the nearest-left device by rank lookup.
     - ``tracks(ids)``: any other subset's tracks, kept until the next subset
       is asked for (consecutive rounds often share their G).
     - ``step(t)``: the swap from pi^t to pi^{t+1}, a row of the table.
@@ -91,6 +90,9 @@ class _Certifier:
     """
 
     def __init__(self, seq: AllowableSequence):
+        report = validate(seq)
+        if not report.clean:
+            raise BadParamsError(f"invalid sequence: {', '.join(report.codes)}")
         self.seq = seq
         self._families: dict[Color, list[WeightTrack]] = {}
         self._subset: tuple[frozenset[int] | None, list[WeightTrack]] = (None, [])
@@ -111,6 +113,30 @@ class _Certifier:
     @cached_property
     def steps(self) -> tuple[list[int], list[int], list[int], list[int]]:
         return step_table(self.seq)
+
+    @cached_property
+    def crossings(self) -> dict[str, dict[int, int]]:
+        """Each blue rank's first descent and first ascent: ``{kind: {rank: step}}``.
+
+        Lemma. A rank curve of all the blues crosses the threshold exactly
+        when its blue swaps with a red at prefix weight delta: two blues
+        trade ranks at an unchanged weight, and a blue passing a red goes
+        from lw to lw - 1 moving right (a descent) and from lw - 1 to lw
+        moving left (an ascent), lw being the step's prefix weight. A blue
+        at position p with prefix weight delta has (p + delta)/2 blues on
+        its left. The steps at weight delta are picked out in C.
+        """
+        word, lo, hi, lw = self.steps
+        weights, delta = self.seq.weights, self.seq.delta
+        firsts = {"descent": {}, "ascent": {}}
+        for t in compress(count(), map(delta.__eq__, lw)):
+            if (w := weights[lo[t]]) != weights[hi[t]]:  # a blue on the left moves right
+                firsts["descent" if w == 1 else "ascent"].setdefault((word[t] + delta) // 2 + 1, t)
+        return firsts
+
+    def changing(self, k: int) -> bool:
+        """Whether blue rank k crosses the threshold."""
+        return any(k in ts for ts in self.crossings.values())
 
     def step(self, t: int) -> tuple[int, int, int]:
         """(left element, right element, prefix weight) of the swap from pi^t, 0 <= t < 2N."""
@@ -160,11 +186,9 @@ def _mid_rank_range(seq: AllowableSequence) -> range:
 
 def classify_case(seq: AllowableSequence) -> CaseInfo:
     """Case 1 iff every blue mid-rank curve is delta-changing (vacuously if none)."""
-    tracks = _session(seq).family(Color.BLUE)
-    for k in _mid_rank_range(seq):
-        if classify_track(tracks[k - 1]) is not CurveClass.CHANGING:
-            return CaseInfo(Case.CASE2, k)
-    return CaseInfo(Case.CASE1, None)
+    s = _session(seq)
+    k = next((k for k in _mid_rank_range(seq) if not s.changing(k)), None)
+    return CaseInfo(Case.CASE1 if k is None else Case.CASE2, k)
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +213,9 @@ def _change_rows(rows: np.ndarray) -> np.ndarray:
     return rows[np.diff(rows[:, 1:], axis=0, prepend=-1).any(axis=1)]
 
 
-def _on_grid(rows: np.ndarray, times, col=slice(None)) -> np.ndarray:
-    """The change rows in force at each of ``times``, or their column ``col``, as a new array."""
-    return rows[np.searchsorted(rows[:, 0], times, side="right") - 1, col]
-
-
 def _mirror_on_grid(seq: AllowableSequence, rows: np.ndarray, times) -> np.ndarray:
     """The mirror's positions at ``times``, n - 1 - pos(t + N): pi^{t+N} reverses pi^t."""
-    return seq.n - 1 - _on_grid(rows, (np.asarray(times) + seq.half_period) % seq.period, 3)
+    return seq.n - 1 - on_grid(rows, (np.asarray(times) + seq.half_period) % seq.period, 3)
 
 
 def _left_of_mirror(seq: AllowableSequence, rows: np.ndarray) -> bool:
@@ -213,7 +232,7 @@ def _seam(s: _Certifier, c: Color, rows: np.ndarray, t: int) -> bool:
     with a c point.
     """
     seq = s.seq
-    (_, e, wt, qt), (_, _, wu, qu) = _on_grid(rows, [t, (t + 1) % seq.period]).tolist()
+    (_, e, wt, qt), (_, _, wu, qu) = on_grid(rows, [t, (t + 1) % seq.period]).tolist()
     lo, hi, _ = s.step(t)
     moved = (e == lo and seq.colors[hi] is c) - (e == hi and seq.colors[lo] is c)
     return abs((qu + c.weight * wu) // 2 - (qt + c.weight * wt) // 2 - moved) <= 1
@@ -238,20 +257,19 @@ def _nearest_left_curve(s: _Certifier, trk: WeightTrack, want: Color):
     Y breaks mirror order at every time; and no middle rank, its own mirror,
     is off the threshold side at every time.
     """
-    period = s.seq.period
     family = s.family(want)
     rows = trk.rows
-    out = []
-    for (t, _, w, q), (end, *_) in zip(rows, rows[1:] + [(period,)]):
-        if t >= period:
-            break
-        k = (q + want.weight * w) // 2
-        if k == 0:
-            raise ProofGapError(f"no {want.value} element left of position {q} at t={t}")
-        for (_, *row), m in row_spans(family[k - 1].rows, t, end):
-            out.append((t, *row))
-            t += m
-    return _change_rows(np.array(out, np.int64))
+    ks = (rows[:, 3] + want.weight * rows[:, 2]) // 2
+    if not ks.all():
+        t, _, _, q = rows[np.argmin(ks)].tolist()  # the first row with none
+        raise ProofGapError(f"no {want.value} element left of position {q} at t={t}")
+    out, ends = [], np.append(rows[1:, 0], s.seq.period).tolist()
+    for t, end, k in zip(rows[:, 0].tolist(), ends, ks.tolist()):
+        near = family[k - 1].rows
+        i, j = np.searchsorted(near[:, 0], (t + 1, end))  # its rows in force over [t, end)
+        out.append(near[i - 1 : j].copy())
+        out[-1][0, 0] = t
+    return _change_rows(np.concatenate(out))
 
 
 def initial_border(seq: AllowableSequence, k: int) -> Border:
@@ -264,13 +282,12 @@ def initial_border(seq: AllowableSequence, k: int) -> Border:
     if k not in _mid_rank_range(seq):
         raise BadParamsError(f"rank {k} outside the mid-rank range")
     s = _session(seq)
+    if s.changing(k):
+        raise BadParamsError(f"blue rank {k} is delta-changing; no border seed")
     trk = s.family(Color.BLUE)[k - 1]
-    cls = classify_track(trk)
-    if cls is CurveClass.GE_DELTA:
-        return s.keep(Color.BLUE, trk.row_array)
-    if cls is CurveClass.LT_DELTA:
-        return s.keep(Color.RED, _nearest_left_curve(s, trk, Color.RED))
-    raise BadParamsError(f"blue rank {k} is delta-changing; no border seed")
+    if trk.rows[0, 2] >= seq.delta:  # on the threshold side at time 0, so throughout
+        return s.keep(Color.BLUE, trk.rows)
+    return s.keep(Color.RED, _nearest_left_curve(s, trk, Color.RED))
 
 
 def _fgh(seq: AllowableSequence, c: Color, rows: np.ndarray):
@@ -362,11 +379,6 @@ def _certificate(seq: AllowableSequence, case: Case, target: int, events, **case
                        ledger=ledger, events=tuple(events), **case2)
 
 
-def _changes(c: Color, delta: int) -> dict[str, tuple[int, int]]:
-    """Weights before and after a c curve's descent (off delta) and ascent (back to it)."""
-    return {"descent": (delta, delta - c.weight), "ascent": (delta - c.weight, delta)}
-
-
 def _swap(step, t: int, member: int):
     """The step-t swap seen from ``member``: (partner, moved_right, left_weight).
 
@@ -400,30 +412,29 @@ def case1_certificate(seq: AllowableSequence) -> Certificate:
     """Two witnesses per mid-rank blue curve plus the odd-b middle witness.
 
     With the full blue set there is no branch (ii), so every threshold change
-    of a blue curve is a balanced transposition; the two per-rank events are
-    distinct pairs because a coincidence would force b = 2k-1, and
-    ``_certificate`` rejects a pair found twice.
+    of a blue curve is a balanced transposition, read off the session's
+    ``crossings``: the blue is the left element at a descent and the right
+    at an ascent. The two per-rank events are distinct pairs because a
+    coincidence would force b = 2k-1, and ``_certificate`` rejects a pair
+    found twice.
     """
     b = seq.b
     s = _session(seq)
-    tracks = s.family(Color.BLUE)
-    changes = _changes(Color.BLUE, seq.delta)
     events = []
 
     def witness(k: int, t: int, kind: str):
-        member = tracks[k - 1].element_at(t)
-        events.append(_witness(seq, f"B{k}", t, kind, None, member, _swap(s.step(t), t, member)))
+        lo, hi, _ = step = s.step(t)
+        member = lo if kind == "descent" else hi
+        events.append(_witness(seq, f"B{k}", t, kind, None, member, _swap(step, t, member)))
 
     for k in _mid_rank_range(seq):
-        for kind, change in changes.items():
-            ts = find_weight_changes(tracks[k - 1], *change)
-            if not ts:
+        for kind, ts in s.crossings.items():
+            if k not in ts:
                 raise ProofGapError(f"B_{k} has no {kind} despite being delta-changing")
-            witness(k, ts[0], kind)
+            witness(k, ts[k], kind)
     if b % 2 == 1:
         k0 = (b + 1) // 2
-        firsts = [(t, kind) for kind, change in changes.items()
-                  for t in find_weight_changes(tracks[k0 - 1], *change)[:1]]
+        firsts = [(ts[k0], kind) for kind, ts in s.crossings.items() if k0 in ts]
         if not firsts:
             raise ProofGapError(f"middle curve B_{k0} never crosses the threshold")
         witness(k0, *min(firsts))
@@ -446,7 +457,7 @@ def case2_certificate(seq: AllowableSequence, border: Border) -> Certificate:
     events so far. Raises InsufficientBorderError when a border-dependent
     obligation fails; structural violations raise ProofGapError.
     """
-    c, half = border.color, seq.half_period
+    c, half, delta = border.color, seq.half_period, seq.delta
     s = _session(seq)
     rows = s.rows(border)  # a border from outside is checked here, first
     parts = _fgh(seq, c, rows)
@@ -454,7 +465,8 @@ def case2_certificate(seq: AllowableSequence, border: Border) -> Certificate:
     target = sum(len(p) for p in parts)
 
     g_tracks = s.tracks(g_ids)  # maximisation's last round asked for the same G
-    changes = _changes(c, seq.delta)
+    # Weights before and after a descent (off delta) and an ascent (back to it).
+    changes = {"descent": (delta, delta - c.weight), "ascent": (delta - c.weight, delta)}
     outer = {  # kind -> (side, ids, tracks)
         "descent": ("F", frozenset(f_ids), track_all(seq, f_ids, s.steps)),
         "ascent": ("H", frozenset(h_ids), track_all(seq, h_ids, s.steps)),
@@ -476,7 +488,7 @@ def case2_certificate(seq: AllowableSequence, border: Border) -> Certificate:
         for kind in changes:
             for t in window_changes(trk, kind):
                 ts = [t, t + 1]
-                (b0, b1), (m0, m1) = _on_grid(rows, ts, 3), _mirror_on_grid(seq, rows, ts)
+                (b0, b1), (m0, m1) = on_grid(rows, ts, 3), _mirror_on_grid(seq, rows, ts)
                 confined = b0 <= trk.position_at(t) <= m0 and b1 < trk.position_at(t + 1) < m1
                 member = trk.element_at(t)
                 swap = swap_parts(t, g_set, member)
@@ -549,7 +561,7 @@ def _cyclic_runs(flags: np.ndarray) -> list[np.ndarray]:
 
 
 def _merged_grid(rows: np.ndarray, cand: np.ndarray):
-    """A candidate's rows (a track's ``row_array``) on its and the border's merged times.
+    """A candidate's rows (a track's) on its and the border's merged times.
 
     Returns the candidate's rows, one per merged interval, and ``rel``, its
     position less the border's there. A sort merges: ``np.unique`` would
@@ -557,9 +569,9 @@ def _merged_grid(rows: np.ndarray, cand: np.ndarray):
     """
     grid = np.sort(np.concatenate((rows[:, 0], cand[:, 0])))
     grid = grid[np.diff(grid, prepend=-1) != 0]
-    merged = _on_grid(cand, grid)
+    merged = on_grid(cand, grid)
     merged[:, 0] = grid
-    return merged, merged[:, 3] - _on_grid(rows, grid, 3)
+    return merged, merged[:, 3] - on_grid(rows, grid, 3)
 
 
 def _splice(s: _Certifier, c: Color, rows: np.ndarray, run: np.ndarray, cand: np.ndarray):
@@ -575,7 +587,7 @@ def _splice(s: _Certifier, c: Color, rows: np.ndarray, run: np.ndarray, cand: np
     seq = s.seq
     if not (c.weight * (cand[run, 2] - seq.delta) >= 0).all():
         return None
-    new = _on_grid(rows, cand[:, 0])
+    new = on_grid(rows, cand[:, 0])
     new[:, 0] = cand[:, 0]
     new[run] = cand[run]
     new = _change_rows(new)
@@ -604,7 +616,7 @@ def _improve_once(s: _Certifier, c: Color, rows: np.ndarray):
     g_ids = _fgh(seq, c, rows)[1]
     for tracks in (s.tracks(g_ids), s.family(c)):
         for k, trk in enumerate(tracks, start=1):
-            cand, rel = _merged_grid(rows, trk.row_array)
+            cand, rel = _merged_grid(rows, trk.rows)
             if not (rel > 0).any():  # no device applies
                 continue
             for run in _cyclic_runs(rel >= 0):
@@ -778,7 +790,9 @@ def verify_certificate(seq: AllowableSequence, cert: Certificate) -> Verificatio
             balanced.append(w)
         else:
             diagnostics.append(f"NOT_BALANCED {w.pair} at t={w.t}")
-    if len(cert.witnesses) < cert.target:
+    if not isinstance(cert.target, int):
+        diagnostics.append(f"BAD_TARGET {cert.target!r}")
+    elif len(cert.witnesses) < cert.target:
         diagnostics.append(f"INSUFFICIENT_COUNT {len(cert.witnesses)} < {cert.target}")
 
     origin = dict(cert.witness_origins)
@@ -806,10 +820,12 @@ def verify_certificate(seq: AllowableSequence, cert: Certificate) -> Verificatio
             diagnostics.append("BAD_LEDGER negative charge")
         charges = Counter({f"{side}{j}": v for side, chs in (("F", ledger.ch_f), ("H", ledger.ch_h))
                            for j, v in enumerate(chs, start=1)})
-        if Counter(charged for _, _, charged in ledger.transactions) != charges:
+        if not all(isinstance(tx, tuple) and len(tx) == 3 for tx in ledger.transactions):
+            diagnostics.append("BAD_LEDGER malformed transaction")
+        elif Counter(charged for _, _, charged in ledger.transactions) != charges:
             diagnostics.append("BAD_LEDGER charge/transaction mismatch")
-        fh = sum(1 for p in seen if origin.get(p, "?")[0] in ("F", "H"))
-        gg = sum(1 for p in seen if origin.get(p, "?")[0] == "G")
+        fh = sum(1 for p in seen if str(origin.get(p))[:1] in ("F", "H"))
+        gg = sum(1 for p in seen if str(origin.get(p))[:1] == "G")
         g_n = len(cert.g_set)
         if fh < len(cert.f_set) + len(cert.h_set) + ledger.total_charges:
             diagnostics.append("LEDGER_FH_COUNT")

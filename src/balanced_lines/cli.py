@@ -63,7 +63,7 @@ def _cmd_gen(args) -> int:
         if args.blue != args.red:
             print("--separated requires --blue == --red", file=sys.stderr)
             return 2
-        inst = separated_instance(args.blue, seed=args.seed)
+        inst = separated_instance(args.blue)
     else:
         try:
             inst = random_instance(args.blue, args.red, args.coord_bound, seed=args.seed)

@@ -2,17 +2,17 @@
 
 A curve follows the k-th leftmost member of a fixed subset through every
 permutation of the period; its weight at time t is the prefix weight strictly
-left of the tracked element. Weight tracks drive both the case split and the
-certificate scans.
+left of the tracked element. A track is one int64 array of change rows, the
+format of a border's rows. Tracks drive border maximisation and the Case-2
+scan; the case split and Case 1 read the threshold crossings of the blue
+rank curves straight off the step table (``certificate._Certifier.crossings``).
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, pairwise
-from operator import itemgetter
+from itertools import chain
 
 import numpy as np
 
@@ -35,13 +35,15 @@ class CurveSpec:
 
 
 class WeightTrack:
-    """Curve data over one full period (times 0..2N inclusive).
+    """Curve data over one full period, as change rows.
 
-    Held as the curve's change points: ``rows`` are ``(time, element, prefix
-    weight, position)`` from time 0 on, each holding until the next. The first
-    read of ``rows`` checks strong continuity (per-step weight change in
-    {-1, 0, +1}, adjacent-or-equal positions) and periodicity. Lookups bisect
-    the rows; ``row_array`` holds the same rows for whole-array reads.
+    ``rows`` is one int64 array of ``(time, element, prefix weight,
+    position)`` rows over [0, 2N), from time 0 on, each holding until the
+    next; time 2N is time 0 again. Borders have the same rows, and
+    ``on_grid`` reads both. The first read of ``rows`` converts
+    ``track_rank``'s log, once, after checking strong continuity (per-step
+    weight change in {-1, 0, +1}, adjacent-or-equal positions) and
+    periodicity on it, the log's step into 2N included.
     """
 
     def __init__(self, seq: AllowableSequence, spec: CurveSpec, changes):
@@ -51,65 +53,41 @@ class WeightTrack:
         self._changes = changes
 
     @cached_property
-    def rows(self) -> list[tuple[int, int, int, int]]:
-        rows = self._changes
-        self._changes = None
+    def rows(self) -> np.ndarray:
+        log, self._changes = self._changes, None
+        rows = np.fromiter(chain.from_iterable(log), np.int64, 4 * len(log)).reshape(-1, 4)
         # Between change points nothing moves, so checking consecutive change
         # points checks every step.
-        for (_, _, w0, q0), (_, _, w1, q1) in pairwise(rows):
-            if abs(w1 - w0) > 1 or abs(q1 - q0) > 1:
-                raise ProofGapError("strong continuity violated; sequence is malformed")
-        if rows[0][1] != rows[-1][1]:
+        if (np.abs(rows[1:, 2:] - rows[:-1, 2:]) > 1).any():
+            raise ProofGapError("strong continuity violated; sequence is malformed")
+        if rows[0, 1] != rows[-1, 1]:
             raise ProofGapError("track is not periodic; sequence is malformed")
-        return rows
+        return rows[:-1] if rows[-1, 0] == self.period else rows
 
-    @cached_property
-    def row_array(self) -> np.ndarray:
-        """The rows that start before 2N as one int64 array, one row per line."""
-        rows = np.fromiter(chain.from_iterable(self.rows), np.int64, 4 * len(self.rows))
-        rows = rows.reshape(-1, 4)
-        return rows[rows[:, 0] < self.period]
-
-    def row_at(self, t: int) -> tuple[int, int, int, int]:
-        """The change row in force at time t (taken mod 2N)."""
-        return self.rows[row_index(self.rows, t % self.period)]
-
-    def element_at(self, t: int) -> int:
-        return self.row_at(t)[1]
+    def element_at(self, t: int) -> int:  # t, like the other reads, taken mod 2N
+        return int(on_grid(self.rows, t % self.period, 1))
 
     def weight_at(self, t: int) -> int:
-        return self.row_at(t)[2]
+        return int(on_grid(self.rows, t % self.period, 2))
 
     def position_at(self, t: int) -> int:
-        return self.row_at(t)[3]
+        return int(on_grid(self.rows, t % self.period, 3))
 
     def to_csv(self) -> str:
+        """``time,element,weight`` at every time in [0, 2N]; time 2N is row 0's."""
+        rows = self.rows
+        values = np.repeat(rows[:, 1:3], np.diff(rows[:, 0], append=self.period), axis=0).tolist()
         lines = ["time,element,weight"]
-        lines += [f"{s},{e},{w}" for (t, e, w, _), m in row_spans(self.rows, 0, self.period + 1)
-                  for s in range(t, t + m)]
+        lines += [f"{t},{e},{w}" for t, (e, w) in enumerate(values + values[:1])]
         return "\n".join(lines) + "\n"
 
 
-_START = itemgetter(0)  # a change row's start time
+def on_grid(rows: np.ndarray, times, col=slice(None)) -> np.ndarray:
+    """The change rows in force at each of ``times``, or their column ``col``, as a new array.
 
-
-def row_index(rows, t: int) -> int:
-    """Index of the change row in force at time t.
-
-    Change rows are tuples whose first field is the time they start, in
-    increasing order; each holds until the next one starts.
+    ``rows`` are a track's or a border's: start times first, increasing.
     """
-    return bisect_right(rows, t, key=_START) - 1
-
-
-def row_spans(rows, t: int, end: int):
-    """``(row, length)`` for each change row in force over [t, end)."""
-    i = row_index(rows, t)
-    while t < end:
-        stop = min(rows[i + 1][0], end) if i + 1 < len(rows) else end
-        yield rows[i], stop - t
-        t = stop
-        i += 1
+    return rows[np.searchsorted(rows[:, 0], times, side="right") - 1, col]
 
 
 class CurveClass(Enum):
@@ -170,14 +148,12 @@ def classify_track(trk: WeightTrack) -> CurveClass:
     """Threshold classification of a monochromatic curve's track, read off its change rows."""
     seq = trk.seq
     color = _subset_color(seq, trk.spec.members)
-    sign, delta, period = color.weight, seq.delta, seq.period
-    on_side = sign * (trk.rows[0][2] - delta) >= 0
-    for t, _, w, _ in trk.rows:
-        if t < period and (sign * (w - delta) >= 0) is not on_side:
-            return CurveClass.CHANGING
+    on_side = color.weight * (trk.rows[:, 2] - seq.delta) >= 0
+    if on_side.any() and not on_side.all():
+        return CurveClass.CHANGING
     if color is Color.BLUE:
-        return CurveClass.GE_DELTA if on_side else CurveClass.LT_DELTA
-    return CurveClass.LE_DELTA if on_side else CurveClass.GT_DELTA
+        return CurveClass.GE_DELTA if on_side[0] else CurveClass.LT_DELTA
+    return CurveClass.LE_DELTA if on_side[0] else CurveClass.GT_DELTA
 
 
 def find_weight_changes(trk: WeightTrack, from_w: int, to_w: int, window=None) -> list[int]:
@@ -185,13 +161,17 @@ def find_weight_changes(trk: WeightTrack, from_w: int, to_w: int, window=None) -
 
     The window ``(lo, hi)`` is half-open and lies within [0, 2N]; the default
     is the full period. The weight moves only at a change row, so t + 1 is
-    the time of a row whose predecessor holds from_w.
+    the time of a row whose predecessor holds from_w; the step from 2N - 1
+    reads row 0 as the row at 2N.
     """
     if abs(from_w - to_w) != 1:
         raise BadParamsError("weight changes are between consecutive values")
     lo, hi = window if window is not None else (0, trk.period)
-    return [t - 1 for (_, _, w0, _), (t, _, w1, _) in pairwise(trk.rows)
-            if w0 == from_w and w1 == to_w and lo < t <= hi]
+    rows = trk.rows
+    nxt = np.concatenate((rows[1:], rows[:1]))  # each row's successor, row 0 again at 2N
+    nxt[-1, 0] = trk.period
+    hit = (rows[:, 2] == from_w) & (nxt[:, 2] == to_w) & (lo < nxt[:, 0]) & (nxt[:, 0] <= hi)
+    return (nxt[hit, 0] - 1).tolist()
 
 
 @dataclass(frozen=True)

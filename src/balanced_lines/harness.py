@@ -57,12 +57,12 @@ def _sidon_prefix(m: int) -> tuple[int, ...]:
     return tuple(terms)
 
 
-def separated_instance(k: int, seed=0) -> Instance:
+def separated_instance(k: int) -> Instance:
     """k blue and k red points separated by the vertical axis.
 
     Points sit on one parabola (so no three are collinear) at x-values with
-    pairwise-distinct sums (so no two spanned lines are parallel). The seed is
-    accepted for interface symmetry; the construction is deterministic.
+    pairwise-distinct sums (so no two spanned lines are parallel). The
+    construction is deterministic.
     """
     if k < 1:
         raise BadParamsError("k must be >= 1")
@@ -134,7 +134,7 @@ def _run_trial(config: FuzzConfig, index: int) -> list[FuzzFailure]:
         repro = instance_to_json(inst)
     elif config.mode is FuzzMode.SEPARATED:
         k = rng.randint(max(1, config.n_min // 2), config.n_max // 2)
-        inst = separated_instance(k, seed=rng.getrandbits(48))
+        inst = separated_instance(k)
         seq = None
         repro = instance_to_json(inst)
     else:

@@ -316,20 +316,16 @@ def oracle_tracks(seq, members, perms):
 def filled(trk):
     """Per-time (element, weight, position) arrays over [0, 2N], forward-filled from ``trk.rows``.
 
-    Each change row holds until the next one starts; the last holds to 2N.
-    Build it once per track: it is O(2N).
+    Each change row holds until the next one starts, the last until 2N, and
+    time 2N is time 0 again. Build it once per track: it is O(2N).
     """
-    rows = trk.rows
-    per_time = []
-    for (t, *values), (end, *_) in zip(rows, rows[1:] + [(trk.period + 1,)]):
-        per_time += [values] * (end - t)
-    return tuple(np.array(per_time, dtype=np.int64).T)
+    return tuple(np.append(col, col[0]) for col in per_time(trk.rows, trk.period))
 
 
 def per_time(rows, period):
     """Change rows as per-time columns over [0, period), each row holding until the next.
 
-    The forward fill of a border's rows or a track's ``row_array`` (both
+    The forward fill of a border's or a track's ``rows`` (both
     ``(time, element, prefix weight, position)``), or of any rows whose
     first column is a start time:
     the oracle for the tests of the merged-grid code, which never expands.

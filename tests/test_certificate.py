@@ -35,16 +35,26 @@ from balanced_lines.certificate import (
     _splice,
     _swap,
 )
-from balanced_lines.curves import CurveClass, CurveSpec, classify, classify_track, track, track_all
+from balanced_lines.curves import (
+    CurveClass,
+    CurveSpec,
+    classify,
+    classify_track,
+    find_weight_changes,
+    track,
+    track_all,
+)
 from balanced_lines.errors import BadParamsError, InsufficientBorderError, ProofGapError
 from balanced_lines.geometry import Color
 from balanced_lines.harness import random_instance
 from balanced_lines.sequence import (
+    AllowableSequence,
     build_from_points,
     permutation_at,
     random_sequence,
     step_table,
     transposition_at,
+    validate,
 )
 
 from conftest import all_permutations, filled, oracle_border_problems, oracle_tracks, per_time
@@ -102,6 +112,71 @@ class TestClassifyCase:
             assert classify_case(seq) == classify_case(seq)
 
 
+class TestCrossings:
+    """``_Certifier.crossings`` against the blue family's tracks.
+
+    Each blue rank's first descent and first ascent, read off the steps at
+    prefix weight delta, must be the first change of that kind that
+    ``find_weight_changes`` finds on the rank's track; a rank whose track
+    has none has no entry.
+    """
+
+    @staticmethod
+    def assert_matches_tracks(seq, seen):
+        session = _Certifier(seq)
+        delta, tracks = seq.delta, session.family(Color.BLUE)
+        for kind, change in (("descent", (delta, delta - 1)), ("ascent", (delta - 1, delta))):
+            firsts = [find_weight_changes(trk, *change)[:1] for trk in tracks]
+            assert session.crossings[kind] == {k: ts[0] for k, ts in enumerate(firsts, 1) if ts}, kind
+            seen.update(bool(ts) for ts in firsts)
+
+    def test_golden_corpus(self):
+        seen = Counter()
+        for row in map(json.loads, make_certificates.OUT.read_text().splitlines()):
+            self.assert_matches_tracks(make_certificates.build(row["entry"]), seen)
+        assert seen[True] and seen[False]
+
+    def test_random_sequences(self):
+        seen = Counter()
+        for s in range(200):
+            self.assert_matches_tracks(random_mixed_sequence(f"cross:{s}", n_max=16), seen)
+        assert seen[True] and seen[False]
+
+
+class TestInvalidSequence:
+    """A certificate session validates its sequence first and refuses a malformed one."""
+
+    def test_one_changed_word_position_is_refused(self):
+        # One word position changed in each golden entry with n >= 4, of
+        # both cases: validate rejects every one, and so does certify, before
+        # any scan (a scan could raise ProofGapError or even certify it).
+        rng = random.Random(0)
+        cases = Counter()
+        for row in map(json.loads, make_certificates.OUT.read_text().splitlines()):
+            seq = make_certificates.build(row["entry"])
+            if seq.n < 4:
+                continue
+            cases[row["certificate"]["case"]] += 1
+            word = list(seq.word)
+            i = rng.randrange(len(word))
+            word[i] = rng.choice([p for p in range(seq.n - 1) if p != word[i]])
+            bad = AllowableSequence(seq.colors, seq.pi0, word)
+            codes = validate(bad).codes
+            assert codes
+            message = re.escape(f"invalid sequence: {', '.join(codes)}")
+            for step in (certify, classify_case, case1_certificate):
+                with pytest.raises(BadParamsError, match=f"^{message}$"):
+                    step(bad)
+        assert set(cases) == {Case.CASE1.value, Case.CASE2.value}
+
+    @pytest.mark.parametrize("fixture", ["t2", "t_red_border"])
+    def test_truncated_word_is_refused(self, request, fixture):
+        seq = build_from_points(request.getfixturevalue(fixture))
+        bad = AllowableSequence(seq.colors, seq.pi0, seq.word[:-1])
+        with pytest.raises(BadParamsError, match="^invalid sequence: LENGTH_MISMATCH$"):
+            certify(bad)
+
+
 class TestCase1:
     def test_single_pair(self, t1):
         seq = build_from_points(t1)
@@ -152,6 +227,16 @@ class TestBorders:
         border = initial_border(seq, 1)
         assert border.color is Color.RED
         assert check_border(seq, border) == []
+
+    def test_initial_border_refuses_ranks_without_a_seed(self):
+        seq = build_from_points(random_instance(24, 24, 10**6, seed=1))
+        assert classify_case(seq).case is Case.CASE1  # every mid rank is delta-changing
+        for k in (seq.delta, seq.b // 2 + 1):
+            with pytest.raises(BadParamsError, match=f"^rank {k} outside the mid-rank range$"):
+                initial_border(seq, k)
+        for k in (seq.delta + 1, seq.b // 2):
+            with pytest.raises(BadParamsError, match=f"^blue rank {k} is delta-changing; no border seed$"):
+                initial_border(seq, k)
 
     def test_seed_border_is_valid_on_the_case2_corpus(self):
         # initial_border does not check its seed: the lemma of
@@ -572,7 +657,7 @@ class TestFastPaths:
                     if trk not in oracle:
                         oracle[trk] = np.stack(filled(trk))[:, :period]
                     c_elem, c_wt, c_pos = oracle[trk]
-                    cand, rel = _merged_grid(rows, trk.row_array)
+                    cand, rel = _merged_grid(rows, trk.rows)
                     grid = cand[:, 0]
                     assert grid[0] == 0 and (np.diff(grid) > 0).all()
                     on_grid = per_time(np.column_stack((cand, rel)), period)
@@ -918,7 +1003,7 @@ class TestHalfPeriodSession:
             perms = {}
             for family in Color:
                 for trk in session.family(family):
-                    for t, e, w, q in trk.row_array.tolist():
+                    for t, e, w, q in trk.rows.tolist():
                         perm = perms.setdefault(t, permutation_at(seq, t))
                         assert perm[q] == e
                         for color in Color:
@@ -1037,7 +1122,7 @@ class TestCertify:
             assert replays.count("run_word") == 1
             assert all(replays.count(f) <= 1 for f in families)
             if cert.case == Case.CASE1.value:
-                assert replays == ["run_word", families[0]]  # the step table, then the blue family
+                assert replays == ["run_word"]  # the step table; no track
             else:
                 assert replays.count("element_walk") == 0
             assert certificate_mod._ACTIVE.get() is None
@@ -1259,6 +1344,31 @@ class TestVerifier:
             witness_origins=tuple((p, o) for p, o in cert.witness_origins if p != drop),
         )
         assert verify_certificate(seq, tampered).diagnostics == (diagnostic,)
+
+    @pytest.mark.parametrize("bad", ["", None])
+    def test_malformed_origin_label_detected(self, bad):
+        seq = build_from_points(random_instance(36, 12, 10**6, seed=1))
+        cert = certify(seq)
+        (pair, label), *rest = cert.witness_origins
+        result = verify_certificate(seq, dataclasses.replace(cert, witness_origins=((pair, bad), *rest)))
+        t = next(w.t for w in cert.witnesses if w.pair == pair)
+        assert not result.ok
+        assert f"BAD_ORIGIN {pair} at t={t}: {bad} is not {label}" in result.diagnostics
+
+    def test_malformed_transaction_detected(self):
+        seq = build_from_points(random_instance(36, 12, 10**6, seed=1))
+        cert = certify(seq)
+        (t, source, charged), *rest = cert.ledger.transactions
+        ledger = dataclasses.replace(cert.ledger, transactions=((t, charged), *rest))
+        result = verify_certificate(seq, dataclasses.replace(cert, ledger=ledger))
+        assert result.diagnostics == ("BAD_LEDGER malformed transaction",)
+
+    def test_missing_target_detected(self):
+        seq = build_from_points(random_instance(36, 12, 10**6, seed=1))
+        cert = certify(seq)
+        assert cert.case == Case.CASE2.value
+        result = verify_certificate(seq, dataclasses.replace(cert, target=None))
+        assert result.diagnostics == ("BAD_TARGET None",)
 
     def test_charge_moved_between_f_curves_detected(self):
         seq = build_from_points(random_instance(27, 9, 10**6, seed=5))

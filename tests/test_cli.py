@@ -133,6 +133,33 @@ class TestPipelines:
         assert code == 2 and out == ""
         assert err == "invalid sequence: REPEATED_PAIR, NOT_REVERSED\n"
 
+    @pytest.mark.parametrize("command", ["scan", "certify"])
+    def test_odd_size_seq_exit_2(self, capsys, tmp_path, command):
+        # The word reverses three points, but the theorem needs n even.
+        path = tmp_path / "seq.txt"
+        path.write_text("3\nBBR\n0 1 2\n0\n1\n0\n")
+        code, out, err = run(capsys, command, "--seq", str(path))
+        assert code == 2 and out == ""
+        assert err == "invalid sequence: ODD_SIZE\n"
+
+    def test_certify_failed_verification_exits_1(self, capsys, monkeypatch, instance_file):
+        # The certificate is still written; the verifier's diagnostics go to stderr.
+        import dataclasses
+
+        import balanced_lines.cli as cli
+
+        def short(seq):
+            cert = real(seq)
+            return dataclasses.replace(cert, witnesses=cert.witnesses[1:])
+
+        real = cli.certify
+        monkeypatch.setattr(cli, "certify", short)
+        code, out, err = run(capsys, "certify", instance_file)
+        assert code == 1
+        data = json.loads(out)
+        assert len(data["witnesses"]) == data["target"] - 1
+        assert err == f"INSUFFICIENT_COUNT {data['target'] - 1} < {data['target']}\n"
+
     def test_scan_non_adjacent_sweep_swap_exits_3(self, capsys, monkeypatch, instance_file):
         # A strict sweep order swaps adjacent elements only, so a non-adjacent
         # swap is an internal fault: plant one by swapping two events.

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from balanced_lines.sequence import (
     random_sequence,
     reverse_sequence,
     step_table,
+    transposition_at,
 )
 
 from conftest import filled, oracle_track
@@ -291,6 +293,9 @@ class TestChangeRows:
         ([(0, 1, 0, 2), (4, 1, 0, 4), (9, 1, 0, 2)], "strong continuity"),  # position jumps by 2
         ([(0, 1, 0, 2), (4, 1, 2, 2), (9, 1, 0, 2)], "strong continuity"),  # weight jumps by 2
         ([(0, 1, 0, 2), (4, 2, 1, 3)], "not periodic"),
+        # The period is 30; the log's row at 2N is checked, then dropped.
+        ([(0, 1, 0, 2), (9, 1, 0, 3), (30, 1, 0, 1)], "strong continuity"),
+        ([(0, 1, 0, 2), (30, 2, 1, 3)], "not periodic"),
     ])
     def test_rows_are_checked_on_first_read(self, changes, message):
         seq = random_sequence(6, 4, seed=13)
@@ -326,6 +331,29 @@ class TestChangeDichotomy:
                 for t in find_weight_changes(trk, seq.delta, seq.delta - 1):
                     assert classify_change(seq, spec, t, "descent").balanced
                     assert classify_change(seq, spec, t, "descent").members_left == k - 1
+
+    def test_subset_member_passing_a_same_color_non_member_is_branch_ii(self):
+        # With half the blues as the subset, a member's weight also moves
+        # when it passes a blue non-member: branch (ii), the member moving
+        # away from where a witness would take it.
+        delta_changes = {"descent": (0, -1), "ascent": (-1, 0)}  # offsets from delta
+        branches = Counter()
+        for seed in range(15):
+            seq = random_sequence(8, 5, seed=seed)
+            members = frozenset(sorted(blue_ids(seq))[::2])
+            for k in range(1, len(members) + 1):
+                spec = CurveSpec(members, k)
+                trk = track(seq, spec)
+                for kind, (a, b) in delta_changes.items():
+                    for t in find_weight_changes(trk, seq.delta + a, seq.delta + b):
+                        ev = classify_change(seq, spec, t, kind)
+                        tr = transposition_at(seq, t + 1)
+                        assert ev.balanced == (seq.colors[ev.partner] is Color.RED)
+                        if not ev.balanced:
+                            assert ev.partner in blue_ids(seq) - members
+                            assert (ev.member == tr.lo_id) is (kind == "ascent")
+                        branches[ev.balanced] += 1
+        assert branches[True] and branches[False]
 
     def test_unknown_kind_is_rejected(self):
         seq = random_sequence(8, 5, seed=0)

@@ -472,6 +472,18 @@ class TestValidate:
         seq = AllowableSequence([Color.RED, Color.RED], [0, 1], [0])
         assert "RED_MAJORITY" in validate(seq).codes
 
+    def test_bad_pi0_flagged(self):
+        # A pi0 that is no permutation stops the word checks; only the length is read.
+        seq = AllowableSequence([Color.BLUE, Color.RED], [0, 0], [0])
+        assert validate(seq).codes == ("BAD_PI0",)
+        short = AllowableSequence([Color.BLUE, Color.RED], [1, 2], [])
+        assert validate(short).codes == ("BAD_PI0", "LENGTH_MISMATCH")
+
+    def test_odd_size_flagged(self):
+        # The word reverses three points, but the theorem needs n even.
+        seq = AllowableSequence([Color.BLUE, Color.BLUE, Color.RED], [0, 1, 2], [0, 1, 0])
+        assert validate(seq).codes == ("ODD_SIZE",)
+
     def test_corrupted_words_match_set_oracle(self):
         seen_codes = set()
         for seed in range(60):
@@ -584,6 +596,18 @@ class TestTextFormat:
         assert again.pi0 == seq.pi0
         assert again.word == seq.word
         assert sequence_to_text(again) == text
+
+    @pytest.mark.parametrize("text, message", [
+        ("4\nBBRR\n", "sequence text needs at least n, colors, and pi0 lines"),
+        ("four\nBBRR\n0 1 2 3\n", "malformed sequence text"),
+        ("4\nBBXR\n0 1 2 3\n", "malformed sequence text"),
+        ("4\nBBRR\n0 1 2 3\n0\nx\n", "malformed sequence text"),
+        ("4\nBBR\n0 1 2 3\n", "color line length does not match n"),
+        ("4\nBBRR\n0 1 1 3\n", "pi0 line is not a permutation of 0..n-1"),
+    ])
+    def test_refusals(self, text, message):
+        with pytest.raises(BadParamsError, match=f"^{message}"):
+            sequence_from_text(text)
 
     def test_layout(self):
         seq = random_sequence(2, 1, seed=0)

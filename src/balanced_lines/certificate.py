@@ -20,10 +20,10 @@ it, and the Case-2 quotas are counts over it.
 One ``certify`` call runs in one ``_Certifier`` session, which validates the
 sequence and holds what its phases share: the step table
 (``sequence.step_table``, the call's one replay of a permutation and its
-only record of the period), the blue crossings, each color's family of rank
-tracks (Case 2 only) and the last border's change rows. The public
-functions keep their signatures; called on their own, each makes a session
-of its own. A track is one int64 array of change rows (``curves.WeightTrack``),
+only record of the period), the blue crossings, the rank tracks of the two
+subsets asked for last (Case 2 only) and the last border's change rows.
+The public functions keep their signatures; called on their own, each makes
+a session of its own. A track is one int64 array of change rows (``curves.WeightTrack``),
 and a border from its seed to the F/G/H scan has the same rows, ``(time,
 element, prefix weight, position)``, read by the same ``curves.on_grid``:
 tested and spliced on merged change times, with its mirror read off the same
@@ -75,12 +75,12 @@ class _Certifier:
       that keeps many sequences alive keeps no tables.
     - ``crossings``: the blue ranks' threshold crossings, for the case
       split, Case 1 and the seed rank's test (``changing(k)``).
-    - ``family(color)``: the rank tracks of every point of a color, read off
-      the table once, in Case 2: the blue family gives the border seed, the
-      border color's is the ALL subset of maximisation, and the other
-      color's answers the nearest-left device by rank lookup.
-    - ``tracks(ids)``: any other subset's tracks, kept until the next subset
-      is asked for (consecutive rounds often share their G).
+    - ``tracks(ids)``: a subset's rank tracks, read off the table: Case 2's
+      only replay of a subset. It keeps the two subsets asked for last, as a
+      maximisation round asks for its G, then the border color's family.
+    - ``family(color)``: ``tracks`` of a color's points: the blue family
+      seeds the border, the border color's is the ALL subset of maximisation,
+      and the other color's answers the nearest-left device by rank lookup.
     - ``step(t)``: the swap from pi^t to pi^{t+1}, a row of the table.
     - ``rows(border)``: a border's change rows, walked unless it is
       ``kept``: the last border asked for, or made by ``keep``, which builds
@@ -94,21 +94,20 @@ class _Certifier:
         if not report.clean:
             raise BadParamsError(f"invalid sequence: {', '.join(report.codes)}")
         self.seq = seq
-        self._families: dict[Color, list[WeightTrack]] = {}
-        self._subset: tuple[frozenset[int] | None, list[WeightTrack]] = (None, [])
+        self._recent: dict[frozenset[int], list[WeightTrack]] = {}  # newest last
         self.kept: tuple[Border | None, np.ndarray | None] = (None, None)  # border, rows
 
     def family(self, color: Color) -> list[WeightTrack]:
-        if color not in self._families:
-            members = [v for v, c in enumerate(self.seq.colors) if c is color]
-            self._families[color] = track_all(self.seq, members, self.steps)
-        return self._families[color]
+        return self.tracks(v for v, c in enumerate(self.seq.colors) if c is color)
 
     def tracks(self, ids) -> list[WeightTrack]:
         key = frozenset(ids)
-        if self._subset[0] != key:
-            self._subset = (key, track_all(self.seq, key, self.steps))
-        return self._subset[1]
+        got = self._recent.pop(key, None)
+        self._recent = dict(list(self._recent.items())[-1:])  # the oldest goes before a replay
+        if got is None:
+            got = track_all(self.seq, key, self.steps)
+        self._recent[key] = got
+        return got
 
     @cached_property
     def steps(self) -> tuple[list[int], list[int], list[int], list[int]]:
@@ -468,8 +467,8 @@ def case2_certificate(seq: AllowableSequence, border: Border) -> Certificate:
     # Weights before and after a descent (off delta) and an ascent (back to it).
     changes = {"descent": (delta, delta - c.weight), "ascent": (delta - c.weight, delta)}
     outer = {  # kind -> (side, ids, tracks)
-        "descent": ("F", frozenset(f_ids), track_all(seq, f_ids, s.steps)),
-        "ascent": ("H", frozenset(h_ids), track_all(seq, h_ids, s.steps)),
+        "descent": ("F", frozenset(f_ids), s.tracks(f_ids)),
+        "ascent": ("H", frozenset(h_ids), s.tracks(h_ids)),
     }
 
     def window_changes(trk, kind):
@@ -763,9 +762,10 @@ def verify_certificate(seq: AllowableSequence, cert: Certificate) -> Verificatio
 
     Each witness must be a balanced transposition at its time, and its origin
     must name the part and rank of its border-color member just before the
-    swap (``B{k}`` over the blues in Case 1). Case 2 adds the border, the
-    F/G/H split and the charge ledger, whose charges must match its
-    transactions curve by curve.
+    swap (``B{k}`` over the blues in Case 1). The target must be, and the
+    witnesses at least, the theorem's count: r in Case 1, |F| + |G| + |H|
+    in Case 2. Case 2 adds the border, the F/G/H split and the charge
+    ledger, whose charges must match its transactions curve by curve.
     """
     diagnostics: list[str] = []
     seen = set()
@@ -790,13 +790,19 @@ def verify_certificate(seq: AllowableSequence, cert: Certificate) -> Verificatio
             balanced.append(w)
         else:
             diagnostics.append(f"NOT_BALANCED {w.pair} at t={w.t}")
-    if not isinstance(cert.target, int):
+    parts = (cert.f_set, cert.g_set, cert.h_set)
+    if cert.case == Case.CASE1.value:  # the theorem's count
+        count = seq.r
+    elif None not in parts:  # the border color's points
+        count = sum(len(p) for p in parts)
+    else:  # MISSING_CASE2_DATA below
+        count = cert.target
+    if not isinstance(cert.target, int) or cert.target != count:
         diagnostics.append(f"BAD_TARGET {cert.target!r}")
-    elif len(cert.witnesses) < cert.target:
-        diagnostics.append(f"INSUFFICIENT_COUNT {len(cert.witnesses)} < {cert.target}")
+    if isinstance(count, int) and len(cert.witnesses) < count:
+        diagnostics.append(f"INSUFFICIENT_COUNT {len(cert.witnesses)} < {count}")
 
     origin = dict(cert.witness_origins)
-    parts = (cert.f_set, cert.g_set, cert.h_set)
     part_of = None  # the origin letter of each border-color point
     if cert.case == Case.CASE1.value:
         color = Color.BLUE

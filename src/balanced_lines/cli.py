@@ -64,6 +64,9 @@ def _cmd_gen(args) -> int:
             print("--separated requires --blue == --red", file=sys.stderr)
             return 2
         inst = separated_instance(args.blue)
+    elif args.seed is None:
+        print("--seed is required unless --separated", file=sys.stderr)
+        return 2
     else:
         try:
             inst = random_instance(args.blue, args.red, args.coord_bound, seed=args.seed)
@@ -156,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate an instance as JSON")
     p.add_argument("--blue", type=int, required=True)
     p.add_argument("--red", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, help="required unless --separated, which reads none")
     p.add_argument("--separated", action="store_true")
     p.add_argument("--coord-bound", type=int, default=50)
     p.add_argument("--out")

@@ -44,6 +44,9 @@ def corpus():
     for b, r, seeds in ((36, 12, range(11)), (24, 24, range(11)), (60, 20, (1, 2))):
         for seed in seeds:
             yield {"kind": "points", "blue": b, "red": r, "seed": seed}
+    # Every Case-2 entry above has a red border; these three have a blue one.
+    for n, blue, seed in ((8, 4, 1050), (12, 6, 598), (14, 7, 64)):
+        yield {"kind": "abstract", "n": n, "blue": blue, "seed": seed}
 
 
 def corpus_n120():

@@ -72,6 +72,19 @@ def random_mixed_sequence(tag, n_max=12):
     return random_sequence(n, b, seed=tag)
 
 
+def recorded_replays(monkeypatch) -> list[frozenset[int]]:
+    """The member set of each ``track_rank`` replay from now on, in order."""
+    replayed = []
+    track_rank = certificate_mod._kernels.track_rank
+
+    def recording(pi0, word, weights, member, steps):
+        replayed.append(frozenset(v for v, m in enumerate(member) if m))
+        return track_rank(pi0, word, weights, member, steps)
+
+    monkeypatch.setattr(certificate_mod._kernels, "track_rank", recording)
+    return replayed
+
+
 N120_ENTRIES = [  # all Case 2
     row["entry"] for row in map(json.loads, make_certificates.OUT_N120.read_text().splitlines())
 ]
@@ -1010,6 +1023,19 @@ class TestHalfPeriodSession:
                             left = sum(seq.colors[v] is color for v in perm[:q])
                             assert (q + color.weight * w) // 2 == left, (entry, t, q, color)
 
+    def test_keeps_the_two_subsets_asked_for_last(self, monkeypatch):
+        replayed = recorded_replays(monkeypatch)
+        seq = build_from_points(random_instance(9, 5, 10**6, seed=3))
+        session = _Certifier(seq)
+        a, b, c = frozenset({0, 1}), frozenset({2, 3, 4}), blue_ids(seq)
+        first = session.tracks(a)
+        assert session.tracks(b) is session.tracks(b) and session.tracks(a) is first
+        assert session.family(Color.BLUE) is session.tracks(c)  # a family is a subset
+        assert session.tracks(a) is first
+        assert replayed == [a, b, c]
+        session.tracks(b)  # asked for before a and c, so dropped
+        assert replayed == [a, b, c, b]
+
     def test_replays_the_half_word_once(self, monkeypatch):
         words = []
         run_word = certificate_mod._kernels.run_word
@@ -1182,6 +1208,18 @@ class TestCertify:
             assert session.kept[0] is border
             assert calls == [], entry
             assert json.loads(certificate_to_json(cert)) == golden[json.dumps(entry, sort_keys=True)]
+
+    def test_no_subset_replayed_twice_in_a_call(self, monkeypatch):
+        # Each maximisation round asks for its G and then the border color's
+        # family, and the session keeps the two subsets asked for last: no
+        # family, G, F or H is read off the table twice in one call.
+        replayed = recorded_replays(monkeypatch)
+        borders = set()
+        for entry in TestCarriedPositions.GOLDEN_CASE2 + N120_ENTRIES:
+            replayed.clear()
+            borders.add(certify(make_certificates.build(entry)).border.color)
+            assert Counter(replayed).most_common(1)[0][1] == 1, entry
+        assert borders == set(Color)
 
     def test_no_replay_of_an_empty_subset(self, monkeypatch):
         # Four Case-2 golden entries end with an empty G: its tracks are an
@@ -1369,6 +1407,23 @@ class TestVerifier:
         assert cert.case == Case.CASE2.value
         result = verify_certificate(seq, dataclasses.replace(cert, target=None))
         assert result.diagnostics == ("BAD_TARGET None",)
+
+    def test_forged_empty_case1_certificate_detected(self):
+        # A target of 0 and no witnesses agree with each other; the count is
+        # the theorem's, r = 24.
+        seq = build_from_points(random_instance(24, 24, 10**6, seed=1))
+        cert = certify(seq)
+        assert cert.case == Case.CASE1.value and seq.r == 24
+        forged = dataclasses.replace(cert, target=0, witnesses=(), witness_origins=(), events=())
+        assert verify_certificate(seq, forged).diagnostics == ("BAD_TARGET 0", "INSUFFICIENT_COUNT 0 < 24")
+
+    def test_case2_target_is_the_size_of_the_parts(self):
+        seq = build_from_points(random_instance(36, 12, 10**6, seed=1))
+        cert = certify(seq)
+        assert cert.case == Case.CASE2.value
+        assert cert.target == len(cert.f_set) + len(cert.g_set) + len(cert.h_set)
+        result = verify_certificate(seq, dataclasses.replace(cert, target=cert.target - 1))
+        assert result.diagnostics == (f"BAD_TARGET {cert.target - 1}",)
 
     def test_charge_moved_between_f_curves_detected(self):
         seq = build_from_points(random_instance(27, 9, 10**6, seed=5))

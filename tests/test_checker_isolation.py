@@ -5,7 +5,8 @@ valid borders by construction, so in the package only ``verify_certificate``
 may name it; a generator step that called it would lean on the checker
 instead of the proof. The checkers replay the period with a walk of their
 own, ``_ReferenceWalk``: they name no kernel and no step table, and nothing
-but them names the walk.
+but them names the walk. On the fast path's side, one session method,
+``_Certifier.tracks``, makes every replay of a subset in ``certificate.py``.
 """
 import ast
 from pathlib import Path
@@ -75,3 +76,10 @@ def test_no_checker_names_the_fast_path(name):
 def test_only_the_checkers_name_their_walk(path):
     expected = ["_replayed_swaps", "check_border"] if path == CERTIFICATE else []
     assert functions_naming(path.read_text(), "_ReferenceWalk") == expected
+
+
+def test_only_the_session_replays_a_subset():
+    # No second cache of tracks and no path around the session's.
+    source = CERTIFICATE.read_text()
+    assert functions_naming(source, "track_all") == ["_Certifier.tracks"]
+    assert functions_naming(source, "_families") == functions_naming(source, "_subset") == []

@@ -27,6 +27,15 @@ class TestGen:
         assert code == 0
         assert json.loads(out)["points"][0]["color"] == "B"
 
+    def test_separated_reads_no_seed(self, capsys):
+        code, out, err = run(capsys, "gen", "--blue", "2", "--red", "2", "--separated")
+        assert code == 0 and err == ""
+        assert run(capsys, "gen", "--blue", "2", "--red", "2", "--seed", "9", "--separated") == (0, out, "")
+
+    def test_random_requires_seed(self, capsys):
+        code, out, err = run(capsys, "gen", "--blue", "3", "--red", "3")
+        assert code == 2 and out == "" and "--seed" in err
+
     def test_separated_requires_equal_counts(self, capsys):
         code, _, err = run(capsys, "gen", "--blue", "3", "--red", "2", "--seed", "0",
                            "--separated")

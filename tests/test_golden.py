@@ -9,7 +9,9 @@ prints it, recorded at commit 17daeaa. ``golden/sweeps.jsonl``
 holds the sha256 of each entry's sequence text and scan JSON, written by
 ``golden/make_sweeps.py`` at commit 87d057d; the entries with a
 ``coord_bound``, whose sweeps start at slope k0 = 1 or 2, were added by the
-same script at commit e57cf5c. Every refactor of the sweep or the
+same script at commit e57cf5c. The three abstract entries at the end of the
+certificate corpus, the only Case-2 certificates in it with a blue border,
+were appended by the same script at commit e758583. Every refactor of the sweep or the
 certificate pipeline must reproduce each of them exactly. The geometric
 enumerator finds the same pairs as the scan, so for every sweep entry the
 ``lines`` JSON must hash to the stored scan digest too.
@@ -45,6 +47,11 @@ def test_certificate_json_is_byte_identical(row):
     cert = certify(seq)
     assert certificate_to_json(cert) == json.dumps(row["certificate"], separators=(",", ":"))
     assert verify_certificate(seq, cert).ok
+
+
+def test_corpus_has_a_case2_border_of_each_color():
+    colors = {row["certificate"]["border"]["color"] for row in ROWS if row["certificate"]["case"] == "Case2"}
+    assert colors == {"B", "R"}
 
 
 def test_n120_corpus_is_case2():

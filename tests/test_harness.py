@@ -1,8 +1,13 @@
+import dataclasses
+
 import pytest
 
 from balanced_lines import balance as balance_mod
+from balanced_lines import certificate as certificate_mod
+from balanced_lines import harness as harness_mod
 from balanced_lines.balance import enumerate_balanced_lines
-from balanced_lines.errors import BadParamsError
+from balanced_lines.certificate import VerificationResult
+from balanced_lines.errors import BadParamsError, ProofGapError
 from balanced_lines.geometry import instance_from_json, validate_general_position
 from balanced_lines.harness import (
     Check,
@@ -13,7 +18,7 @@ from balanced_lines.harness import (
     render_svg,
     separated_instance,
 )
-from balanced_lines.sequence import sequence_from_text, validate
+from balanced_lines.sequence import build_from_points, sequence_from_text, sequence_to_text, validate
 
 from conftest import oracle_balanced_pairs
 
@@ -131,6 +136,69 @@ class TestFuzz:
             FuzzConfig(trials=0, seed=0)
         with pytest.raises(BadParamsError):
             FuzzConfig(trials=1, seed=0, n_min=3, n_max=9)
+
+
+class TestTrialFailures:
+    # Each kind of failure a trial records names the trial, the check and
+    # what failed, and its repro alone rebuilds the trial's input. The
+    # package's own steps never fail, so each test plants a failing one.
+
+    @staticmethod
+    def fuzz(monkeypatch, mode, check, patches):
+        """Fuzz four trials with harness bindings replaced; the first patch records each sequence."""
+        seen = []
+        (first, record), *rest = patches.items()
+        monkeypatch.setattr(harness_mod, first, lambda seq, *args: record(seen.append(seq) or seq, *args))
+        for name, fake in rest:
+            monkeypatch.setattr(harness_mod, name, fake)
+        config = FuzzConfig(trials=4, seed=2, mode=mode, n_min=6, n_max=10, checks=frozenset({check}))
+        return fuzz(config).failures, seen
+
+    @staticmethod
+    def assert_records(failures, mode, expected, seen):
+        assert expected and [(f.trial, f.check, f.message) for f in failures] == expected
+        for f in failures:
+            if mode is FuzzMode.ABSTRACT_SEQ:
+                again = sequence_from_text(f.repro)
+            else:
+                again = build_from_points(instance_from_json(f.repro))
+            assert sequence_to_text(again) == sequence_to_text(seen[f.trial])
+
+    def test_theorem_failure(self, monkeypatch):
+        mode = FuzzMode.ABSTRACT_SEQ
+        failures, seen = self.fuzz(monkeypatch, mode, Check.THEOREM,
+                                   {"scan_balanced_transpositions": lambda seq: set()})
+        expected = [(i, "theorem", f"0 balanced < r = {seq.r}") for i, seq in enumerate(seen) if seq.r]
+        self.assert_records(failures, mode, expected, seen)
+
+    def test_verification_failure(self, monkeypatch):
+        mode = FuzzMode.POINTS
+        failures, seen = self.fuzz(monkeypatch, mode, Check.CERTIFICATE, {
+            "verify_certificate": lambda seq, cert: VerificationResult(False, ("PLANTED a", "PLANTED b")),
+        })
+        expected = [(i, "certificate", "PLANTED a; PLANTED b") for i in range(len(seen))]
+        self.assert_records(failures, mode, expected, seen)
+
+    def test_certificate_short_of_r(self, monkeypatch):
+        # A verifier that accepts a certificate with no witnesses: the trial
+        # still counts them against r.
+        mode = FuzzMode.ABSTRACT_SEQ
+        failures, seen = self.fuzz(monkeypatch, mode, Check.CERTIFICATE, {
+            "certify": lambda seq: dataclasses.replace(certificate_mod.certify(seq), witnesses=()),
+            "verify_certificate": lambda seq, cert: VerificationResult(True, ()),
+        })
+        expected = [(i, "certificate", f"certificate has 0 < r = {seq.r}")
+                    for i, seq in enumerate(seen) if seq.r]
+        self.assert_records(failures, mode, expected, seen)
+
+    def test_raised_exception(self, monkeypatch):
+        def gap(seq):
+            raise ProofGapError("planted gap")
+
+        mode = FuzzMode.SEPARATED
+        failures, seen = self.fuzz(monkeypatch, mode, Check.CERTIFICATE, {"certify": gap})
+        expected = [(i, "certificate", "ProofGapError: planted gap") for i in range(len(seen))]
+        self.assert_records(failures, mode, expected, seen)
 
 
 class TestRenderSvg:

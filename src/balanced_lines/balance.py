@@ -3,13 +3,15 @@
 A balanced line is identified by its bichromatic spanning pair; the geometric
 enumerator counts halfplane weights directly, the scan enumerator finds
 balanced transpositions in one half-period of the allowable sequence. The two
-pair sets must coincide on every clean instance.
+pair sets must coincide on every clean instance. ``balanced_steps`` is the one
+test of a step for balance, for the scan and for the certificate's crossings.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress, count
 
 from . import _kernels
 from .geometry import Color, Instance, halfplane_weights
@@ -64,16 +66,22 @@ def enumerate_balanced_lines(inst: Instance) -> set[BalancedWitness]:
     return out
 
 
+def balanced_steps(seq: AllowableSequence, lo, hi, lw) -> list[int]:
+    """Indices of the steps of columns ``lo``, ``hi``, ``lw`` swapping a blue and a red at weight delta.
+
+    The steps at weight delta are picked out in C; only they reach the color test.
+    """
+    w = seq.weights
+    return [t for t in compress(count(), map(seq.delta.__eq__, lw)) if w[lo[t]] != w[hi[t]]]
+
+
 def scan_balanced_transpositions(seq: AllowableSequence) -> set[BalancedWitness]:
     """One half-period scan emitting every bichromatic swap with left weight delta."""
-    delta = seq.delta
-    colors = seq.colors
     lo, hi, lw = _kernels.run_word(seq.pi0, seq.word, seq.weights)
     out = set()
-    for t, (a, b, w) in enumerate(zip(lo, hi, lw), start=1):
-        if w == delta and colors[a] is not colors[b]:
-            blue, red = (a, b) if colors[a] is Color.BLUE else (b, a)
-            out.add(BalancedWitness(blue, red, WitnessSource.SCAN, t, delta))
+    for t in balanced_steps(seq, lo, hi, lw):
+        blue, red = (lo[t], hi[t]) if seq.colors[lo[t]] is Color.BLUE else (hi[t], lo[t])
+        out.add(BalancedWitness(blue, red, WitnessSource.SCAN, t + 1, seq.delta))
     return out
 
 

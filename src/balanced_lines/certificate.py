@@ -2,16 +2,17 @@
 
 The generator mechanizes the lower-bound proof. Case 1 (every mid-rank blue
 curve crosses the delta threshold) reads two witnesses per rank straight off
-the step table, where each blue rank curve crosses (``_Certifier.crossings``).
-Case 2 builds a border curve, partitions the border-color points into F/G/H,
-and scans one half-period with a charge ledger that converts non-witness
-events into guaranteed witness events of other curves. The scan is
-symmetric: descents pair with F, ascents with H, so each of its rules is
-stated once, over a table indexed by the kind of change. Every obligation
-the counting relies on is checked at runtime; failures surface as
-InsufficientBorderError from the scan, which ``certify`` reports as a
-ProofGapError (never expected on valid input), since the border it scans is
-already a fixed point of the improvement devices.
+the step table: a blue rank curve crosses at a balanced step
+(``balance.balanced_steps``), whose pair is the witness. Case 2 builds a
+border curve, partitions the border-color points into F/G/H, and scans one
+half-period with a charge ledger that converts non-witness events into
+guaranteed witness events of other curves. The scan is symmetric: descents
+pair with F, ascents with H, so each of its rules is stated once, over a
+table indexed by the kind of change. Every obligation the counting relies
+on is checked at runtime; failures surface as InsufficientBorderError from
+the scan, which ``certify`` reports as a ProofGapError (never expected on
+valid input), since the border it scans is already a fixed point of the
+improvement devices.
 
 Both scans only append ``CurveEvent``s: the event log is their one record.
 ``_certificate`` reads the witnesses, their origins and the charge ledger off
@@ -40,12 +41,12 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate, chain, compress, count, islice
+from itertools import accumulate, chain, count, islice
 
 import numpy as np
 
 from . import _kernels
-from .balance import BalancedWitness, WitnessSource
+from .balance import BalancedWitness, WitnessSource, balanced_steps
 from .curves import WeightTrack, find_weight_changes, on_grid, track_all
 from .errors import BadParamsError, InsufficientBorderError, ProofGapError
 from .geometry import Color
@@ -81,7 +82,8 @@ class _Certifier:
     - ``family(color)``: ``tracks`` of a color's points: the blue family
       seeds the border, the border color's is the ALL subset of maximisation,
       and the other color's answers the nearest-left device by rank lookup.
-    - ``step(t)``: the swap from pi^t to pi^{t+1}, a row of the table.
+    - ``step(t)``: the swap from pi^t to pi^{t+1}, a row of the table;
+      ``swap(t, member, members)`` sees it from the one member it moves.
     - ``rows(border)``: a border's change rows, walked unless it is
       ``kept``: the last border asked for, or made by ``keep``, which builds
       a ``Border`` from rows. A border from outside enters here, and must
@@ -123,14 +125,13 @@ class _Certifier:
         from lw to lw - 1 moving right (a descent) and from lw - 1 to lw
         moving left (an ascent), lw being the step's prefix weight. A blue
         at position p with prefix weight delta has (p + delta)/2 blues on
-        its left. The steps at weight delta are picked out in C.
+        its left. So the crossings are the table's ``balanced_steps``.
         """
         word, lo, hi, lw = self.steps
-        weights, delta = self.seq.weights, self.seq.delta
+        w, delta = self.seq.weights, self.seq.delta
         firsts = {"descent": {}, "ascent": {}}
-        for t in compress(count(), map(delta.__eq__, lw)):
-            if (w := weights[lo[t]]) != weights[hi[t]]:  # a blue on the left moves right
-                firsts["descent" if w == 1 else "ascent"].setdefault((word[t] + delta) // 2 + 1, t)
+        for t in balanced_steps(self.seq, lo, hi, lw):  # a blue on the left moves right
+            firsts["descent" if w[lo[t]] == 1 else "ascent"].setdefault((word[t] + delta) // 2 + 1, t)
         return firsts
 
     def changing(self, k: int) -> bool:
@@ -141,6 +142,15 @@ class _Certifier:
         """(left element, right element, prefix weight) of the swap from pi^t, 0 <= t < 2N."""
         _, lo, hi, lw = self.steps
         return lo[t], hi[t], lw[t]
+
+    def swap(self, t: int, member: int, members) -> tuple[int, bool, int]:
+        """(partner, moved_right, prefix weight) of step t seen from ``member``, the member it moves."""
+        lo, hi, lw = self.step(t)
+        if (lo in members) == (hi in members):
+            raise ProofGapError(f"change at t={t} does not involve exactly one member")
+        if member != (lo if lo in members else hi):
+            raise ProofGapError(f"change at t={t} bypassed the tracked element")
+        return (hi, True, lw) if member == lo else (lo, False, lw)
 
     def rows(self, border: Border) -> np.ndarray:
         if self.kept[0] is not border:
@@ -378,22 +388,8 @@ def _certificate(seq: AllowableSequence, case: Case, target: int, events, **case
                        ledger=ledger, events=tuple(events), **case2)
 
 
-def _swap(step, t: int, member: int):
-    """The step-t swap seen from ``member``: (partner, moved_right, left_weight).
-
-    ``step`` is the session's ``step(t)``: left element, right element and
-    prefix weight.
-    """
-    lo, hi, lw = step
-    if member == lo:
-        return hi, True, lw
-    if member == hi:
-        return lo, False, lw
-    raise ProofGapError(f"change at t={t} bypassed the tracked element")
-
-
 def _witness(seq: AllowableSequence, curve: str, t: int, kind: str, confined, member: int, swap):
-    """``curve``'s witness event at step t, where ``swap`` is ``_swap``'s view from its member.
+    """``curve``'s witness event at step t, where ``swap`` is the session's view from its member.
 
     A witness is branch (i) of the weight-change dichotomy: the member moves
     right at a descent and left at an ascent, past a partner of the other
@@ -411,20 +407,18 @@ def case1_certificate(seq: AllowableSequence) -> Certificate:
     """Two witnesses per mid-rank blue curve plus the odd-b middle witness.
 
     With the full blue set there is no branch (ii), so every threshold change
-    of a blue curve is a balanced transposition, read off the session's
-    ``crossings``: the blue is the left element at a descent and the right
-    at an ascent. The two per-rank events are distinct pairs because a
-    coincidence would force b = 2k-1, and ``_certificate`` rejects a pair
-    found twice.
+    of a blue curve is a balanced transposition: the session's ``crossings``
+    are ``balanced_steps``, so each witness is its crossing step's pair. The
+    two per-rank events are distinct pairs because a coincidence would force
+    b = 2k-1, and ``_certificate`` rejects a pair found twice.
     """
     b = seq.b
     s = _session(seq)
     events = []
 
     def witness(k: int, t: int, kind: str):
-        lo, hi, _ = step = s.step(t)
-        member = lo if kind == "descent" else hi
-        events.append(_witness(seq, f"B{k}", t, kind, None, member, _swap(step, t, member)))
+        lo, hi, _ = s.step(t)
+        events.append(CurveEvent(f"B{k}", t + 1, kind, None, "witness", (min(lo, hi), max(lo, hi))))
 
     for k in _mid_rank_range(seq):
         for kind, ts in s.crossings.items():
@@ -474,12 +468,6 @@ def case2_certificate(seq: AllowableSequence, border: Border) -> Certificate:
     def window_changes(trk, kind):
         return find_weight_changes(trk, *changes[kind], window=(0, half))
 
-    def swap_parts(t, member_set, member):
-        step = s.step(t)
-        if (step[0] in member_set) == (step[1] in member_set):
-            raise ProofGapError(f"change at t={t} does not involve exactly one member")
-        return _swap(step, t, member)
-
     events: list[CurveEvent] = []
     g_set = frozenset(g_ids)
     for rank, trk in enumerate(g_tracks, start=1):
@@ -490,7 +478,7 @@ def case2_certificate(seq: AllowableSequence, border: Border) -> Certificate:
                 (b0, b1), (m0, m1) = on_grid(rows, ts, 3), _mirror_on_grid(seq, rows, ts)
                 confined = b0 <= trk.position_at(t) <= m0 and b1 < trk.position_at(t + 1) < m1
                 member = trk.element_at(t)
-                swap = swap_parts(t, g_set, member)
+                swap = s.swap(t, member, g_set)
                 partner, moved_right, _ = swap
                 pair = (min(member, partner), max(member, partner))
                 if not confined:
@@ -528,8 +516,7 @@ def case2_certificate(seq: AllowableSequence, border: Border) -> Certificate:
                 )
             for t in ts:
                 member = trk.element_at(t)
-                swap = swap_parts(t, ids, member)
-                events.append(_witness(seq, name, t, kind, None, member, swap))
+                events.append(_witness(seq, name, t, kind, None, member, s.swap(t, member, ids)))
 
     cert = _certificate(seq, Case.CASE2, target, events,
                         border=border, f_set=f_ids, g_set=g_ids, h_set=h_ids)

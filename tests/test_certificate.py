@@ -14,6 +14,7 @@ from balanced_lines.balance import scan_balanced_transpositions
 from balanced_lines.certificate import (
     Border,
     Case,
+    VerificationResult,
     case1_certificate,
     case2_certificate,
     certify,
@@ -29,11 +30,11 @@ from balanced_lines.certificate import (
     _change_rows,
     _cyclic_runs,
     _merged_grid,
+    _mid_rank_range,
     _mirror_on_grid,
     _nearest_left_curve,
     _replayed_swaps,
     _splice,
-    _swap,
 )
 from balanced_lines.curves import (
     CurveClass,
@@ -986,11 +987,133 @@ class TestCase2Properties:
 
 
 def test_swap_reads_one_step_from_the_member():
-    step = (4, 7, 2)  # left element, right element, prefix weight of one step
-    assert _swap(step, 0, 4) == (7, True, 2)
-    assert _swap(step, 0, 7) == (4, False, 2)
+    session = _Certifier(random_sequence(6, 4, seed=0))
+    lo, hi, lw = session.step(0)  # left element, right element, prefix weight of one step
+    other = min({0, 1, 2, 3} - {lo, hi})
+    assert session.swap(0, lo, {lo, other}) == (hi, True, lw)
+    assert session.swap(0, hi, {hi}) == (lo, False, lw)
     with pytest.raises(ProofGapError, match=r"^change at t=0 bypassed the tracked element$"):
-        _swap(step, 0, 5)
+        session.swap(0, other, {lo, other})
+    with pytest.raises(ProofGapError, match=r"^change at t=0 does not involve exactly one member$"):
+        session.swap(0, lo, {lo, hi})
+
+
+@pytest.fixture
+def running():
+    """``start(seq)`` opens a session that the public steps share, as ``certify`` does.
+
+    Every session it opened is closed when the test ends.
+    """
+    tokens = []
+
+    def start(seq):
+        session = _Certifier(seq)
+        tokens.append(certificate_mod._ACTIVE.set(session))
+        return session
+
+    yield start
+    for token in reversed(tokens):
+        certificate_mod._ACTIVE.reset(token)
+
+
+class TestProofGaps:
+    """Each proof-gap check of the generator fires, word for word, on the fact it guards.
+
+    No valid input reaches these raises, so each test tampers with one fact
+    of a running session: a row of ``steps``, an entry of ``crossings``, or
+    ``_improve_once`` made to improve for ever. Before a row of ``steps`` is
+    changed, the session reads the border's rows and the G and F tracks, so
+    that the F/G/H scan alone sees the change.
+    """
+
+    CASE1_ODD = {"kind": "abstract", "n": 8, "blue": 5, "seed": 3}  # mid-rank 2, middle rank 3
+    CASE2_SMALL = {"kind": "abstract", "n": 10, "blue": 6, "seed": 3}  # G = (4, 5)
+    CHARGED = {"kind": "points", "blue": 36, "red": 12, "seed": 1}  # G1 charges F1 at t=969
+
+    @staticmethod
+    def g_step(running, entry, outcome):
+        """The F/G/H scan's first G event with ``outcome``, in a session ready for tampering.
+
+        Returns the sequence, the certificate, the session, the event's step
+        t, the index into ``steps`` of the column holding the step's G member
+        and that of its partner.
+        """
+        seq = make_certificates.build(entry)
+        cert = certify(seq)
+        event = next(e for e in cert.events if e.curve[0] == "G" and e.outcome == outcome)
+        session = running(seq)
+        session.rows(cert.border)
+        session.tracks(cert.g_set)
+        session.tracks(cert.f_set)
+        t = event.t - 1
+        lo, hi, _ = session.step(t)
+        cols = (1, 2) if lo in cert.g_set else (2, 1)
+        return seq, cert, session, t, *cols
+
+    def test_witness_off_delta_is_not_a_balanced_transposition(self, running):
+        seq, cert, session, t, _, _ = self.g_step(running, self.CASE2_SMALL, "witness")
+        session.steps[3][t] += 2  # the step's prefix weight
+        event = next(e for e in cert.events if e.t == t + 1)
+        with pytest.raises(ProofGapError, match=rf"^{event.curve} {event.kind} at t={t} "
+                                                r"is not a balanced transposition$"):
+            case2_certificate(seq, cert.border)
+
+    def test_step_moving_no_member_is_a_proof_gap(self, running):
+        seq, cert, session, t, g_col, p_col = self.g_step(running, self.CASE2_SMALL, "witness")
+        partner = session.steps[p_col][t]
+        session.steps[g_col][t] = next(  # the G member becomes another blue
+            v for v in range(seq.n) if seq.colors[v] is Color.BLUE and v != partner)
+        with pytest.raises(ProofGapError,
+                           match=rf"^change at t={t} does not involve exactly one member$"):
+            case2_certificate(seq, cert.border)
+
+    def test_step_moving_another_member_bypassed_the_tracked_element(self, running):
+        seq, cert, session, t, g_col, _ = self.g_step(running, self.CASE2_SMALL, "witness")
+        member = session.steps[g_col][t]
+        session.steps[g_col][t] = next(v for v in cert.g_set if v != member)
+        with pytest.raises(ProofGapError, match=rf"^change at t={t} bypassed the tracked element$"):
+            case2_certificate(seq, cert.border)
+
+    def test_deflection_past_no_f_point_missed_f(self, running):
+        seq, cert, session, t, _, p_col = self.g_step(running, self.CHARGED, "charge")
+        assert session.steps[p_col][t] in cert.f_set
+        session.steps[p_col][t] = next(v for v in range(seq.n) if seq.colors[v] is Color.BLUE)
+        with pytest.raises(ProofGapError, match=rf"^deflected G descent at t={t} missed F$"):
+            case2_certificate(seq, cert.border)
+
+    def test_charge_target_that_does_not_move_shows_no_change(self, running):
+        seq, cert, session, t, _, p_col = self.g_step(running, self.CHARGED, "charge")
+        at_t = [trk.element_at(t) for trk in session.tracks(cert.f_set)]
+        other = next(v for v in at_t if v != session.steps[p_col][t])
+        session.steps[p_col][t] = other
+        j = 1 + at_t.index(other)
+        with pytest.raises(ProofGapError,
+                           match=rf"^charge target F{j} shows no matching change at t={t}$"):
+            case2_certificate(seq, cert.border)
+
+    @pytest.mark.parametrize("kind", ["descent", "ascent"])
+    def test_changing_rank_without_a_crossing_is_a_proof_gap(self, running, kind):
+        seq = make_certificates.build(self.CASE1_ODD)
+        session = running(seq)
+        assert classify_case(seq).case is Case.CASE1 and list(_mid_rank_range(seq)) == [2]
+        del session.crossings[kind][2]
+        with pytest.raises(ProofGapError, match=rf"^B_2 has no {kind} despite being delta-changing$"):
+            case1_certificate(seq)
+
+    def test_middle_curve_without_a_crossing_is_a_proof_gap(self, running):
+        seq = make_certificates.build(self.CASE1_ODD)
+        session = running(seq)
+        for ts in session.crossings.values():
+            ts.pop(3, None)
+        with pytest.raises(ProofGapError, match=r"^middle curve B_3 never crosses the threshold$"):
+            case1_certificate(seq)
+
+    def test_endless_improvement_hits_the_termination_bound(self, monkeypatch):
+        seq = make_certificates.build(self.CASE2_SMALL)
+        monkeypatch.setattr(certificate_mod, "_improve_once", lambda s, c, rows: (c, rows))
+        with pytest.raises(ProofGapError,
+                           match=r"^border improvement exceeded its termination bound$"):
+            certify(seq)
 
 
 class TestHalfPeriodSession:
@@ -1003,8 +1126,8 @@ class TestHalfPeriodSession:
             for t in range(seq.period):
                 tr = transposition_at(seq, t + 1)
                 assert session.step(t) == (tr.lo_id, tr.hi_id, tr.left_weight), (entry, t)
-                assert _swap(session.step(t), t, tr.lo_id) == (tr.hi_id, True, tr.left_weight)
-                assert _swap(session.step(t), t, tr.hi_id) == (tr.lo_id, False, tr.left_weight)
+                assert session.swap(t, tr.lo_id, {tr.lo_id}) == (tr.hi_id, True, tr.left_weight)
+                assert session.swap(t, tr.hi_id, {tr.hi_id}) == (tr.lo_id, False, tr.left_weight)
 
     def test_row_counts_match_permutation_at(self):
         # An element at position q with prefix weight w has (q + c.weight * w)/2
@@ -1267,6 +1390,10 @@ class TestVerifier:
         seq = build_from_points(t_red_border)
         cert = certify(seq)
         assert verify_certificate(seq, cert).ok
+
+    def test_a_rejection_is_false(self):
+        assert not bool(VerificationResult(False, ("X",)))
+        assert bool(VerificationResult(True, ()))
 
     def test_duplicate_pair_detected(self, t2):
         seq = build_from_points(t2)

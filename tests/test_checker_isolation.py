@@ -6,7 +6,9 @@ may name it; a generator step that called it would lean on the checker
 instead of the proof. The checkers replay the period with a walk of their
 own, ``_ReferenceWalk``: they name no kernel and no step table, and nothing
 but them names the walk. On the fast path's side, one session method,
-``_Certifier.tracks``, makes every replay of a subset in ``certificate.py``.
+``_Certifier.tracks``, makes every replay of a subset in ``certificate.py``,
+one function, ``balance.balanced_steps``, picks out the steps at weight
+delta, and one, ``_Certifier.swap``, reads a step from a member.
 """
 import ast
 from pathlib import Path
@@ -58,7 +60,7 @@ CERTIFICATE = next(p for p in MODULES if p.name == "certificate.py")
 KERNELS = sorted(node.name for node in ast.parse(
     next(p for p in MODULES if p.name == "_kernels.py").read_text()).body
     if isinstance(node, ast.FunctionDef))
-FAST_PATH = sorted({"_kernels", "step_table", "full_word", *KERNELS})
+FAST_PATH = sorted({"_kernels", "step_table", "full_word", "balanced_steps", *KERNELS})
 CHECKERS = ("check_border", "verify_certificate", "_replayed_swaps", "_ReferenceWalk")
 
 
@@ -83,3 +85,21 @@ def test_only_the_session_replays_a_subset():
     source = CERTIFICATE.read_text()
     assert functions_naming(source, "track_all") == ["_Certifier.tracks"]
     assert functions_naming(source, "_families") == functions_naming(source, "_subset") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_reader_per_step_fact(path):
+    # One filter for the steps at weight delta, one view of a step from a member.
+    source = path.read_text()
+    expected = ["balanced_steps"] if path.name == "balance.py" else []
+    if path.name in ("balance.py", "certificate.py"):
+        assert functions_naming(source, "compress") == expected
+    assert functions_naming(source, "_swap") == functions_naming(source, "swap_parts") == []
+
+
+def test_case1_reads_no_member_view():
+    # Case 1's crossings are balanced steps already: it builds each event off its step.
+    source = CERTIFICATE.read_text()
+    for name in ("_witness", "swap"):
+        scopes = functions_naming(source, name)
+        assert not [s for s in scopes if s.split(".")[0] == "case1_certificate"], name

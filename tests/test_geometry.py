@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balanced_lines.errors import BadParamsError, CollinearWitnessError, ParityError
+import balanced_lines.geometry as geometry_mod
+from balanced_lines.errors import BadParamsError, CollinearWitnessError, FailsToSeparateError, ParityError
 from balanced_lines.geometry import (
     ChromaticPoint,
     Color,
@@ -198,6 +199,13 @@ class TestPerturb:
             assert abs(new.x - old.x) < Fraction(1, 2)
             assert abs(new.y - old.y) < Fraction(1, 2)
 
+    def test_gives_up_after_64_rounds(self, monkeypatch):
+        # With every draw refused, each of the 64 rounds fails and perturb gives up.
+        monkeypatch.setattr(geometry_mod, "_exact_sweep", lambda n, coords: None)
+        inst = make_instance([(0, 0, "B"), (1, 0, "B"), (0, 1, "R"), (1, 1, "R")])
+        with pytest.raises(FailsToSeparateError, match=r"^could not clear degeneracies in 64 rounds$"):
+            perturb(inst, seed=9)
+
 
 def _oracle_or_witness(inst, i, j):
     """oracle_halfplane's pair, or the message naming the smallest point on line(i, j)."""
@@ -226,6 +234,10 @@ class TestHalfplaneWeights:
         assert halfplane_weights(t1, 0, 1) == (0, 0)
         # With no third point, even a coincident pair has two empty sides.
         assert halfplane_weights(make_instance([(3, 4, "B"), (3, 4, "R")]), 0, 1) == (0, 0)
+
+    def test_one_point_spans_no_line(self, t1):
+        with pytest.raises(ValueError, match=r"^spanning pair must be two distinct points$"):
+            halfplane_weights(t1, 1, 1)
 
     def test_rational_coordinates_match_oracle(self):
         # Non-integer coordinates with distinct denominators, raw reds in the

@@ -65,6 +65,10 @@ class TestSeparatedInstance:
             assert validate_general_position(inst).clean
             assert len(oracle_balanced_pairs(inst)) == k
 
+    def test_needs_a_point_of_each_color(self):
+        with pytest.raises(BadParamsError, match=r"^k must be >= 1$"):
+            separated_instance(0)
+
     def test_separated_by_vertical_line(self):
         inst = separated_instance(5)
         for p in inst.points[:5]:
@@ -136,6 +140,10 @@ class TestFuzz:
             FuzzConfig(trials=0, seed=0)
         with pytest.raises(BadParamsError):
             FuzzConfig(trials=1, seed=0, n_min=3, n_max=9)
+
+    def test_n_min_above_n_max(self):
+        with pytest.raises(BadParamsError, match=r"^n_min exceeds n_max$"):
+            FuzzConfig(trials=1, seed=0, n_min=6, n_max=4)
 
 
 class TestTrialFailures:

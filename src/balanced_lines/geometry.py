@@ -275,14 +275,15 @@ def _exact_sweep(n: int, coords):
     # In the frame rotating u0 to the x-axis, the pair at pi0 positions p < q
     # has the normal (fa, fb) = (v_q - v_p, u_q - u_p), v = k0*x - y, with
     # fb > 0 since pi0 sorts u: event order is the order of its angles in
-    # (0, pi). Float angles only presort; exact signs decide the order.
+    # (0, pi). Float angles only presort, and unstably: exact signs decide
+    # the order, and a strict order is unique however float ties fell.
     r = np.arange(n)
     pp, qq = np.nonzero(r[:, None] < r)
     uo = np.array([u[i] for i in pi0], dtype=object)
     vo = np.array([k0 * coords[i][0] - coords[i][1] for i in pi0], dtype=object)
     try:
         uf, vf = uo.astype(float), vo.astype(float)
-        order = np.arctan2(uf[qq] - uf[pp], vf[qq] - vf[pp]).argsort(kind="stable")
+        order = np.arctan2(uf[qq] - uf[pp], vf[qq] - vf[pp]).argsort()
     except OverflowError:  # past float range the exact sort below decides alone
         order = np.arange(len(pp))
     pp, qq = pp[order], qq[order]

@@ -10,6 +10,7 @@ the word; it makes no pass over the pairs of its own.
 """
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 
@@ -23,13 +24,16 @@ class AllowableSequence:
 
     The constructor is permissive (it stores whatever shape it is given) so
     that ``validate`` can report on defective sequences; use ``validate`` to
-    check the structural invariants.
+    check the structural invariants. Non-integer entries raise ``BadParamsError``.
     """
 
     def __init__(self, colors, pi0, word):
         self.colors: tuple[Color, ...] = tuple(colors)
-        self.pi0: tuple[int, ...] = tuple(map(int, pi0))
-        self.word: tuple[int, ...] = tuple(map(int, word))
+        try:  # an exact int passes unchanged; a numpy integer becomes one
+            self.pi0: tuple[int, ...] = tuple(map(operator.index, pi0))
+            self.word: tuple[int, ...] = tuple(map(operator.index, word))
+        except TypeError as exc:
+            raise BadParamsError(f"sequence entries must be integers: {exc}") from exc
         self.n = len(self.colors)
         self.weights: tuple[int, ...] = tuple(c.weight for c in self.colors)
         self.b: int = self.weights.count(1)
@@ -147,7 +151,11 @@ class SequenceReport:
 
 
 def validate(seq: AllowableSequence) -> SequenceReport:
-    """Check pair-swaps-once, half-period reversal, position bounds, and parity."""
+    """Check pair-swaps-once, half-period reversal, position bounds, and parity.
+
+    A walk that only swaps decides a clean word: reverse(pi0) has C(n, 2) inversions against
+    pi0 and a swap adds or removes one, so C(n, 2) in-range swaps reach it only if each adds one.
+    """
     n = seq.n
     expected = n * (n - 1) // 2
     bad_pi0 = sorted(seq.pi0) != list(range(n))
@@ -155,7 +163,13 @@ def validate(seq: AllowableSequence) -> SequenceReport:
     position_errors = []
     repeated = []
     not_reversed = False
-    if not bad_pi0:
+    clean_word = False
+    if not (bad_pi0 or length_mismatch) and (not seq.word or 0 <= min(seq.word) <= max(seq.word) <= n - 2):
+        perm = list(seq.pi0)
+        for p in seq.word:
+            perm[p], perm[p + 1] = perm[p + 1], perm[p]
+        clean_word = perm[::-1] == list(seq.pi0)
+    if not (bad_pi0 or clean_word):  # the pair-marking walk lists the defects
         perm = list(seq.pi0)
         seen = bytearray(n * n)  # pair (a, b), a < b, marks byte a*n + b
         for step, p in enumerate(seq.word, start=1):

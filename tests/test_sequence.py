@@ -1,8 +1,10 @@
+import itertools
 import json
 import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,6 +44,23 @@ def counting_fractions(monkeypatch):
     made = []
     monkeypatch.setattr(geometry_mod, "Fraction", lambda *a: made.append(a) or Fraction(*a))
     return made
+
+
+def small_bound_draws():
+    """300 point rows at bounds 1 to 3, shifted by 0, 10**17 or 10**400.
+
+    Small bounds make degenerate draws; a shift keeps every verdict and
+    word but rounds the float keys together (10**17) or past range (10**400).
+    """
+    rng = random.Random(5)
+    draws = []
+    for k in range(300):
+        bound, n = rng.randint(1, 3), 2 * rng.randint(1, 4)
+        shift = (0, 10**17, 10**400)[k % 3]
+        draws.append([(shift + Fraction(rng.randint(-bound, bound), d),
+                       shift + Fraction(rng.randint(-bound, bound), d), "BR"[i % 2])
+                      for i, d in enumerate(rng.choices((1, 2, 3), k=n))])
+    return draws
 
 
 def degenerate_message(inst):
@@ -331,16 +350,7 @@ class TestSweepBlocks:
 
     @pytest.mark.parametrize("block", [1, 2, 3])
     def test_small_bound_draws(self, monkeypatch, block):
-        # Small bounds make degenerate draws; a shift keeps every verdict and
-        # word but rounds the float keys together (10**17) or past range (10**400).
-        rng = random.Random(5)
-        draws = []
-        for k in range(300):
-            bound, n = rng.randint(1, 3), 2 * rng.randint(1, 4)
-            shift = (0, 10**17, 10**400)[k % 3]
-            draws.append([(shift + Fraction(rng.randint(-bound, bound), d),
-                           shift + Fraction(rng.randint(-bound, bound), d), "BR"[i % 2])
-                          for i, d in enumerate(rng.choices((1, 2, 3), k=n))])
+        draws = small_bound_draws()
         defaults = [self.order(make_instance(rows)) for rows in draws]
         insts = [make_instance(rows) for rows in draws]
         monkeypatch.setattr(geometry_mod, "_SWEEP_BLOCK", block)
@@ -357,6 +367,39 @@ class TestSweepBlocks:
                 seq = build_from_points(inst)
                 assert (seq.pi0, seq.word) == oracle_sweep(inst)
         assert exact and 0 < degenerate < len(draws)  # both verdicts, and the exact sort, were reached
+
+    @pytest.mark.parametrize("mode", ["reversed", "shuffled"])
+    def test_presort_only_speeds_the_sweep_up(self, monkeypatch, mode):
+        # Float keys that propose a wrong order (through a proxy for the
+        # sweep's numpy) change no verdict and no word: the exact test
+        # rejects the proposal and the Fraction sort decides alone.
+        draws = small_bound_draws()
+        defaults = [self.order(make_instance(rows)) for rows in draws]
+        sets = [(30, 10, 10**6, 1), (12, 4, 2, 3)]
+        expected = [oracle_sweep(random_instance(*args[:3], seed=args[3])) for args in sets]
+
+        class BadKeys:
+            rng = np.random.default_rng(0)
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def arctan2(self, y, x):
+                keys = np.arctan2(y, x)
+                return -keys if mode == "reversed" else self.rng.permutation(keys)
+
+        monkeypatch.setattr(geometry_mod, "np", BadKeys())
+        made = counting_fractions(monkeypatch)
+        for rows, default in zip(draws, defaults):
+            inst = make_instance(rows)
+            assert self.order(inst) == default
+            if default is not None:
+                seq = build_from_points(inst)
+                assert (seq.pi0, seq.word) == oracle_sweep(inst)
+        for args, want in zip(sets, expected):
+            before = len(made)
+            seq = build_from_points(random_instance(*args[:3], seed=args[3]))
+            assert (seq.pi0, seq.word) == want and len(made) > before
 
 
 def test_sweep_and_build_memory_per_event():
@@ -511,6 +554,37 @@ class TestValidate:
             ), seed
             seen_codes.update(report.codes)
         assert {"REPEATED_PAIR", "POSITION_RANGE", "LENGTH_MISMATCH", "NOT_REVERSED"} <= seen_codes
+
+    def test_every_short_word_matches_set_oracle(self):
+        # Every word of length C(4, 2) = 6 over positions 0..2, from every pi0:
+        # the swap-only walk may call a word clean only where the oracle finds
+        # no defect, and every other report comes from the pair-marking walk.
+        colors = [Color.BLUE, Color.BLUE, Color.RED, Color.RED]
+        clean = 0
+        for pi0 in itertools.permutations(range(4)):
+            for word in itertools.product(range(3), repeat=6):
+                seq = AllowableSequence(colors, pi0, word)
+                report = validate(seq)
+                found = oracle_validate_word(seq)
+                assert (report.position_errors, report.repeated_pairs, report.not_reversed) == found
+                assert report.clean == (found == ((), (), False))
+                clean += report.clean
+        assert clean == 24 * 16  # the 16 reduced words of the longest permutation of S_4
+
+
+class TestConstructor:
+    def test_numpy_integers_become_ints(self):
+        seq = AllowableSequence([Color.BLUE, Color.RED], np.array([1, 0], dtype=np.int64),
+                                np.array([0], dtype=np.int64))
+        assert seq.pi0 == (1, 0) and seq.word == (0,)
+        assert all(type(v) is int for v in seq.pi0 + seq.word)
+        assert validate(seq).clean
+
+    @pytest.mark.parametrize("pi0, word", [([0, 1], [0.0]), ([0, 1], ["0"]), ([0.0, 1], [0])])
+    def test_non_integer_entries_raise(self, pi0, word):
+        # A float or a string is no position: refused, not truncated or parsed.
+        with pytest.raises(BadParamsError, match="must be integers"):
+            AllowableSequence([Color.BLUE, Color.RED], pi0, word)
 
 
 class TestRandomSequence:

@@ -40,9 +40,9 @@ class Color(Enum):
 
 
 def _as_fraction(value) -> Fraction:
-    # Floats are rejected on purpose: exactness is the whole point.
-    if isinstance(value, float):
-        raise TypeError("coordinates must be exact rationals, not floats")
+    # Floats are rejected on purpose: exactness is the whole point. A bool is no number.
+    if isinstance(value, (float, bool)):
+        raise TypeError("coordinates must be exact rationals, not floats or booleans")
     return Fraction(value)
 
 
@@ -302,14 +302,10 @@ def _exact_sweep(n: int, coords):
 
 
 def _perturb_scale(inst: Instance) -> Fraction:
-    diffs = []
-    pts = inst.points
-    for i in range(inst.n):
-        for j in range(i + 1, inst.n):
-            for d in (abs(pts[i].x - pts[j].x), abs(pts[i].y - pts[j].y)):
-                if d:
-                    diffs.append(d)
-    return min(diffs) / 2 if diffs else Fraction(1)
+    """Half the smallest nonzero coordinate difference: a gap between sorted distinct x or y values."""
+    xs, ys = sorted({p.x for p in inst.points}), sorted({p.y for p in inst.points})
+    gaps = [b - a for values in (xs, ys) for a, b in zip(values, values[1:])]
+    return min(gaps) / 2 if gaps else Fraction(1)
 
 
 def perturb(inst: Instance, seed: int) -> Instance:
@@ -430,10 +426,13 @@ def instance_to_json(inst: Instance) -> str:
 
 
 def instance_from_json(text: str) -> Instance:
-    """The instance of a JSON text; a coordinate is a ``p/q`` string or an integer, never a float."""
+    """The instance of a JSON text; an id is an integer, a coordinate a ``p/q`` string or an integer."""
     data = json.loads(text)
     try:
-        pts = [ChromaticPoint(int(p["id"]), p["x"], p["y"], Color(p["color"])) for p in data["points"]]
-    except TypeError as exc:
+        for p in data["points"]:
+            if type(p["id"]) is not int:  # not truncated, parsed or read off a boolean
+                raise TypeError(f"point ids must be integers, got {p['id']!r}")
+        pts = [ChromaticPoint(p["id"], p["x"], p["y"], Color(p["color"])) for p in data["points"]]
+    except (TypeError, ZeroDivisionError) as exc:
         raise BadParamsError(f"bad point in instance JSON: {exc}") from exc
     return Instance(pts)

@@ -153,41 +153,36 @@ class SequenceReport:
 def validate(seq: AllowableSequence) -> SequenceReport:
     """Check pair-swaps-once, half-period reversal, position bounds, and parity.
 
-    A walk that only swaps decides a clean word: reverse(pi0) has C(n, 2) inversions against
-    pi0 and a swap adds or removes one, so C(n, 2) in-range swaps reach it only if each adds one.
+    One walk permutes the ranks of pi0, so the pair of ranks i < j stands in order until it
+    first swaps. Its order flips at each of its swaps and nowhere else, so its second swap is
+    its first with the larger rank on the left: a pair swaps twice exactly when it makes such
+    a descending swap. A full-length in-range word with none is clean, since each of its
+    C(n, 2) swaps added an inversion, and reverse(pi0) is the one permutation with C(n, 2).
     """
-    n = seq.n
+    n, pi0 = seq.n, seq.pi0
     expected = n * (n - 1) // 2
-    bad_pi0 = sorted(seq.pi0) != list(range(n))
+    bad_pi0 = sorted(pi0) != list(range(n))
     length_mismatch = None if len(seq.word) == expected else (expected, len(seq.word))
-    position_errors = []
-    repeated = []
+    position_errors = ()
+    descents = set()
     not_reversed = False
-    clean_word = False
-    if not (bad_pi0 or length_mismatch) and (not seq.word or 0 <= min(seq.word) <= max(seq.word) <= n - 2):
-        perm = list(seq.pi0)
-        for p in seq.word:
-            perm[p], perm[p + 1] = perm[p + 1], perm[p]
-        clean_word = perm[::-1] == list(seq.pi0)
-    if not (bad_pi0 or clean_word):  # the pair-marking walk lists the defects
-        perm = list(seq.pi0)
-        seen = bytearray(n * n)  # pair (a, b), a < b, marks byte a*n + b
-        for step, p in enumerate(seq.word, start=1):
-            if not (0 <= p <= n - 2):
-                position_errors.append((step, p))
-                continue
-            a, b = perm[p], perm[p + 1]
-            key = a * n + b if a < b else b * n + a
-            if seen[key]:
-                repeated.append(key)
-            seen[key] = 1
-            perm[p], perm[p + 1] = b, a
+    if not bad_pi0:
+        word = seq.word
+        if word and not 0 <= min(word) <= max(word) <= n - 2:
+            position_errors = tuple((s, p) for s, p in enumerate(word, start=1) if not 0 <= p <= n - 2)
+            word = [p for p in word if 0 <= p <= n - 2]
+        perm = list(range(n))
+        for p in word:
+            i, j = perm[p], perm[p + 1]
+            if i > j:
+                descents.add((j, i))
+            perm[p], perm[p + 1] = j, i
         if length_mismatch is None and not position_errors:
-            not_reversed = perm != list(reversed(seq.pi0))
+            not_reversed = perm != list(range(n - 1, -1, -1))
     return SequenceReport(
         length_mismatch=length_mismatch,
-        position_errors=tuple(position_errors),
-        repeated_pairs=tuple(sorted({divmod(key, n) for key in repeated})),
+        position_errors=position_errors,
+        repeated_pairs=tuple(sorted({(min(pi0[i], pi0[j]), max(pi0[i], pi0[j])) for i, j in descents})),
         not_reversed=not_reversed,
         odd_size=n % 2 != 0,
         red_majority=seq.b < seq.r,

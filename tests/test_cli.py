@@ -235,6 +235,23 @@ class TestPipelines:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "not floats" in err
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("id", 1.9, "ids must be integers"), ("id", "1", "ids must be integers"),
+        ("id", True, "ids must be integers"), ("x", True, "not floats or booleans"),
+        ("y", "1/0", "Fraction(1, 0)"),
+    ])
+    def test_bad_id_or_coordinate_exit_2(self, capsys, tmp_path, field, value, message):
+        # Refused, not truncated to 1, parsed from the string, read as 1 or left to a traceback.
+        points = [{"id": 0, "x": "0", "y": "0", "color": "B"}, {"id": 1, "x": "1", "y": "1", "color": "R"}]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"points": points}))
+        assert run(capsys, "lines", str(path))[0] == 0
+        points[1][field] = value
+        path.write_text(json.dumps({"points": points}))
+        code, out, err = run(capsys, "lines", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: bad point in instance JSON: ") and message in err
+
 
 class TestFuzzCommand:
     def test_clean_run(self, capsys):

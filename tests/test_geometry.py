@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -198,6 +199,29 @@ class TestPerturb:
         for old, new in zip(inst.points, fixed.points):
             assert abs(new.x - old.x) < Fraction(1, 2)
             assert abs(new.y - old.y) < Fraction(1, 2)
+
+    def test_scale_matches_pairwise_definition(self):
+        # The smallest gap of sorted distinct values equals the smallest nonzero difference
+        # over all pairs, with repeated x, repeated y, coincident points and no gap at all.
+        def pairwise(inst):
+            diffs = [d for p, q in itertools.combinations(inst.points, 2)
+                     for d in (abs(p.x - q.x), abs(p.y - q.y)) if d]
+            return min(diffs) / 2 if diffs else Fraction(1)
+
+        rng = random.Random(27)
+        fixed = [
+            [(1, 0, "B"), (1, 5, "R"), (3, 2, "B"), (4, 2, "R")],
+            [(2, 2, "B"), (2, 2, "R"), (Fraction(7, 3), 0, "B"), (9, 1, "R")],
+            [(5, 5, "B"), (5, 5, "R"), (5, 5, "B"), (5, 5, "R")],
+        ]
+        for rows in fixed + [
+            [(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))), rng.randint(-2, 2), "BR"[i % 2])
+             for i in range(rng.choice((2, 4, 6, 8)))]
+            for _ in range(300)
+        ]:
+            inst = make_instance(rows)
+            assert geometry_mod._perturb_scale(inst) == pairwise(inst), rows
+        assert geometry_mod._perturb_scale(make_instance(fixed[2])) == 1
 
     def test_gives_up_after_64_rounds(self, monkeypatch):
         # With every draw refused, each of the 64 rounds fails and perturb gives up.

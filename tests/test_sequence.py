@@ -556,20 +556,38 @@ class TestValidate:
         assert {"REPEATED_PAIR", "POSITION_RANGE", "LENGTH_MISMATCH", "NOT_REVERSED"} <= seen_codes
 
     def test_every_short_word_matches_set_oracle(self):
-        # Every word of length C(4, 2) = 6 over positions 0..2, from every pi0:
-        # the swap-only walk may call a word clean only where the oracle finds
-        # no defect, and every other report comes from the pair-marking walk.
+        # Every word of length 5, C(4, 2) = 6 and 7 over positions 0..2 from every pi0, and
+        # every word of length 6 over positions -1..3 from two pi0: the one rank walk lists
+        # the defects the oracle finds, wrong lengths and out-of-range positions included,
+        # and calls a word clean only where the oracle finds none.
         colors = [Color.BLUE, Color.BLUE, Color.RED, Color.RED]
+        cases = [(pi0, word) for pi0 in itertools.permutations(range(4))
+                 for length in (5, 6, 7) for word in itertools.product(range(3), repeat=length)]
+        cases += [(pi0, word) for pi0 in ((0, 1, 2, 3), (2, 0, 3, 1))
+                  for word in itertools.product(range(-1, 4), repeat=6)]
         clean = 0
-        for pi0 in itertools.permutations(range(4)):
-            for word in itertools.product(range(3), repeat=6):
-                seq = AllowableSequence(colors, pi0, word)
-                report = validate(seq)
-                found = oracle_validate_word(seq)
-                assert (report.position_errors, report.repeated_pairs, report.not_reversed) == found
-                assert report.clean == (found == ((), (), False))
-                clean += report.clean
-        assert clean == 24 * 16  # the 16 reduced words of the longest permutation of S_4
+        for pi0, word in cases:
+            seq = AllowableSequence(colors, pi0, word)
+            report = validate(seq)
+            found = oracle_validate_word(seq)
+            assert (report.position_errors, report.repeated_pairs, report.not_reversed) == found
+            assert report.clean == (found == ((), (), False) and len(word) == 6)
+            clean += report.clean
+        assert clean == 26 * 16  # the 16 reduced words of the longest permutation of S_4
+
+    def test_few_steps_at_large_n_allocate_little(self):
+        # Three steps at n = 4000 are reported in O(n) memory: no n x n table of pairs.
+        n = 4000
+        seq = AllowableSequence([Color.BLUE] * n, range(n), [0, 1, 1])
+        tracemalloc.start()
+        try:
+            report = validate(seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.codes == ("LENGTH_MISMATCH", "REPEATED_PAIR")
+        assert report.repeated_pairs == ((0, 2),)
+        assert peak < 1 << 20, peak
 
 
 class TestConstructor:

@@ -240,18 +240,52 @@ def _sweep_slope(coords) -> int:
 
 
 _SWEEP_BLOCK = 1 << 13  # events whose exact operands the neighbour test holds at once
+_INT64_SWEEP = 1 << 59  # |u|, |v| below this: event vectors below 2^60 fit the int64 limb test
+_INT64_EVENTS = 100  # fewer events: the limb test's ~25 numpy calls cost more than Python-int products
+_LIMB = (1 << 30) - 1  # the low 30 bits
+
+
+def _cross(p, q):
+    """p[i]*q[i+1] - q[i]*p[i+1] for every i."""
+    return p[:-1] * q[1:] - q[:-1] * p[1:]
+
+
+def _limb_cross(fa, fb):
+    """Keys with the signs of the int64 cross products _cross(fa, fb), exactly.
+
+    Entries must lie below 2^60 in absolute value. Each splits as
+    x = h*2^30 + l with h = x >> 30 in [-2^30, 2^30) and l = x & m in
+    [0, 2^30), m = 2^30 - 1, so a cross product is hi*2^60 + mid*2^30 + lo
+    with |hi| <= 2^61 (two high-by-high products), |mid| <= 2^62 - 2^32 (four
+    high-by-low ones, each at most 2^60 - 2^30) and |lo| < 2^60. Carrying
+    lo >> 30 (at most 2^30) into mid keeps |mid| < 2^62, and carrying
+    mid >> 30 (at most 2^32) into hi keeps |hi| < 2^62, so nothing wraps.
+    The rest, (mid & m)*2^30 + (lo & m), lies in [0, 2^60): the product is
+    positive when hi > 0, negative when hi < 0, and when hi == 0 zero exactly
+    when both low limbs are. Setting those limbs' bits into hi keeps that sign.
+    """
+    ah, al, bh, bl = fa >> 30, fa & _LIMB, fb >> 30, fb & _LIMB
+    hi, mid, lo = _cross(ah, bh), _cross(ah, bl) + _cross(al, bh), _cross(al, bl)
+    mid += lo >> 30
+    hi += mid >> 30
+    return hi | ((mid | lo) & _LIMB)
 
 
 def _strictly_ordered(uo, vo, pp, qq) -> bool | None:
     """Every event direction strictly precedes the next: True; two neighbours
     share one (a zero cross product, so the input is degenerate): None; else False.
-    The directions (vo[qq] - vo[pp], uo[qq] - uo[pp]) are formed a block at a time;
-    consecutive blocks share one event, so every neighbour pair is compared."""
+    The directions (vo[qq] - vo[pp], uo[qq] - uo[pp]) are formed a block at a
+    time; consecutive blocks share one event, so every neighbour pair is
+    compared. Python-int operands compare their products as they are, int64
+    ones through ``_limb_cross``."""
     ordered = True
     for s in range(0, len(pp) - 1, _SWEEP_BLOCK):
         p, q = pp[s:s + _SWEEP_BLOCK + 1], qq[s:s + _SWEEP_BLOCK + 1]
         fa, fb = vo[q] - vo[p], uo[q] - uo[p]
-        ahead, behind = fa[:-1] * fb[1:], fb[:-1] * fa[1:]
+        if fa.dtype == object:
+            ahead, behind = fa[:-1] * fb[1:], fb[:-1] * fa[1:]
+        else:
+            ahead, behind = _limb_cross(fa, fb), 0
         if not (ahead > behind).all():
             if (ahead == behind).any():
                 return None
@@ -260,11 +294,17 @@ def _strictly_ordered(uo, vo, pp, qq) -> bool | None:
 
 
 def _exact_sweep(n: int, coords):
-    """One exact pass over the pairs; Python-int operands live one block at a time.
+    """One exact pass over the pairs, its operands formed one block at a time.
 
     pi0 orders the points by projection u = x + k0*y onto u0 = (1, k0); a
     pair's event is the angle where its spanned line is perpendicular to the
     sweep. The order is strict exactly when the event directions are distinct.
+    When every |u| and |v| is below 2^59 and there are at least
+    ``_INT64_EVENTS`` events, the operands are int64 and the neighbour test
+    runs on 30-bit limbs. Past that bound (huge coordinates, perturbed inputs
+    with huge denominators), which int64 cannot hold, and for a few events,
+    where numpy's per-call cost dominates, they are Python ints in object
+    arrays. Both decide every sign exactly.
     """
     if len(set(coords)) < n:
         return None
@@ -279,8 +319,9 @@ def _exact_sweep(n: int, coords):
     # the order, and a strict order is unique however float ties fell.
     r = np.arange(n)
     pp, qq = np.nonzero(r[:, None] < r)
-    uo = np.array([u[i] for i in pi0], dtype=object)
-    vo = np.array([k0 * coords[i][0] - coords[i][1] for i in pi0], dtype=object)
+    uo, vo = [u[i] for i in pi0], [k0 * coords[i][0] - coords[i][1] for i in pi0]
+    dtype = np.int64 if len(pp) >= _INT64_EVENTS and max(map(abs, uo + vo)) < _INT64_SWEEP else object
+    uo, vo = np.array(uo, dtype=dtype), np.array(vo, dtype=dtype)
     try:
         uf, vf = uo.astype(float), vo.astype(float)
         order = np.arctan2(uf[qq] - uf[pp], vf[qq] - vf[pp]).argsort()
@@ -290,8 +331,9 @@ def _exact_sweep(n: int, coords):
     if not (ordered := _strictly_ordered(uo, vo, pp, qq)):
         if ordered is None:  # neighbours share a direction
             return None
-        # Float keys collided, mis-ordered or overflowed: sort exactly.
-        fa, fb = vo[qq] - vo[pp], uo[qq] - uo[pp]
+        # Float keys collided, mis-ordered or overflowed: sort exactly, on
+        # Python ints (a Fraction of int64 scalars would wrap past 2^63).
+        fa, fb = (vo[qq] - vo[pp]).tolist(), (uo[qq] - uo[pp]).tolist()
         exact = sorted(range(len(pp)), key=lambda e: Fraction(-fa[e], fb[e]))
         pp, qq = pp[exact], qq[exact]
         if not _strictly_ordered(uo, vo, pp, qq):
@@ -428,11 +470,18 @@ def instance_to_json(inst: Instance) -> str:
 def instance_from_json(text: str) -> Instance:
     """The instance of a JSON text; an id is an integer, a coordinate a ``p/q`` string or an integer."""
     data = json.loads(text)
+    points = data.get("points") if isinstance(data, dict) else None
+    if not isinstance(points, list):
+        raise BadParamsError('instance JSON needs a "points" list')
     try:
-        for p in data["points"]:
+        for k, p in enumerate(points):
+            if not isinstance(p, dict):
+                raise TypeError(f"point {k} is not an object")
+            if missing := [key for key in ("id", "x", "y", "color") if key not in p]:
+                raise TypeError(f"point {k} has no {missing[0]!r}")
             if type(p["id"]) is not int:  # not truncated, parsed or read off a boolean
                 raise TypeError(f"point ids must be integers, got {p['id']!r}")
-        pts = [ChromaticPoint(p["id"], p["x"], p["y"], Color(p["color"])) for p in data["points"]]
+        pts = [ChromaticPoint(p["id"], p["x"], p["y"], Color(p["color"])) for p in points]
     except (TypeError, ZeroDivisionError) as exc:
         raise BadParamsError(f"bad point in instance JSON: {exc}") from exc
     return Instance(pts)

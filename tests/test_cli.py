@@ -6,6 +6,10 @@ from balanced_lines.cli import main
 from balanced_lines.errors import ProofGapError
 
 
+POINT0 = {"id": 0, "x": "0", "y": "0", "color": "B"}
+POINT1 = {"id": 1, "x": "1", "y": "1", "color": "R"}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -251,6 +255,21 @@ class TestPipelines:
         code, out, err = run(capsys, "lines", str(path))
         assert code == 2 and out == ""
         assert err.startswith("error: bad point in instance JSON: ") and message in err
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"dots": [POINT0, POINT1]}, 'instance JSON needs a "points" list'),
+        ([POINT0, POINT1], 'instance JSON needs a "points" list'),
+        ({"points": [POINT0, list(POINT1.values())]}, "bad point in instance JSON: point 1 is not an object"),
+        *[({"points": [POINT0, {k: v for k, v in POINT1.items() if k != key}]},
+           f"bad point in instance JSON: point 1 has no {key!r}") for key in POINT1],
+    ], ids=["no-points", "bare-list", "point-not-object", "no-id", "no-x", "no-y", "no-color"])
+    def test_missing_points_or_key_exit_2(self, capsys, tmp_path, doc, message):
+        # Named by point and key, not left as a bare KeyError or a list-index TypeError.
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "lines", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestFuzzCommand:

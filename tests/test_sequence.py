@@ -420,6 +420,144 @@ def test_sweep_and_build_memory_per_event():
     assert peak(build_from_points, inst) < 50
 
 
+def limb_spy(monkeypatch):
+    """Record the length of every block the int64 limb test decides."""
+    blocks = []
+    real = geometry_mod._limb_cross
+    monkeypatch.setattr(geometry_mod, "_limb_cross", lambda fa, fb: blocks.append(len(fa)) or real(fa, fb))
+    return blocks
+
+
+class TestLimbSweep:
+    """The int64 neighbour test: the limb kernel against Python ints, and
+    sweeps on both sides of its 2^59 gate against ``oracle_sweep``."""
+
+    GATE = 1 << 59
+
+    @staticmethod
+    def assert_limb_signs(rows):
+        # Every neighbour pair of the (fa, fb) rows, against Python ints.
+        fa = np.array([a for a, _ in rows], dtype=np.int64)
+        fb = np.array([b for _, b in rows], dtype=np.int64)
+        keys = geometry_mod._limb_cross(fa, fb)
+        want = [(a * d > b * c) - (a * d < b * c) for (a, b), (c, d) in zip(rows, rows[1:])]
+        assert np.sign(keys).tolist() == want
+        return want
+
+    def test_limb_boundaries(self):
+        edges = [2**60 - 1, -(2**60 - 1), 2**30, -2**30, 2**30 - 1, -(2**30 - 1), 2**31, 1, -1, 0]
+        rows = [row for a, b, c, d in itertools.product(edges, repeat=4) for row in ((a, b), (c, d))]
+        signs = self.assert_limb_signs(rows)
+        assert {-1, 0, 1} <= set(signs)
+
+    def test_limb_equal_products(self):
+        # (x*s, y*s) and (x*t, y*t) are parallel: a*d == b*c at every size.
+        rng = random.Random(3)
+        rows = [(2**30, 2**31), (2**29, 2**30), (2**60 - 1, 2**60 - 1), (-(2**60 - 1), -(2**60 - 1))]
+        for _ in range(2000):
+            bits = rng.choice((1, 15, 29))
+            x, y = (rng.choice((-1, 1)) * rng.randint(1, 2**30) for _ in range(2))
+            s, t = (rng.choice((-1, 1)) * rng.randint(1, 2**bits) for _ in range(2))
+            rows += [(x * s, y * s), (x * t, y * t)]
+        signs = self.assert_limb_signs(rows)
+        assert set(signs[::2]) == {0}
+
+    @pytest.mark.parametrize("bits", [3, 30, 45, 59, 60])
+    def test_limb_random_values(self, bits):
+        rng = random.Random(bits)
+        top = 2**bits - 1
+        self.assert_limb_signs([(rng.randint(-top, top), rng.randint(-top, top)) for _ in range(20000)])
+
+    def gate_rows(self, side, axis, extra=()):
+        """16 points (with ``extra``) whose largest |u| or |v| is 2^59 - 1 or 2^59.
+
+        Distinct x values make the sweep slope 0, so u = x and v = -y.
+        """
+        rng = random.Random(f"{side}:{axis}")
+        rows = list(extra)
+        xs = rng.sample(range(-2**57, 2**57), 16 - len(rows) - 1)
+        rows += [(x, rng.randint(-2**57, 2**57), "BR"[i % 2]) for i, x in enumerate(xs)]
+        far = self.GATE - 1 if side == "int64" else self.GATE
+        rows.append((far, 5, "R") if axis == "u" else (3, -far, "R"))
+        return [(x, y, "BR"[i % 2]) for i, (x, y, _) in enumerate(rows)]
+
+    @pytest.mark.parametrize("block", [1, 3, 1 << 13])
+    @pytest.mark.parametrize("axis", ["u", "v"])
+    @pytest.mark.parametrize("side", ["int64", "object"])
+    def test_both_sides_of_the_gate(self, monkeypatch, side, axis, block):
+        monkeypatch.setattr(geometry_mod, "_SWEEP_BLOCK", block)
+        blocks = limb_spy(monkeypatch)
+        inst = make_instance(self.gate_rows(side, axis))
+        coords = inst.scaled_coords()
+        assert geometry_mod._sweep_slope(coords) == 0
+        assert max(max(abs(x), abs(y)) for x, y in coords) == self.GATE - (side == "int64")
+        assert oracle_general_position(inst).clean
+        seq = build_from_points(inst)
+        assert (seq.pi0, seq.word) == oracle_sweep(inst)
+        assert bool(blocks) == (side == "int64")
+
+    @pytest.mark.parametrize("axis", ["u", "v"])
+    @pytest.mark.parametrize("side", ["int64", "object"])
+    def test_parallel_pair_on_both_sides_of_the_gate(self, monkeypatch, side, axis):
+        # 0-1 and 2-3 are parallel; scaled by 2^54, they stay under 2^57.
+        parallel = [(0, 0), (1, 2), (5, 0), (4, -2), (-3, 8), (-5, 7)]
+        extra = [(x * 2**54, y * 2**54, "B") for x, y in parallel]
+        blocks = limb_spy(monkeypatch)
+        inst = make_instance(self.gate_rows(side, axis, extra))
+        assert inst.sweep_order is None
+        assert bool(blocks) == (side == "int64")
+        report = validate_general_position(inst)
+        assert report == oracle_general_position(inst) and ((0, 1), (2, 3)) in report.parallel_pair_pairs
+
+    def test_limb_verdicts_at_small_bounds(self, monkeypatch):
+        # 16 distinct points on small grids, many of them degenerate: every
+        # verdict and word through the limb test against the oracles.
+        blocks = limb_spy(monkeypatch)
+        rng = random.Random(9)
+        verdicts = set()
+        for k in range(60):
+            bound = (4, 6, 12, 40)[k % 4]
+            cells = rng.sample(range((2 * bound + 1) ** 2), 16)
+            rows = [(c % (2 * bound + 1) - bound, c // (2 * bound + 1) - bound, "BR"[i % 2])
+                    for i, c in enumerate(cells)]
+            inst = make_instance(rows)
+            clean = inst.sweep_order is not None
+            verdicts.add(clean)
+            assert clean == oracle_general_position(inst).clean
+            if clean:
+                seq = build_from_points(inst)
+                assert (seq.pi0, seq.word) == oracle_sweep(inst)
+        assert verdicts == {True, False} and len(blocks) >= 60
+
+    def test_exact_sort_on_python_ints_just_under_the_gate(self, monkeypatch):
+        # Shuffled float keys (through a proxy for the sweep's numpy) send
+        # every int64 sweep to the Fraction sort. Its keys must be made of
+        # Python ints: int64 cross-multiplications would wrap past 2^63.
+        rng = random.Random(57)
+        sets = [[(rng.randint(-2**57, 2**57), rng.randint(-2**57, 2**57), "BR"[i % 2]) for i in range(n)]
+                for n in (16, 20, 24)]
+        insts = [make_instance(rows) for rows in sets]
+        expected = [oracle_sweep(inst) for inst in insts]
+
+        class ShuffledKeys:
+            rng = np.random.default_rng(0)
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def arctan2(self, y, x):
+                return self.rng.permutation(np.arctan2(y, x))
+
+        monkeypatch.setattr(geometry_mod, "np", ShuffledKeys())
+        blocks = limb_spy(monkeypatch)
+        made = counting_fractions(monkeypatch)
+        for inst, want in zip(insts, expected):
+            before = len(made)
+            seq = build_from_points(inst)
+            assert (seq.pi0, seq.word) == want and len(made) > before
+        assert len(blocks) == 6 and all(type(a) is int for args in made for a in args)
+
+
 class TestFullWord:
     @pytest.mark.parametrize("make", [
         lambda: build_from_points(random_instance(5, 3, 10**6, seed=4)),

@@ -14,7 +14,7 @@ from enum import Enum
 from itertools import compress, count
 
 from . import _kernels
-from .geometry import Color, Instance, halfplane_weights
+from .geometry import Color, Instance, halfplane_weights, sweep_around
 from .sequence import AllowableSequence, build_from_points
 
 
@@ -51,14 +51,15 @@ class BalancedWitness:
 def enumerate_balanced_lines(inst: Instance) -> set[BalancedWitness]:
     """All bichromatic pairs whose open halfplanes both have weight delta.
 
-    One ``halfplane_weights`` call per pair, each O(1) after one O(n log n)
-    angular sweep around its red point: O(r n log n + b r), at most
-    O(n^2 log n), in all.
+    One batch sweep around every red point (an O(r n log n) numpy presort and
+    O(r n) exact Python work), then an O(1) ``halfplane_weights`` call per
+    pair: O(r n log n + b r), at most O(n^2 log n), in all.
     """
     delta = inst.delta
     out = set()
     blues = [i for i in range(inst.n) if inst.color_of(i) is Color.BLUE]
     reds = [i for i in range(inst.n) if inst.color_of(i) is Color.RED]
+    sweep_around(inst, reds)
     for bi in blues:
         for ri in reds:
             if halfplane_weights(inst, bi, ri) == (delta, delta):

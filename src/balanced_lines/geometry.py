@@ -85,7 +85,7 @@ class Instance:
         sign = -1 if self.swapped else 1
         self._weights = [sign if p.color is Color.BLUE else -sign for p in pts]
         self._weight_sum = sum(self._weights)
-        # Centre j -> left weight of line j->k for every k (``_left_weights``).
+        # Centre j -> left weight of line j->k for every k (filled by ``sweep_around``).
         self._lefts: dict[int, list[int | None]] = {}
 
     @property
@@ -374,24 +374,37 @@ def perturb(inst: Instance, seed: int) -> Instance:
     raise FailsToSeparateError("could not clear degeneracies in 64 rounds")
 
 
-def _left_weights(coords, ws, i: int) -> list[int | None]:
-    """Weight strictly left of the directed line i->j, for every j, by one angular sweep.
+def _left_weights(coords, ws, centres) -> list[list[int | None]]:
+    """Weight strictly left of the directed line i->j, for every centre i and every j.
 
-    Entry j is None when a third point lies on line(i, j); entry i is unused.
-    Each direction p_k - p_i is folded into the upper half-plane (angles in
-    [0, pi)) with a sign s; k is left of i->j exactly when it has j's sign and
-    a larger folded angle, or the other sign and a smaller one. Float angles
-    only presort; exact cross products confirm the order or replace it.
-    O(n log n).
+    One row per centre. Entry j is None when a third point lies on line(i, j);
+    entry i is unused. Each direction p_k - p_i is folded into the upper
+    half-plane (angles in [0, pi)) with a sign s; k is left of i->j exactly
+    when it has j's sign and a larger folded angle, or the other sign and a
+    smaller one. One numpy float presort orders every row at once, O(r n log n)
+    for r centres; exact cross products confirm each row's order, O(n), or replace it.
     """
+    try:
+        pts = np.array(coords, dtype=float)
+        with np.errstate(over="ignore"):  # an infinite difference only presorts
+            d = pts - pts[centres, None]
+        orders = (np.arctan2(d[..., 1], d[..., 0]) % np.pi).argsort(axis=1).tolist()
+    except OverflowError:  # past float range the exact check decides alone
+        orders = [range(len(coords))] * len(centres)
+    return [_left_row(coords, ws, i, order) for i, order in zip(centres, orders)]
+
+
+def _left_row(coords, ws, i: int, order) -> list[int | None]:
+    """Centre i's row of ``_left_weights``, its folded directions presorted by ``order``."""
     n = len(coords)
     if n > 2 and coords.count(coords[i]) > 1:
         return [None] * n  # a point on p_i lies on every line through it
     xi, yi = coords[i]
     folded = []
     up = 0  # weight of the kept directions (s = +1, stored as 0); the flipped ones weigh down
-    for k, (x, y) in enumerate(coords):
+    for k in order:
         if k != i:
+            x, y = coords[k]
             dx, dy = x - xi, y - yi
             if dy > 0 or (dy == 0 and dx > 0):
                 folded.append((dx, dy, 0, k))
@@ -399,10 +412,6 @@ def _left_weights(coords, ws, i: int) -> list[int | None]:
             else:
                 folded.append((-dx, -dy, 1, k))
     down = sum(ws) - ws[i] - up
-    try:
-        folded.sort(key=lambda f: math.atan2(f[1], f[0]))
-    except OverflowError:  # past float range the exact check below decides alone
-        pass
     while True:
         # d is the kept weight minus the flipped weight so far, k included, so
         # left(i->k) is up - d for a kept k and down + d for a flipped one.
@@ -429,22 +438,27 @@ def _left_weights(coords, ws, i: int) -> list[int | None]:
         folded.sort(key=cmp_to_key(lambda a, b: a[1] * b[0] - a[0] * b[1]))
 
 
+def sweep_around(inst: Instance, centres: Sequence[int]) -> None:
+    """Memoise on inst the angular sweep around every given centre not swept yet, presorted in one batch."""
+    if todo := [j for j in centres if j not in inst._lefts]:  # an empty batch would still pay the presort
+        inst._lefts.update(zip(todo, _left_weights(inst.scaled_coords(), inst._weights, todo)))
+
+
 def halfplane_weights(inst: Instance, i: int, j: int) -> tuple[int, int]:
     """Weight sums on the two open halfplanes of line(i, j).
 
     Left is the side with positive orientation. Raises CollinearWitnessError
     if a third point sits on the line. The right side of line(i, j) is the
-    left side of line(j, i), read off one angular sweep around j: the first
-    call for a given j costs O(n log n) and is memoised on the instance, later
-    ones are O(1). So a loop over (majority, minority) pairs sweeps around
-    each minority point once.
+    left side of line(j, i), read off the angular sweep around j that
+    ``sweep_around`` memoises on the instance: O(n log n) for a j not swept
+    yet, O(1) after. A loop over (majority, minority) pairs first sweeps
+    around every minority point in one batch.
     """
     if i == j:
         raise ValueError("spanning pair must be two distinct points")
-    lefts = inst._lefts.get(j)
-    if lefts is None:
-        lefts = inst._lefts[j] = _left_weights(inst.scaled_coords(), inst._weights, j)
-    right = lefts[i]
+    if j not in inst._lefts:
+        sweep_around(inst, [j])
+    right = inst._lefts[j][i]
     if right is None:
         coords = inst.scaled_coords()
         (xi, yi), (xj, yj) = coords[i], coords[j]
@@ -481,7 +495,13 @@ def instance_from_json(text: str) -> Instance:
                 raise TypeError(f"point {k} has no {missing[0]!r}")
             if type(p["id"]) is not int:  # not truncated, parsed or read off a boolean
                 raise TypeError(f"point ids must be integers, got {p['id']!r}")
-        pts = [ChromaticPoint(p["id"], p["x"], p["y"], Color(p["color"])) for p in points]
+        pts = []
+        for k, p in enumerate(points):
+            try:
+                color = Color(p["color"])
+            except ValueError:  # this field's alone: a bad coordinate keeps its own message
+                raise TypeError(f"point {k} has color {p['color']!r}, not 'B' or 'R'") from None
+            pts.append(ChromaticPoint(p["id"], p["x"], p["y"], color))
     except (TypeError, ZeroDivisionError) as exc:
         raise BadParamsError(f"bad point in instance JSON: {exc}") from exc
     return Instance(pts)

@@ -6,17 +6,22 @@ Recomputes, through the same builders as the golden scripts, the sha256 of
 the certificate JSON of two Case-2 point sets, n = 500 and n = 1000 (b:r =
 3:1, seed 1, ``random_instance(b, r, 10**6, seed)``), and the sequence-text
 and scan-JSON sha256s of the n = 500 set, and compares each with its full
-digest below, recorded at commit b2d983e. Prints one line per digest and
-exits 1 if any differs. It takes about half a minute, most of it the n = 1000
-``certify``.
+digest below, recorded at commit b2d983e. It also hashes the n = 500 set's
+``lines`` JSON (``witnesses_to_json`` of ``enumerate_balanced_lines``) and
+compares it with the same scan digest: the two enumerators agree byte for
+byte. Prints one line per digest and exits 1 if any differs. It takes about
+half a minute, most of it the n = 1000 ``certify``.
 """
 from __future__ import annotations
 
+import hashlib
 import sys
 import time
 
 from make_certificates import certificate_sha256
-from make_sweeps import digests
+from make_sweeps import digests, instance
+
+from balanced_lines import enumerate_balanced_lines, witnesses_to_json
 
 CERTIFICATES = [  # (entry, certificate-JSON sha256)
     ({"kind": "points", "blue": 375, "red": 125, "seed": 1},
@@ -32,10 +37,18 @@ SWEEPS = [  # (entry, make_sweeps digests)
 ]
 
 
+def lines_sha256(entry) -> str:
+    """sha256 of the entry's ``lines`` JSON, which must equal its scan JSON."""
+    inst = instance(entry)
+    return hashlib.sha256(witnesses_to_json(enumerate_balanced_lines(inst), inst.delta).encode()).hexdigest()
+
+
 def main() -> int:
     checks = [(f"certify {e}", lambda e=e: {"certificate_sha256": certificate_sha256(e)},
                {"certificate_sha256": want}) for e, want in CERTIFICATES]
     checks += [(f"scan {e}", lambda e=e: digests(e), want) for e, want in SWEEPS]
+    checks += [(f"lines {e}", lambda e=e: {"scan_sha256": lines_sha256(e)},
+                {"scan_sha256": want["scan_sha256"]}) for e, want in SWEEPS]
     failed = 0
     for label, compute, want in checks:
         start = time.perf_counter()

@@ -271,6 +271,17 @@ class TestPipelines:
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("index, color", [(0, "G"), (1, "b"), (1, None), (0, ["B"])])
+    def test_unknown_color_exit_2(self, capsys, tmp_path, index, color):
+        # Named by point and value, under the same prefix as every other bad point.
+        points = [dict(POINT0), dict(POINT1)]
+        points[index]["color"] = color
+        path = tmp_path / "color.json"
+        path.write_text(json.dumps({"points": points}))
+        code, out, err = run(capsys, "lines", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: bad point in instance JSON: point {index} has color {color!r}, not 'B' or 'R'\n"
+
 
 class TestFuzzCommand:
     def test_clean_run(self, capsys):

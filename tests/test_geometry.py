@@ -2,13 +2,16 @@ import itertools
 import json
 import math
 import random
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import balanced_lines.geometry as geometry_mod
+from balanced_lines.balance import enumerate_balanced_lines
 from balanced_lines.errors import BadParamsError, CollinearWitnessError, FailsToSeparateError, ParityError
 from balanced_lines.geometry import (
     ChromaticPoint,
@@ -379,6 +382,117 @@ class TestHalfplaneWeights:
                 left, right = halfplane_weights(inst, i, j)
                 assert left + right == total - inst.weight(i) - inst.weight(j)
                 assert (left, right) == oracle_halfplane(inst, i, j)
+
+
+def _oracle_left_row(coords, ws, i):
+    """Left weight of line i->j for every j from every cross product; None on a collinear third point."""
+    (xi, yi), row = coords[i], [None] * len(coords)
+    for j, (xj, yj) in enumerate(coords):
+        crosses = {k: (xj - xi) * (y - yi) - (yj - yi) * (x - xi)
+                   for k, (x, y) in enumerate(coords) if k not in (i, j)}
+        if j != i and 0 not in crosses.values():
+            row[j] = sum(ws[k] for k, c in crosses.items() if c > 0)
+    return row
+
+
+def _assert_batch_rows_match(inst):
+    """The batch sweep around every point equals its one-centre sweeps and the oracle's rows."""
+    coords, ws = inst.scaled_coords(), inst._weights
+    every = list(range(inst.n))
+    batch = geometry_mod._left_weights(coords, ws, every)
+    assert batch == [geometry_mod._left_weights(coords, ws, [i])[0] for i in every]
+    assert batch == [_oracle_left_row(coords, ws, i) for i in every]
+    # A subset of the centres, in another order, gets the same rows.
+    odd = every[1::2][::-1]
+    assert geometry_mod._left_weights(coords, ws, odd) == [batch[i] for i in odd]
+    return batch
+
+
+class TestBatchSweep:
+    def test_random_sets(self):
+        for seed in range(6):
+            _assert_batch_rows_match(random_instance(7, 5, 10**6, seed=seed))
+            _assert_batch_rows_match(random_instance(4, 4, 20, seed=seed))
+        rng = random.Random(29)
+        for _ in range(200):  # small grids: collinear, parallel and coincident points
+            _assert_batch_rows_match(small_grid_instance(rng))
+
+    def test_float_ties_and_fold_boundary(self):
+        e = 10**17
+        _assert_batch_rows_match(make_instance([(0, 0, "B"), (e, 1, "R"), (e + 1, 1, "B"),
+                                                (-e - 2, -1, "R"), (5, -7, "R"), (-2, 9, "B")]))
+        _assert_batch_rows_match(make_instance([(0, 0, "B"), (5, 0, "R"), (1, 3, "R"), (-2, 3, "B"),
+                                                (5, -4, "B"), (0, 7, "R")]))
+        _assert_batch_rows_match(make_instance([(0, 0, "B"), (5, 0, "R"), (-3, 0, "R"), (0, 4, "B"),
+                                                (0, -6, "R"), (2, 9, "B")]))
+
+    def test_coincident_centre_gives_an_all_none_row(self):
+        inst = make_instance([(0, 0, "B"), (5, 1, "R"), (0, 0, "B"), (2, 7, "R")])
+        batch = _assert_batch_rows_match(inst)
+        assert batch[0] == batch[2] == [None] * 4
+        two = _assert_batch_rows_match(make_instance([(3, 4, "B"), (3, 4, "R")]))
+        assert two == [[None, 0], [0, None]]
+
+    def test_past_float_range(self):
+        big = 10**400
+        for seed in range(3):
+            inst = random_instance(5, 3, 50, seed=seed)
+            huge = make_instance([(big * p.x + p.y, big * p.y - p.x, p.color.value) for p in inst.points])
+            with pytest.raises(OverflowError):
+                np.array(huge.scaled_coords(), dtype=float)
+            _assert_batch_rows_match(huge)
+
+    def test_float_differences_past_float_range(self):
+        # Every coordinate converts to a float, but far corners differ by more
+        # than the largest float, so their differences overflow to inf, and
+        # near points differ by less than an ulp, so theirs round to zero:
+        # the float keys tie and misorder, and the exact pass must catch it.
+        far, rng = 17 * 10**307, random.Random(308)
+        inst = make_instance([(sx * far + rng.randint(-99, 99), sy * far + rng.randint(-99, 99), "BR"[k % 2])
+                              for k, (sx, sy) in enumerate([(1, 1), (-1, -1), (1, -1), (-1, 1)] * 2)])
+        pts = np.array(inst.scaled_coords(), dtype=float)
+        with np.errstate(over="ignore"):
+            d = pts - pts[:, None]
+        assert np.isinf(d).any() and (d == 0).all(axis=2).sum() > inst.n
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the presort's overflow stays silent
+            _assert_batch_rows_match(inst)
+
+    def test_no_centres_and_no_reds(self):
+        inst = random_instance(3, 3, 10**6, seed=1)
+        assert geometry_mod._left_weights(inst.scaled_coords(), inst._weights, []) == []
+        geometry_mod.sweep_around(inst, [])
+        assert inst._lefts == {}
+        geometry_mod.sweep_around(inst, [1, 4])
+        row = inst._lefts[1]
+        geometry_mod.sweep_around(inst, [4, 1, 0])  # only centre 0 is new
+        assert inst._lefts[1] is row and sorted(inst._lefts) == [0, 1, 4]
+        blue = make_instance([(0, 0, "B"), (4, 1, "B"), (1, 5, "B"), (-3, 2, "B")])
+        assert blue.r == 0 and enumerate_balanced_lines(blue) == set()
+        assert blue._lefts == {}
+
+    def test_degenerate_sets_raise_for_the_first_pair(self):
+        # enumerate_balanced_lines names the first (blue, red) pair in
+        # blue-major order that has a third point on its line, and that
+        # line's smallest third point; a set without one enumerates as the oracle does.
+        rng = random.Random(2029)
+        raised = 0
+        for _ in range(300):
+            inst = small_grid_instance(rng)
+            blues = [i for i in range(inst.n) if inst.color_of(i) is Color.BLUE]
+            reds = [i for i in range(inst.n) if inst.color_of(i) is Color.RED]
+            first = next((w for b in blues for r in reds
+                          if isinstance(w := _oracle_or_witness(inst, b, r), str)), None)
+            if first is None:
+                pairs = {w.pair for w in enumerate_balanced_lines(inst)}
+                assert pairs == {tuple(sorted((b, r))) for b in blues for r in reds
+                                 if oracle_halfplane(inst, b, r) == (inst.delta, inst.delta)}
+                continue
+            with pytest.raises(CollinearWitnessError) as exc:
+                enumerate_balanced_lines(inst)
+            assert str(exc.value) == first
+            raised += 1
+        assert raised >= 50
 
 
 class TestJsonRoundTrip:

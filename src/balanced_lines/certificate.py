@@ -86,9 +86,9 @@ class _Certifier:
       ``swap(t, member, members)`` sees it from the one member it moves.
     - ``rows(border)``: a border's change rows, walked unless it is
       ``kept``: the last border asked for, or made by ``keep``, which builds
-      a ``Border`` from rows. A border from outside enters here, and must
-      hold the threshold side, lie left of its mirror and be weakly
-      continuous, or the call raises ``BadParamsError``.
+      a ``Border`` from rows. A border from outside enters here; the call
+      raises ``BadParamsError`` on the first rule ``_border_problem`` finds
+      broken, testing weak continuity into each of its element changes.
     """
 
     def __init__(self, seq: AllowableSequence):
@@ -161,13 +161,9 @@ class _Certifier:
             word, *swaps = self.steps
             pos, wt = _kernels.element_walk(seq.pi0, word, seq.weights, border.elements, swaps)
             rows = _change_rows(np.stack((np.arange(seq.period), border.elements, wt, pos), 1))
-            if not (c.weight * (rows[:, 2] - seq.delta) >= 0).all():
-                raise BadParamsError("border leaves the threshold side")
-            if not _left_of_mirror(seq, rows):
-                raise BadParamsError("border is not left of its mirror")
-            changes = rows[rows[:, 1] != np.roll(rows[:, 1], 1), 0]  # cyclically
-            if not all(_seam(self, c, rows, t) for t in ((changes - 1) % seq.period).tolist()):
-                raise BadParamsError("border is not weakly continuous")
+            entries = rows[rows[:, 1] != np.roll(rows[:, 1], 1), 0]  # element changes, cyclically
+            if problem := _border_problem(self, c, rows, entries):
+                raise BadParamsError(f"border {problem}")
             self.kept = border, rows
         return self.kept[1]
 
@@ -227,11 +223,6 @@ def _mirror_on_grid(seq: AllowableSequence, rows: np.ndarray, times) -> np.ndarr
     return seq.n - 1 - on_grid(rows, (np.asarray(times) + seq.half_period) % seq.period, 3)
 
 
-def _left_of_mirror(seq: AllowableSequence, rows: np.ndarray) -> bool:
-    """Mirror order, pos(t) < n - 1 - pos(t + N), read at the rows' times: it is N-periodic."""
-    return bool((rows[:, 3] < _mirror_on_grid(seq, rows, rows[:, 0])).all())
-
-
 def _seam(s: _Certifier, c: Color, rows: np.ndarray, t: int) -> bool:
     """Weak continuity of a color-c border's rows across the step from t to u = t + 1.
 
@@ -245,6 +236,23 @@ def _seam(s: _Certifier, c: Color, rows: np.ndarray, t: int) -> bool:
     lo, hi, _ = s.step(t)
     moved = (e == lo and seq.colors[hi] is c) - (e == hi and seq.colors[lo] is c)
     return abs((qu + c.weight * wu) // 2 - (qt + c.weight * wt) // 2 - moved) <= 1
+
+
+def _border_problem(s: _Certifier, c: Color, rows: np.ndarray, entries) -> str | None:
+    """The first rule a color-c border's rows break, or None: the generator's one statement of them.
+
+    Mirror order, pos(t) < n - 1 - pos(t + N), is read at the rows' times
+    (it is N-periodic), and weak continuity (``_seam``) on the step into
+    each time in ``entries``. Repeated rows change no verdict.
+    """
+    seq = s.seq
+    if not (c.weight * (rows[:, 2] - seq.delta) >= 0).all():
+        return "leaves the threshold side"
+    if not (rows[:, 3] < _mirror_on_grid(seq, rows, rows[:, 0])).all():
+        return "is not left of its mirror"
+    if not all(_seam(s, c, rows, t) for t in ((entries - 1) % seq.period).tolist()):
+        return "is not weakly continuous"
+    return None
 
 
 def _nearest_left_curve(s: _Certifier, trk: WeightTrack, want: Color):
@@ -567,22 +575,14 @@ def _splice(s: _Certifier, c: Color, rows: np.ndarray, run: np.ndarray, cand: np
     cyclic run of them, in cyclic order. The border must be valid and the
     candidate a rank curve of a subset of color c (or the run one row long).
     Then within the run consecutive elements are equal or adjacent, so weak
-    continuity can fail only at the run's two seams. Returns the rows, or
-    None where ``check_border`` would report a problem.
+    continuity can fail only at its two ends, none for a whole period. Returns
+    the change rows, or None where ``check_border`` would report a problem.
     """
-    seq = s.seq
-    if not (c.weight * (cand[run, 2] - seq.delta) >= 0).all():
-        return None
     new = on_grid(rows, cand[:, 0])
     new[:, 0] = cand[:, 0]
     new[run] = cand[run]
-    new = _change_rows(new)
-    if not _left_of_mirror(seq, new):
-        return None
-    seams = (cand[[run[0], (run[-1] + 1) % len(cand)], 0] - 1) % seq.period  # into and out of the run
-    if len(run) < len(cand) and not all(_seam(s, c, new, t) for t in seams.tolist()):
-        return None
-    return new
+    ends = [run[0], (run[-1] + 1) % len(cand)] if len(run) < len(cand) else []
+    return None if _border_problem(s, c, new, cand[ends, 0]) else _change_rows(new)
 
 
 def _improve_once(s: _Certifier, c: Color, rows: np.ndarray):
@@ -620,10 +620,10 @@ def maximize_border(seq: AllowableSequence, start: Border) -> Border:
     """Iterate the improvement devices to a fixed point.
 
     Rounds hand the border on as change rows, starting from the session's (the
-    seed's own, or one ``element_walk`` for a border from outside). The
-    ``Border`` is built on return, and the session keeps its rows for the
-    F/G/H scan. Each round raises the border's total position, so the loop
-    ends within n * 2N rounds; the round limit guards that.
+    seed's own, or one ``element_walk`` for a border from outside, held to a
+    splice's rules, ``_border_problem``). The ``Border`` is built on return,
+    and the session keeps its rows for the F/G/H scan. Each round raises the
+    total position, so the loop ends within n * 2N rounds; the limit guards it.
     """
     s = _session(seq)
     color, rows = start.color, s.rows(start)

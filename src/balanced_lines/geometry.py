@@ -324,7 +324,8 @@ def _exact_sweep(n: int, coords):
     uo, vo = np.array(uo, dtype=dtype), np.array(vo, dtype=dtype)
     try:
         uf, vf = uo.astype(float), vo.astype(float)
-        order = np.arctan2(uf[qq] - uf[pp], vf[qq] - vf[pp]).argsort()
+        with np.errstate(over="ignore"):  # an infinite difference only presorts
+            order = np.arctan2(uf[qq] - uf[pp], vf[qq] - vf[pp]).argsort()
     except OverflowError:  # past float range the exact sort below decides alone
         order = np.arange(len(pp))
     pp, qq = pp[order], qq[order]

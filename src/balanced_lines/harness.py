@@ -125,23 +125,17 @@ class FuzzReport:
 
 def _run_trial(config: FuzzConfig, index: int) -> list[FuzzFailure]:
     rng = random.Random(f"fuzz:{config.seed}:{index}")
-    inst = None
+    inst = seq = None
     if config.mode is FuzzMode.POINTS:
         n = rng.randrange(config.n_min, config.n_max + 1, 2)
         r = rng.randint(0, n // 2)
         inst = random_instance(n - r, r, 50, seed=rng.getrandbits(48))
-        seq = None
-        repro = instance_to_json(inst)
     elif config.mode is FuzzMode.SEPARATED:
-        k = rng.randint(max(1, config.n_min // 2), config.n_max // 2)
-        inst = separated_instance(k)
-        seq = None
-        repro = instance_to_json(inst)
+        inst = separated_instance(rng.randint(max(1, config.n_min // 2), config.n_max // 2))
     else:
         n = rng.randrange(config.n_min, config.n_max + 1, 2)
         blue = rng.randint((n + 1) // 2, n)
         seq = random_sequence(n, blue, seed=rng.getrandbits(48))
-        repro = sequence_to_text(seq)
 
     # Build the sequence and enumerate the lines at most once per trial.
     checks = config.checks
@@ -152,38 +146,33 @@ def _run_trial(config: FuzzConfig, index: int) -> list[FuzzFailure]:
         if checks & {Check.CORRESPONDENCE, Check.THEOREM}:
             geometric = enumerate_balanced_lines(inst)
 
-    failures = []
+    failed = []  # (check, message)
     if Check.CORRESPONDENCE in checks and inst is not None:
         report = check_correspondence(inst, seq, geometric)
         if not report.equal:
-            failures.append(FuzzFailure(
-                index, Check.CORRESPONDENCE.value,
-                f"geometric {sorted(w.pair for w in report.geometric)} != "
-                f"scan {sorted(w.pair for w in report.scan)}", repro))
+            failed.append((Check.CORRESPONDENCE, f"geometric {sorted(w.pair for w in report.geometric)} != "
+                                                 f"scan {sorted(w.pair for w in report.scan)}"))
     if Check.THEOREM in checks:
         if inst is not None:
             count, floor = len(geometric), inst.r
         else:
             count, floor = len(scan_balanced_transpositions(seq)), seq.r
         if count < floor:
-            failures.append(FuzzFailure(
-                index, Check.THEOREM.value, f"{count} balanced < r = {floor}", repro))
+            failed.append((Check.THEOREM, f"{count} balanced < r = {floor}"))
     if Check.CERTIFICATE in checks:
         try:
             cert = certify(seq)
             result = verify_certificate(seq, cert)
             if not result.ok:
-                failures.append(FuzzFailure(
-                    index, Check.CERTIFICATE.value,
-                    "; ".join(result.diagnostics), repro))
+                failed.append((Check.CERTIFICATE, "; ".join(result.diagnostics)))
             elif len(cert.witnesses) < seq.r:
-                failures.append(FuzzFailure(
-                    index, Check.CERTIFICATE.value,
-                    f"certificate has {len(cert.witnesses)} < r = {seq.r}", repro))
+                failed.append((Check.CERTIFICATE, f"certificate has {len(cert.witnesses)} < r = {seq.r}"))
         except Exception as exc:  # noqa: BLE001 - failures are data, not crashes
-            failures.append(FuzzFailure(
-                index, Check.CERTIFICATE.value, f"{type(exc).__name__}: {exc}", repro))
-    return failures
+            failed.append((Check.CERTIFICATE, f"{type(exc).__name__}: {exc}"))
+    if not failed:
+        return []
+    repro = sequence_to_text(seq) if inst is None else instance_to_json(inst)
+    return [FuzzFailure(index, check.value, message, repro) for check, message in failed]
 
 
 def fuzz(config: FuzzConfig) -> FuzzReport:

@@ -23,6 +23,13 @@ def make_instance(rows):
     )
 
 
+def far_corner_rows():
+    """8 points in general position, each coordinate a float but the corners' differences past float range."""
+    c = 17 * 10**307
+    pts = [(-c, -c), (c, -c + 1), (c - 3, c), (-c + 5, c - 2), (1, 2), (3, -7), (-11, 5), (13, 17)]
+    return [(x, y, "BR"[k % 2]) for k, (x, y) in enumerate(pts)]
+
+
 @pytest.fixture
 def t1():
     return make_instance([(0, 0, "B"), (1, 1, "R")])

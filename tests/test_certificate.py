@@ -344,6 +344,19 @@ class TestBorders:
         with pytest.raises(BadParamsError, match=f"^{message}$"):
             step(seq, borders[defect])
 
+    @pytest.mark.parametrize("step", [maximize_border, case2_certificate, partition_fgh],
+                             ids=lambda f: f.__name__)
+    def test_border_from_outside_is_continuous_across_the_wrap(self, step):
+        # Overwriting time 0 of a certified border breaks weak continuity
+        # only on the step from 2N - 1 into time 0: the seam test is cyclic.
+        seq = build_from_points(random_instance(36, 12, 10**6, seed=11))
+        border = certify(seq).border
+        bad = Border(border.color, (5,) + border.elements[1:])
+        assert border.color is seq.colors[5] is Color.RED
+        assert check_border(seq, bad) == [f"WEAK_CONTINUITY t={seq.period - 1}"] == ["WEAK_CONTINUITY t=2255"]
+        with pytest.raises(BadParamsError, match="^border is not weakly continuous$"):
+            step(seq, bad)
+
     def test_problems_match_replay_oracle(self, t_red_border, t_blue_border):
         seen = set()
         for inst in (t_red_border, t_blue_border):

@@ -1,9 +1,12 @@
 import json
+import warnings
 
 import pytest
 
 from balanced_lines.cli import main
 from balanced_lines.errors import ProofGapError
+
+from conftest import far_corner_rows
 
 
 POINT0 = {"id": 0, "x": "0", "y": "0", "color": "B"}
@@ -68,6 +71,18 @@ class TestPipelines:
     def test_validate_clean(self, capsys, instance_file):
         code, out, _ = run(capsys, "validate", instance_file)
         assert code == 0 and json.loads(out)["clean"]
+
+    @pytest.mark.parametrize("command", ["validate", "scan"])
+    def test_float_range_corners_print_no_warning(self, capsys, tmp_path, command):
+        # The sweep's float presort overflows on these corners' differences;
+        # nothing of it reaches stderr.
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({"points": [{"id": k, "x": str(x), "y": str(y), "color": c}
+                                               for k, (x, y, c) in enumerate(far_corner_rows())]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, command, str(path))
+        assert (code, err) == (0, "") and json.loads(out)
 
     def test_validate_dirty_exit_1(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -25,8 +25,9 @@ from balanced_lines.geometry import (
     validate_general_position,
 )
 from balanced_lines.harness import random_instance
+from balanced_lines.sequence import build_from_points
 
-from conftest import make_instance, oracle_general_position, oracle_halfplane
+from conftest import far_corner_rows, make_instance, oracle_general_position, oracle_halfplane
 
 
 def pt(x, y, c="B", i=0):
@@ -131,6 +132,17 @@ class TestValidation:
         ])
         report = validate_general_position(inst)
         assert (0, 1, 2) in report.collinear_triples
+
+    def test_float_differences_past_float_range_stay_silent(self):
+        # Each coordinate is a float, but the far corners' differences
+        # overflow the sweep's float presort; the exact test decides alone.
+        rows = far_corner_rows()
+        assert max(abs(x) for x, _, _ in rows) < float(np.finfo(float).max) < rows[1][0] - rows[0][0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert validate_general_position(make_instance(rows)).clean
+            seq = build_from_points(make_instance(rows))
+        assert seq.n == 8 and len(seq.word) == 28
 
 
 def small_grid_instance(rng):

@@ -6,19 +6,22 @@ left prefix weight. ``sequence.step_table`` mirrors the half word and one
 run over it into a period's ``word``, ``lo``, ``hi`` and ``lw``, which the
 other readers of steps take: a step at position p with left element a,
 right element b and prefix weight lw moves a to p + 1, at prefix weight
-lw + w(b), and b to p, at lw. ``track_rank`` logs only each rank's
-change points, so a subset's tracks cost one pass and a track is O(changes),
-not O(2N); ``element_walk`` gives a border from outside rows in the same
-format. ``events_to_word`` turns the sweep's swap events into the word.
-There is one backend, plain Python: kernels take plain sequences (indexing
+lw + w(b), and b to p, at lw. ``track_rank`` turns those moves into each
+rank's change rows on whole arrays, so a track is O(changes), not O(2N);
+``element_walk`` gives a border from outside rows in the same format.
+``events_to_word`` turns the sweep's swap events into the word.
+``track_rank`` is numpy over the step table's columns, lists or arrays.
+The other kernels are plain Python: they take plain sequences (indexing
 numpy scalars costs several times more; ``events_to_word`` takes any
-iterables) and return lists. Every kernel has a caller in the package; the
-from-scratch references they are tested against are ``permutation_at`` and
-``transposition_at`` in ``sequence``.
+iterables) and return lists. Every kernel has a caller in the package;
+the from-scratch references they are tested against are ``permutation_at``
+and ``transposition_at`` in ``sequence``.
 """
 from __future__ import annotations
 
-from itertools import accumulate, count
+from itertools import accumulate
+
+import numpy as np
 
 
 def run_word(pi0, word, weights):
@@ -44,37 +47,56 @@ def run_word(pi0, word, weights):
 
 
 def track_rank(pi0, word, weights, member, steps):
-    """Follow every rank of a subset through a word in one pass over its step table.
+    """Follow every rank of a subset through a word, off its step table.
 
     ``steps`` is the step table's ``(lo, hi, lw)`` for the word, and
     ``member`` flags the subset's elements. An adjacent swap moves at
     most two rank curves: both ranks when both swapped elements are members,
-    otherwise the one member that moved. Returns one list per rank, left to
-    right at time 0, of its change points as ``(time, element, prefix weight,
-    position)`` rows; the first row is at time 0 and each holds until the next.
+    otherwise the one member that moved. A member's rank after a step is its
+    rank at time 0 plus the running sum of its shifts, per element. Returns
+    one int64 array per rank, left to right at time 0, of its change points
+    as ``(time, element, prefix weight, position)`` rows; the first row is
+    at time 0 and each holds until the next.
     """
-    rank = [-1] * len(pi0)  # member element -> its 0-based rank, left to right
-    logs = []
-    w = 0
-    for q, v in enumerate(pi0):
-        if member[v]:
-            rank[v] = len(logs)
-            logs.append([(0, v, w, q)])
-        w += weights[v]
-    for t, p, a, b, w in zip(count(1), word, *steps):
-        ka = rank[a]
-        kb = rank[b]
-        if ka >= 0:
-            if kb >= 0:  # both members: the two ranks trade elements
-                rank[a] = kb
-                rank[b] = ka
-                logs[ka].append((t, b, w, p))
-                logs[kb].append((t, a, w + weights[b], p + 1))
-            else:
-                logs[ka].append((t, a, w + weights[b], p + 1))
-        elif kb >= 0:
-            logs[kb].append((t, b, w, p))
-    return logs
+    member = np.asarray(member, bool)
+    weights = np.asarray(weights)
+    pi0 = np.asarray(pi0)
+    lo, hi, lw = (np.asarray(col) for col in steps)
+    q = np.flatnonzero(member[pi0])
+    t = np.flatnonzero(member[lo] | member[hi])  # the steps that move a member
+    # One int32 row (time, element, prefix weight, position, shift), built in
+    # place, per member at time 0, left to right, then two per step in t, the
+    # left element's and the right one's (int32 holds any time of a word under
+    # 2^31 steps, far past any step table that fits in memory). A row's shift
+    # is what its step adds to its element's rank: +1 for passing a member
+    # rightward, -1 leftward and 0 past a non-member; a time-0 row's is its rank.
+    rows = np.empty((len(q) + 2 * len(t), 5), np.int32)
+    pre = np.cumsum(weights[pi0]) - weights[pi0]
+    rows[: len(q)] = np.stack((np.zeros_like(q), pi0[q], pre[q], q, np.arange(len(q))), axis=1)
+    moved = rows[len(q) :].reshape(-1, 2, 5)  # per step: the left element's row, the right one's
+    moved[:, :, 0] = t[:, None] + 1
+    moved[:, 0, 1] = lo[t]
+    moved[:, 1, 1] = hi[t]
+    moved[:, 1, 2] = lw[t]
+    moved[:, 0, 2] = moved[:, 1, 2] + weights[moved[:, 1, 1]]
+    moved[:, 1, 3] = np.asarray(word)[t]
+    moved[:, 0, 3] = moved[:, 1, 3] + 1
+    inside = member[moved[:, :, 1]]
+    moved[:, :, 4] = inside[:, ::-1]  # the partner is a member
+    moved[:, 1, 4] *= -1
+    kept = np.concatenate((np.arange(len(q)), len(q) + np.flatnonzero(inside)))  # members' rows, by time
+    # Sorting on 8- or 16-bit keys makes numpy's stable sort a radix sort.
+    key = np.min_scalar_type(len(member))
+    order = np.argsort(rows[kept, 1].astype(key), kind="stable")  # by element, then time
+    by_element = kept[order]
+    shift = rows[by_element, 4]
+    total = np.cumsum(shift)
+    first = rows[by_element, 0] == 0  # each element's time-0 row leads its rows
+    rank = np.empty_like(total)
+    rank[order] = total - (total - shift)[first][np.cumsum(first) - 1]
+    rows = rows.take(kept[np.argsort(rank.astype(key), kind="stable")], axis=0)[:, :4].astype(np.int64)
+    starts = np.flatnonzero(rows[:, 0] == 0).tolist()
+    return [rows[i:j] for i, j in zip(starts, starts[1:] + [len(rows)])]
 
 
 def element_walk(pi0, word, weights, elems, steps):

@@ -21,8 +21,9 @@ it, and the Case-2 quotas are counts over it.
 One ``certify`` call runs in one ``_Certifier`` session, which validates the
 sequence and holds what its phases share: the step table
 (``sequence.step_table``, the call's one replay of a permutation and its
-only record of the period), the blue crossings, the rank tracks of the two
-subsets asked for last (Case 2 only) and the last border's change rows.
+only record of the period, and its numpy columns), the blue crossings, the
+rank tracks of the two subsets asked for last (Case 2 only), the
+candidates maximisation has retired and the last border's change rows.
 The public functions keep their signatures; called on their own, each makes
 a session of its own. A track is one int64 array of change rows (``curves.WeightTrack``),
 and a border from its seed to the F/G/H scan has the same rows, ``(time,
@@ -73,15 +74,20 @@ class _Certifier:
     - ``steps``: the step table, built on first use; every track,
       ``crossings`` and ``step(t)`` read it, and it is the fast path's only
       record of the period. It lives here, not on the sequence, so a caller
-      that keeps many sequences alive keeps no tables.
+      that keeps many sequences alive keeps no tables. ``columns`` is the
+      same table as numpy columns, made once, which ``track_rank`` reads.
     - ``crossings``: the blue ranks' threshold crossings, for the case
       split, Case 1 and the seed rank's test (``changing(k)``).
     - ``tracks(ids)``: a subset's rank tracks, read off the table: Case 2's
       only replay of a subset. It keeps the two subsets asked for last, as a
       maximisation round asks for its G, then the border color's family.
-    - ``family(color)``: ``tracks`` of a color's points: the blue family
+    - ``family(color)``: ``tracks`` of a color's points, ``ids[color]``
+      (one set per color, so the keys below share it): the blue family
       seeds the border, the border color's is the ALL subset of maximisation,
       and the other color's answers the nearest-left device by rank lookup.
+    - ``retired``: the ``(color, subset, rank)`` candidates maximisation
+      found nowhere strictly right of the border, which its rounds skip
+      (the lemma in ``maximize_border``'s docstring).
     - ``step(t)``: the swap from pi^t to pi^{t+1}, a row of the table;
       ``swap(t, member, members)`` sees it from the one member it moves.
     - ``rows(border)``: a border's change rows, walked unless it is
@@ -98,22 +104,28 @@ class _Certifier:
         self.seq = seq
         self._recent: dict[frozenset[int], list[WeightTrack]] = {}  # newest last
         self.kept: tuple[Border | None, np.ndarray | None] = (None, None)  # border, rows
+        self.retired: set[tuple[Color, frozenset[int], int]] = set()
+        self.ids = {c: frozenset(v for v, col in enumerate(seq.colors) if col is c) for c in Color}
 
     def family(self, color: Color) -> list[WeightTrack]:
-        return self.tracks(v for v, c in enumerate(self.seq.colors) if c is color)
+        return self.tracks(self.ids[color])
 
     def tracks(self, ids) -> list[WeightTrack]:
         key = frozenset(ids)
         got = self._recent.pop(key, None)
         self._recent = dict(list(self._recent.items())[-1:])  # the oldest goes before a replay
         if got is None:
-            got = track_all(self.seq, key, self.steps)
+            got = track_all(self.seq, key, self.columns)
         self._recent[key] = got
         return got
 
     @cached_property
     def steps(self) -> tuple[list[int], list[int], list[int], list[int]]:
         return step_table(self.seq)
+
+    @cached_property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return tuple(map(np.asarray, self.steps))
 
     @cached_property
     def crossings(self) -> dict[str, dict[int, int]]:
@@ -155,8 +167,7 @@ class _Certifier:
     def rows(self, border: Border) -> np.ndarray:
         if self.kept[0] is not border:
             seq, c = self.seq, border.color
-            same = {v for v, col in enumerate(seq.colors) if col is c}
-            if len(border.elements) != seq.period or not same.issuperset(border.elements):
+            if len(border.elements) != seq.period or not self.ids[c].issuperset(border.elements):
                 raise BadParamsError(f"a border needs 2N = {seq.period} elements, all {c.name.lower()}")
             word, *swaps = self.steps
             pos, wt = _kernels.element_walk(seq.pi0, word, seq.weights, border.elements, swaps)
@@ -260,8 +271,9 @@ def _nearest_left_curve(s: _Certifier, trk: WeightTrack, want: Color):
 
     An element at position q with prefix weight w has (q + w)/2 blue and
     (q - w)/2 red points on its left, so the nearest one of color ``want``
-    is the ``want`` family's rank curve of that count: a lookup per change
-    row of the curve, not a replay.
+    is the ``want`` family's rank curve of that count. Each change row of the
+    curve takes that rank's rows in force until the next: one search of the
+    family's rows, keyed by rank and time, and one gather, not a replay.
 
     Lemma. Let X be the rank-k curve of a set Q of points of color c, off
     the threshold side at every time, and Y its nearest-other-color-left
@@ -280,13 +292,20 @@ def _nearest_left_curve(s: _Certifier, trk: WeightTrack, want: Color):
     if not ks.all():
         t, _, _, q = rows[np.argmin(ks)].tolist()  # the first row with none
         raise ProofGapError(f"no {want.value} element left of position {q} at t={t}")
-    out, ends = [], np.append(rows[1:, 0], s.seq.period).tolist()
-    for t, end, k in zip(rows[:, 0].tolist(), ends, ks.tolist()):
-        near = family[k - 1].rows
-        i, j = np.searchsorted(near[:, 0], (t + 1, end))  # its rows in force over [t, end)
-        out.append(near[i - 1 : j].copy())
-        out[-1][0, 0] = t
-    return _change_rows(np.concatenate(out))
+    span = s.seq.period + 1
+    near = np.concatenate([curve.rows for curve in family])
+    key = np.concatenate([k * span + curve.rows[:, 0] for k, curve in enumerate(family)])
+    ends = np.append(rows[1:, 0], s.seq.period)
+    # Rank k's rows in force over [t, end): from the one in force at t to the last before end.
+    first, last = np.searchsorted(key, (ks - 1) * span + np.stack((rows[:, 0], ends - 1)), "right")
+    first -= 1
+    lens = last - first
+    at = np.cumsum(lens) - lens  # where each change row's run starts in the output
+    idx = np.ones(at[-1] + lens[-1], np.int64)  # the runs' indices, as steps from the last one
+    idx[at] = first - np.append(0, last[:-1] - 1)
+    out = near[np.cumsum(idx)]
+    out[at, 0] = rows[:, 0]
+    return _change_rows(out)
 
 
 def initial_border(seq: AllowableSequence, k: int) -> Border:
@@ -596,14 +615,19 @@ def _improve_once(s: _Certifier, c: Color, rows: np.ndarray):
     the curve); or, if 2k <= |Q| and the curve is off the threshold side and
     strictly right of the border throughout, take its
     nearest-opposite-color-left curve (the lemma of ``_nearest_left_curve``).
-    Either raises the total position.
+    Either raises the total position. A candidate nowhere strictly right of
+    the border is retired, and a retired one is skipped: while the color
+    holds, it stays so (``maximize_border``).
     """
     seq = s.seq
-    g_ids = _fgh(seq, c, rows)[1]
-    for tracks in (s.tracks(g_ids), s.family(c)):
+    g_ids = frozenset(_fgh(seq, c, rows)[1])
+    for ids, tracks in ((g_ids, s.tracks(g_ids)), (s.ids[c], s.family(c))):
         for k, trk in enumerate(tracks, start=1):
+            if (c, ids, k) in s.retired:
+                continue
             cand, rel = _merged_grid(rows, trk.rows)
             if not (rel > 0).any():  # no device applies
+                s.retired.add((c, ids, k))
                 continue
             for run in _cyclic_runs(rel >= 0):
                 if (rel[run] > 0).any():
@@ -624,13 +648,27 @@ def maximize_border(seq: AllowableSequence, start: Border) -> Border:
     splice's rules, ``_border_problem``). The ``Border`` is built on return,
     and the session keeps its rows for the F/G/H scan. Each round raises the
     total position, so the loop ends within n * 2N rounds; the limit guards it.
+
+    Lemma (monotonicity). While the color holds, the border only moves
+    right: at every time its position never falls. A splice writes a
+    candidate's rows only over a run where the candidate is at or right of
+    the border, and keeps the border's rows elsewhere. So a candidate, a
+    fixed rank curve, that is nowhere strictly right of the border stays so
+    in every later round of the same color, and no device can apply to it:
+    ``_improve_once`` retires it (``_Certifier.retired``), which changes no
+    verdict and no order of tests. The nearest-left device hands the border
+    to the other color, whose positions bear no such relation, so the
+    retired set is cleared there, and at the start.
     """
     s = _session(seq)
     color, rows = start.color, s.rows(start)
+    s.retired.clear()
     for _ in range(seq.n * seq.period + 1):
         improved = _improve_once(s, color, rows)
         if improved is None:
             return s.kept[0] if rows is s.kept[1] else s.keep(color, rows)
+        if improved[0] is not color:
+            s.retired.clear()
         color, rows = improved
     raise ProofGapError("border improvement exceeded its termination bound")
 

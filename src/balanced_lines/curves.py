@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -40,13 +39,13 @@ class WeightTrack:
     ``rows`` is one int64 array of ``(time, element, prefix weight,
     position)`` rows over [0, 2N), from time 0 on, each holding until the
     next; time 2N is time 0 again. Borders have the same rows, and
-    ``on_grid`` reads both. The first read of ``rows`` converts
-    ``track_rank``'s log, once, after checking strong continuity (per-step
+    ``on_grid`` reads both. ``changes`` is ``track_rank``'s array for the
+    rank; the first read of ``rows`` checks strong continuity (per-step
     weight change in {-1, 0, +1}, adjacent-or-equal positions) and
-    periodicity on it, the log's step into 2N included.
+    periodicity on it, its row at 2N included, and drops that row.
     """
 
-    def __init__(self, seq: AllowableSequence, spec: CurveSpec, changes):
+    def __init__(self, seq: AllowableSequence, spec: CurveSpec, changes: np.ndarray):
         self.seq = seq
         self.spec = spec
         self.period = seq.period
@@ -54,8 +53,7 @@ class WeightTrack:
 
     @cached_property
     def rows(self) -> np.ndarray:
-        log, self._changes = self._changes, None
-        rows = np.fromiter(chain.from_iterable(log), np.int64, 4 * len(log)).reshape(-1, 4)
+        rows, self._changes = self._changes, None
         # Between change points nothing moves, so checking consecutive change
         # points checks every step.
         if (np.abs(rows[1:, 2:] - rows[:-1, 2:]) > 1).any():
@@ -101,17 +99,18 @@ class CurveClass(Enum):
 def track_all(seq: AllowableSequence, members, steps) -> list[WeightTrack]:
     """Tracks of every rank of a subset over a full period, in rank order.
 
-    One pass over ``steps``, the sequence's ``step_table``, logs every rank's
-    change points; each track checks them on first access. An empty subset
-    has no ranks and no pass.
+    One ``track_rank`` off ``steps``, the sequence's ``step_table`` (lists,
+    or the session's numpy columns), gives every rank's change rows; each
+    track checks them on first access. An empty subset has no ranks and no
+    call.
     """
     members = frozenset(members)
     member = [v in members for v in range(seq.n)]
     word, *swaps = steps
-    logs = _kernels.track_rank(seq.pi0, word, seq.weights, member, swaps) if members else []
+    ranks = _kernels.track_rank(seq.pi0, word, seq.weights, member, swaps) if members else []
     return [
         WeightTrack(seq, CurveSpec(members, k), changes)
-        for k, changes in enumerate(logs, start=1)
+        for k, changes in enumerate(ranks, start=1)
     ]
 
 

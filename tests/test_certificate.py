@@ -709,6 +709,38 @@ class TestFastPaths:
                             assert (per_time(out, period) == spliced).all(), entry
         assert set(seen) == {"skipped", "kept", "invalid", "spliced"}
 
+    def test_retired_candidates_stay_left_of_the_border(self, monkeypatch):
+        # The monotonicity lemma of maximize_border: within one color the
+        # border only moves right, so a candidate retired in a round is
+        # nowhere strictly right of the border in any later round, and
+        # skipping it changes nothing. At the start of every round each
+        # retired candidate is tested again, on positions ranked from
+        # scratch in every permutation, against the round's border.
+        rounds = []
+        improve_once = certificate_mod._improve_once
+
+        def recording(session, c, rows):
+            rounds.append((c, rows, set(session.retired)))
+            return improve_once(session, c, rows)
+
+        monkeypatch.setattr(certificate_mod, "_improve_once", recording)
+        retests = 0
+        for entry in TestCarriedPositions.GOLDEN_CASE2 + N120_ENTRIES:
+            seq = make_certificates.build(entry)
+            rounds.clear()
+            certify(seq)
+            perms, positions = None, {}  # a subset's rank positions per time, built once
+            for c, rows, retired in rounds:
+                b_pos = per_time(rows, seq.period)[2]
+                for color, ids, k in retired:
+                    assert color is c, entry  # cleared when the border changes color
+                    if ids not in positions:
+                        perms = np.array(all_permutations(seq)) if perms is None else perms
+                        positions[ids] = oracle_tracks(seq, ids, perms)[2, : seq.period]
+                    assert not (positions[ids][:, k - 1] > b_pos).any(), (entry, sorted(ids), k)
+                    retests += 1
+        assert retests > 0
+
     def test_splice_reads_mirror_order_off_the_positions(self, t_red_border):
         # No splice tried on the corpus breaks mirror order alone, so hand
         # _splice a border's own element with a position at its mirror's.

@@ -299,7 +299,7 @@ class TestChangeRows:
     ])
     def test_rows_are_checked_on_first_read(self, changes, message):
         seq = random_sequence(6, 4, seed=13)
-        trk = WeightTrack(seq, CurveSpec(blue_ids(seq), 1), changes)
+        trk = WeightTrack(seq, CurveSpec(blue_ids(seq), 1), np.array(changes, np.int64))
         with pytest.raises(ProofGapError, match=message):
             trk.rows
 

@@ -1,8 +1,9 @@
 """The kernels against from-scratch replays.
 
-``transposition_at`` and ``all_permutations`` rebuild each permutation from
-``pi0`` and the word, and ``oracle_track`` ranks the members of every
-permutation directly, so these tests share no code with the kernels.
+``transposition_at``, ``permutation_at`` and ``all_permutations`` rebuild
+each permutation from ``pi0`` and the word, and ``scratch_ranks`` ranks the
+members of every permutation directly, so these tests share no code with the
+kernels.
 """
 import random
 
@@ -10,9 +11,9 @@ import numpy as np
 import pytest
 
 from balanced_lines import _kernels
-from balanced_lines.sequence import random_sequence, step_table, transposition_at
+from balanced_lines.sequence import permutation_at, random_sequence, step_table, transposition_at
 
-from conftest import all_permutations, oracle_track
+from conftest import all_permutations, per_time
 
 
 def sequence_arrays(seed, n=10, blue=6):
@@ -21,12 +22,26 @@ def sequence_arrays(seed, n=10, blue=6):
     return seq.pi0, word, seq.weights, seq
 
 
-def forward_fill(changes, length):
-    """Per-time (element, weight, position) from a rank's change-point rows."""
+def scratch_ranks(seq, members):
+    """Each rank's (element, prefix weight, position) at every time in [0, 2N], from scratch.
+
+    The rank-k member at time t is the k-th member from the left in
+    ``permutation_at(seq, t)``. Returns an array of shape (|members|, 3, 2N + 1).
+    """
     out = []
-    for (t, e, w, q), nxt in zip(changes, [row[0] for row in changes[1:]] + [length]):
-        out.extend([(e, w, q)] * (nxt - t))
-    return out
+    for t in range(seq.period + 1):
+        perm = permutation_at(seq, t)
+        pre = np.cumsum([0] + [seq.weights[v] for v in perm])
+        out.append([(v, pre[q], q) for q, v in enumerate(perm) if v in members])
+    return np.array(out).transpose(1, 2, 0)
+
+
+def kernel_ranks(seq, members):
+    """``track_rank``'s rows for ``members``, forward-filled like ``scratch_ranks``."""
+    word, *steps = step_table(seq)
+    ranks = _kernels.track_rank(seq.pi0, word, seq.weights, [v in members for v in range(seq.n)], steps)
+    assert all(rows.dtype == np.int64 and rows[0, 0] == 0 for rows in ranks)
+    return np.array([per_time(rows, seq.period + 1) for rows in ranks])
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -40,19 +55,24 @@ def test_run_word_backends_agree(seed):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_track_rank_backends_agree(seed):
-    _, word, _, seq = sequence_arrays(seed)
-    perms = all_permutations(seq)
+    _, _, _, seq = sequence_arrays(seed)
     for color_weight in (1, -1):
         members = frozenset(i for i in range(seq.n) if seq.weights[i] == color_weight)
-        member = [i in members for i in range(seq.n)]
-        logs = _kernels.track_rank(seq.pi0, word, seq.weights, member, step_table(seq)[1:])
-        assert len(logs) == len(members)
-        for k, changes in enumerate(logs, start=1):
-            got = forward_fill(changes, len(word) + 1)
-            expected = [
-                (e, w, perms[t].index(e)) for t, (e, w) in enumerate(oracle_track(seq, members, k))
-            ]
-            assert got == expected
+        assert np.array_equal(kernel_ranks(seq, members), scratch_ranks(seq, members))
+
+
+@pytest.mark.parametrize("n", range(2, 15, 2))  # random_sequence takes even n
+def test_track_rank_matches_scratch_ranks_on_small_subsets(n):
+    # One member, two members adjacent at time 0 (they pass each other once),
+    # each color and all n, on random abstract sequences.
+    for seed in range(4):
+        rng = random.Random(seed)
+        seq = random_sequence(n, rng.randrange((n + 1) // 2, n + 1), seed=f"kr:{n}:{seed}")
+        q = rng.randrange(n - 1)
+        subsets = [{seq.pi0[q]}, {seq.pi0[q], seq.pi0[q + 1]}, set(range(n))]
+        subsets += [{v for v in range(n) if seq.weights[v] == w} for w in (1, -1)]
+        for members in filter(None, subsets):
+            assert np.array_equal(kernel_ranks(seq, members), scratch_ranks(seq, members)), members
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -85,9 +85,9 @@ class _Certifier:
       (one set per color, so the keys below share it): the blue family
       seeds the border, the border color's is the ALL subset of maximisation,
       and the other color's answers the nearest-left device by rank lookup.
-    - ``retired``: the ``(color, subset, rank)`` candidates maximisation
-      found nowhere strictly right of the border, which its rounds skip
-      (the lemma in ``maximize_border``'s docstring).
+    - ``retired``: the ``(subset, rank)`` candidates maximisation found
+      nowhere strictly right of the border while its color holds, which its
+      rounds skip (the lemma in ``maximize_border``'s docstring).
     - ``step(t)``: the swap from pi^t to pi^{t+1}, a row of the table;
       ``swap(t, member, members)`` sees it from the one member it moves.
     - ``rows(border)``: a border's change rows, walked unless it is
@@ -104,7 +104,7 @@ class _Certifier:
         self.seq = seq
         self._recent: dict[frozenset[int], list[WeightTrack]] = {}  # newest last
         self.kept: tuple[Border | None, np.ndarray | None] = (None, None)  # border, rows
-        self.retired: set[tuple[Color, frozenset[int], int]] = set()
+        self.retired: set[tuple[frozenset[int], int]] = set()
         self.ids = {c: frozenset(v for v, col in enumerate(seq.colors) if col is c) for c in Color}
 
     def family(self, color: Color) -> list[WeightTrack]:
@@ -272,8 +272,8 @@ def _nearest_left_curve(s: _Certifier, trk: WeightTrack, want: Color):
     An element at position q with prefix weight w has (q + w)/2 blue and
     (q - w)/2 red points on its left, so the nearest one of color ``want``
     is the ``want`` family's rank curve of that count. Each change row of the
-    curve takes that rank's rows in force until the next: one search of the
-    family's rows, keyed by rank and time, and one gather, not a replay.
+    curve takes that rank's rows in force until the next, found by one search
+    of the family's rows keyed by rank and time, not a replay.
 
     Lemma. Let X be the rank-k curve of a set Q of points of color c, off
     the threshold side at every time, and Y its nearest-other-color-left
@@ -296,16 +296,13 @@ def _nearest_left_curve(s: _Certifier, trk: WeightTrack, want: Color):
     near = np.concatenate([curve.rows for curve in family])
     key = np.concatenate([k * span + curve.rows[:, 0] for k, curve in enumerate(family)])
     ends = np.append(rows[1:, 0], s.seq.period)
-    # Rank k's rows in force over [t, end): from the one in force at t to the last before end.
-    first, last = np.searchsorted(key, (ks - 1) * span + np.stack((rows[:, 0], ends - 1)), "right")
-    first -= 1
-    lens = last - first
-    at = np.cumsum(lens) - lens  # where each change row's run starts in the output
-    idx = np.ones(at[-1] + lens[-1], np.int64)  # the runs' indices, as steps from the last one
-    idx[at] = first - np.append(0, last[:-1] - 1)
-    out = near[np.cumsum(idx)]
-    out[at, 0] = rows[:, 0]
-    return _change_rows(out)
+    # Rank k's rows in force over [t, end), searched for every change row at once.
+    firsts, lasts = np.searchsorted(key, (ks - 1) * span + np.stack((rows[:, 0] + 1, ends)))
+    out = []
+    for t, i, j in zip(rows[:, 0].tolist(), firsts.tolist(), lasts.tolist()):
+        out.append(near[i - 1 : j].copy())
+        out[-1][0, 0] = t
+    return _change_rows(np.concatenate(out))
 
 
 def initial_border(seq: AllowableSequence, k: int) -> Border:
@@ -623,11 +620,11 @@ def _improve_once(s: _Certifier, c: Color, rows: np.ndarray):
     g_ids = frozenset(_fgh(seq, c, rows)[1])
     for ids, tracks in ((g_ids, s.tracks(g_ids)), (s.ids[c], s.family(c))):
         for k, trk in enumerate(tracks, start=1):
-            if (c, ids, k) in s.retired:
+            if (ids, k) in s.retired:
                 continue
             cand, rel = _merged_grid(rows, trk.rows)
             if not (rel > 0).any():  # no device applies
-                s.retired.add((c, ids, k))
+                s.retired.add((ids, k))
                 continue
             for run in _cyclic_runs(rel >= 0):
                 if (rel[run] > 0).any():

@@ -720,7 +720,7 @@ class TestFastPaths:
         improve_once = certificate_mod._improve_once
 
         def recording(session, c, rows):
-            rounds.append((c, rows, set(session.retired)))
+            rounds.append((rows, set(session.retired)))
             return improve_once(session, c, rows)
 
         monkeypatch.setattr(certificate_mod, "_improve_once", recording)
@@ -730,16 +730,40 @@ class TestFastPaths:
             rounds.clear()
             certify(seq)
             perms, positions = None, {}  # a subset's rank positions per time, built once
-            for c, rows, retired in rounds:
+            for rows, retired in rounds:
                 b_pos = per_time(rows, seq.period)[2]
-                for color, ids, k in retired:
-                    assert color is c, entry  # cleared when the border changes color
+                for ids, k in retired:
                     if ids not in positions:
                         perms = np.array(all_permutations(seq)) if perms is None else perms
                         positions[ids] = oracle_tracks(seq, ids, perms)[2, : seq.period]
                     assert not (positions[ids][:, k - 1] > b_pos).any(), (entry, sorted(ids), k)
                     retests += 1
         assert retests > 0
+
+    def test_retired_set_is_cleared_when_the_border_changes_color(self, monkeypatch):
+        # The nearest-left device never fires on the corpus, so hand the
+        # border to the other color by hand after the first round that
+        # retires a candidate: the next round must start with none retired.
+        improve_once = certificate_mod._improve_once
+        seen = []
+
+        class Stop(Exception):
+            pass
+
+        def once(session, c, rows):
+            if seen:
+                seen.append(set(session.retired))
+                raise Stop
+            improved = improve_once(session, c, rows)
+            if session.retired:
+                seen.append(c)
+                return c.opposite, rows
+            return improved
+
+        monkeypatch.setattr(certificate_mod, "_improve_once", once)
+        with pytest.raises(Stop):
+            certify(make_certificates.build(TestCarriedPositions.GOLDEN_CASE2[0]))
+        assert seen[1:] == [set()]
 
     def test_splice_reads_mirror_order_off_the_positions(self, t_red_border):
         # No splice tried on the corpus breaks mirror order alone, so hand

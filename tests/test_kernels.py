@@ -1,9 +1,8 @@
 """The kernels against from-scratch replays.
 
-``transposition_at``, ``permutation_at`` and ``all_permutations`` rebuild
-each permutation from ``pi0`` and the word, and ``scratch_ranks`` ranks the
-members of every permutation directly, so these tests share no code with the
-kernels.
+``transposition_at`` and ``all_permutations`` rebuild each permutation from
+``pi0`` and the word, and ``oracle_tracks`` ranks the members of every
+permutation directly, so these tests share no code with the kernels.
 """
 import random
 
@@ -11,9 +10,9 @@ import numpy as np
 import pytest
 
 from balanced_lines import _kernels
-from balanced_lines.sequence import permutation_at, random_sequence, step_table, transposition_at
+from balanced_lines.sequence import random_sequence, step_table, transposition_at
 
-from conftest import all_permutations, per_time
+from conftest import all_permutations, oracle_tracks, per_time
 
 
 def sequence_arrays(seed, n=10, blue=6):
@@ -22,22 +21,13 @@ def sequence_arrays(seed, n=10, blue=6):
     return seq.pi0, word, seq.weights, seq
 
 
-def scratch_ranks(seq, members):
-    """Each rank's (element, prefix weight, position) at every time in [0, 2N], from scratch.
-
-    The rank-k member at time t is the k-th member from the left in
-    ``permutation_at(seq, t)``. Returns an array of shape (|members|, 3, 2N + 1).
-    """
-    out = []
-    for t in range(seq.period + 1):
-        perm = permutation_at(seq, t)
-        pre = np.cumsum([0] + [seq.weights[v] for v in perm])
-        out.append([(v, pre[q], q) for q, v in enumerate(perm) if v in members])
-    return np.array(out).transpose(1, 2, 0)
+def oracle_ranks(seq, members):
+    """``oracle_tracks`` laid out like ``kernel_ranks``."""
+    return oracle_tracks(seq, members, np.array(all_permutations(seq))).transpose(2, 0, 1)
 
 
 def kernel_ranks(seq, members):
-    """``track_rank``'s rows for ``members``, forward-filled like ``scratch_ranks``."""
+    """``track_rank``'s rows for ``members``, forward-filled: shape (|members|, 3, 2N + 1)."""
     word, *steps = step_table(seq)
     ranks = _kernels.track_rank(seq.pi0, word, seq.weights, [v in members for v in range(seq.n)], steps)
     assert all(rows.dtype == np.int64 and rows[0, 0] == 0 for rows in ranks)
@@ -58,7 +48,7 @@ def test_track_rank_backends_agree(seed):
     _, _, _, seq = sequence_arrays(seed)
     for color_weight in (1, -1):
         members = frozenset(i for i in range(seq.n) if seq.weights[i] == color_weight)
-        assert np.array_equal(kernel_ranks(seq, members), scratch_ranks(seq, members))
+        assert np.array_equal(kernel_ranks(seq, members), oracle_ranks(seq, members))
 
 
 @pytest.mark.parametrize("n", range(2, 15, 2))  # random_sequence takes even n
@@ -72,7 +62,7 @@ def test_track_rank_matches_scratch_ranks_on_small_subsets(n):
         subsets = [{seq.pi0[q]}, {seq.pi0[q], seq.pi0[q + 1]}, set(range(n))]
         subsets += [{v for v in range(n) if seq.weights[v] == w} for w in (1, -1)]
         for members in filter(None, subsets):
-            assert np.array_equal(kernel_ranks(seq, members), scratch_ranks(seq, members)), members
+            assert np.array_equal(kernel_ranks(seq, members), oracle_ranks(seq, members)), members
 
 
 @pytest.mark.parametrize("seed", range(3))
